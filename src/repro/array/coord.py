@@ -27,6 +27,12 @@ Coordinated lanes therefore never stall a write for more than a
 reserve-restoring collection, and the deferral is visible on the
 ``array`` tracer track plus the coordinator's stats.
 
+Every policy also answers :meth:`GCCoordinator.may_act_in_gap`: could
+it start an idle burst on a lane during a given idle gap?  The answer
+must be sound (never "no" when the hooks above would act) and may be
+conservative; the epoch-batched array kernel keeps every gap the
+coordinator provably declines inside one batched run.
+
 Determinism: all three policies are pure functions of the shared
 simulated clock and the lanes' own state — replaying the same merged
 trace yields the same decisions, event for event.
@@ -35,6 +41,8 @@ trace yields the same decisions, event for event.
 from __future__ import annotations
 
 from typing import Dict, Optional
+
+import numpy as np
 
 from repro.obs.trace import TRACK_ARRAY
 
@@ -103,6 +111,18 @@ class GCCoordinator:
 
     def on_collection_done(self, lane, now: float) -> None:
         """An idle collection scheduled by this coordinator finished."""
+
+    def may_act_in_gap(self, lane, gap_start, next_arrival) -> np.ndarray:
+        """May an idle burst start on ``lane`` while it idles from
+        ``gap_start`` until its next arrival at ``next_arrival``?
+
+        Elementwise over array arguments.  Sound, not exact: ``False``
+        only where ``on_idle`` at ``gap_start`` and every coordinator
+        event up to and including ``next_arrival`` (a same-instant tie
+        may fire before the arrival) are guaranteed to leave the lane
+        alone.  The base answer is always ``True``.
+        """
+        return np.ones(np.shape(gap_start), dtype=bool)
 
     # -- common helpers -------------------------------------------------
 
@@ -188,6 +208,26 @@ class StaggeredCoordinator(GCCoordinator):
         if lane.scheme.needs_background_gc():
             self._start_idle_burst(lane)
 
+    def may_act_in_gap(self, lane, gap_start, next_arrival) -> np.ndarray:
+        """``owner(gap_start)`` is the lane, or a window tick that hands
+        the lane its turn falls in ``(gap_start, next_arrival]``.
+
+        The ticks are ``SSDArray._schedule_window``'s edge sequence and
+        owners use :meth:`owner`'s expression, in the same float
+        arithmetic.  More than ``N`` ticks in one gap answer ``True``.
+        """
+        w = self.window_us
+        n = len(self.array.lanes)
+        a = np.asarray(next_arrival, dtype=np.float64)
+        k = np.asarray(gap_start, dtype=np.float64) // w
+        act = k.astype(np.int64) % n == lane.index
+        edge = (k + 1.0) * w
+        for _ in range(n):
+            k = edge // w
+            act |= (edge <= a) & (k.astype(np.int64) % n == lane.index)
+            edge = (k + 1.0) * w
+        return act | (edge <= a)
+
     def on_window(self, now: float) -> None:
         """Window-rotation tick: give the new owner its idle slot."""
         self.windows_fired += 1
@@ -217,6 +257,9 @@ class TokenCoordinator(GCCoordinator):
     def __init__(self) -> None:
         super().__init__()
         self.holder = None
+        #: when the holder's burst completes (grant time + duration,
+        #: the instant its ``GC_COMPLETE`` event fires).
+        self.release_us = 0.0
         self.grants = 0
 
     def foreground_gc(self, lane, now: float) -> float:
@@ -229,14 +272,27 @@ class TokenCoordinator(GCCoordinator):
             return
         if not lane.scheme.needs_background_gc():
             return
-        if self._start_idle_burst(lane) > 0.0:
+        now = lane.sim.now
+        duration = self._start_idle_burst(lane)
+        if duration > 0.0:
             self.holder = lane
+            self.release_us = now + duration
             self.grants += 1
             tracer = self.array.tracer if self.array is not None else None
             if tracer is not None:
                 tracer.instant(
-                    TRACK_ARRAY, "token-grant", lane.sim.now, device=lane.index
+                    TRACK_ARRAY, "token-grant", now, device=lane.index
                 )
+
+    def may_act_in_gap(self, lane, gap_start, next_arrival) -> np.ndarray:
+        """``on_idle`` runs only when the gap opens, and it declines
+        while another lane holds the token; the token cannot change
+        hands before the holder's release, so only gaps opening at or
+        after the release (or with the token free) may act."""
+        g = np.asarray(gap_start, dtype=np.float64)
+        if self.holder is None or self.holder is lane:
+            return np.ones(g.shape, dtype=bool)
+        return g >= self.release_us
 
     def on_collection_done(self, lane, now: float) -> None:
         if self.holder is lane:

@@ -332,8 +332,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kernel",
         default=None,
         choices=("reference", "vectorized"),
-        help="replay kernel (default: REPRO_KERNEL env var or 'reference'); "
-        "vectorized batches request runs through repro.kernel",
+        help="replay kernel (default: REPRO_KERNEL env var or 'vectorized'); "
+        "vectorized batches request runs through repro.kernel, reference "
+        "is the per-request event loop (the spec kernel)",
     )
     sim_p.add_argument("--wear-aware", action="store_true")
     sim_p.add_argument(

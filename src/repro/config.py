@@ -156,17 +156,18 @@ class SSDConfig:
     write_buffer_pages: int = 0
     #: DRAM access latency charged per buffered page.
     write_buffer_dram_us: float = 1.0
-    #: Replay kernel implementation.  ``reference`` is the per-request
-    #: Python event loop; ``vectorized`` batches whole request runs
-    #: through ``repro.kernel`` and must produce bit-identical
-    #: trajectories (it falls back to the reference path for features
-    #: the batched kernels do not model: preemptive GC, write buffers,
+    #: Replay kernel implementation.  ``vectorized`` (the default)
+    #: batches whole request runs through ``repro.kernel`` and must
+    #: produce trajectories bit-identical to ``reference``, the
+    #: per-request Python event loop that serves as the spec/oracle
+    #: kernel; the vectorized path falls back to it for features the
+    #: batched kernels do not model (preemptive GC, write buffers,
     #: per-request telemetry).  The ``REPRO_KERNEL`` environment
     #: variable overrides the default for configs that do not set it
-    #: explicitly — CI uses it to run the whole tier-1 suite on the
-    #: vectorized path.
+    #: explicitly — CI uses ``REPRO_KERNEL=reference`` to run the whole
+    #: tier-1 suite on the reference path as well.
     kernel: str = field(
-        default_factory=lambda: os.environ.get("REPRO_KERNEL", "reference")
+        default_factory=lambda: os.environ.get("REPRO_KERNEL", "vectorized")
     )
     #: Request-chunk size of the vectorized replay orchestrator: how
     #: many trace rows one batch slice covers.  Smaller chunks bound

@@ -19,9 +19,10 @@ event loop.  The array's coupling surface is narrow by construction:
   lane replays *epochs*: batched runs up to the next cross-device
   synchronization point — the predicted foreground GC grant (the first
   write that would drop free blocks below the reserve), or an idle gap
-  with background reclamation pending (where the real coordinator gets
-  to decide about windows and tokens) — then advances the shared clock
-  to that barrier through the ordinary event heap and repeats.
+  with background reclamation pending in which the coordinator may act
+  (where the real coordinator gets to decide about windows and tokens)
+  — then advances the shared clock to that barrier through the
+  ordinary event heap and repeats.
 
 The coordinated epoch planner leans on one watermark fact: a deferred
 foreground GC (``GCCoordinator._defer`` -> ``_restore_reserve``) does
@@ -33,7 +34,10 @@ scans over the write page counts, just like the single-device
 GC-trigger prediction.  Idle-gap barriers are equally analytic: the
 background-need onset is a prefix scan too, and a gap only matters
 once ``needs_background_gc()`` is true (before that, ``on_idle`` and
-``on_window`` are no-ops for every policy).
+``on_window`` are no-ops for every policy) and the coordinator's
+:meth:`~repro.array.coord.GCCoordinator.may_act_in_gap` holds for it
+(a staggered lane that owns no window edge in the gap, or a gap opening
+while another lane's token burst is still running, stays in the run).
 
 Fallback stays reason-tagged at the same three granularities the
 single-device kernel established:
@@ -262,8 +266,9 @@ class _LaneFold:
     latency in the array's global, per-device and per-tenant
     histograms — the exact counts the reference's per-completion
     ``ArrayTelemetry.on_complete`` calls produce, folded per batch.
-    It also keeps the lane's latency column so completions (arrival +
-    latency) can be reconstructed for the NCQ counters.
+    It also keeps the lane's latency column (one float64 slot per
+    sub-trace row, written in place at the cursor) so completions
+    (arrival + latency) can be reconstructed for the NCQ counters.
 
     When the array carries an :class:`~repro.obs.metrics.ArrayMetrics`
     bundle the same folds land there too (``on_array_batch`` /
@@ -274,18 +279,19 @@ class _LaneFold:
     """
 
     __slots__ = (
-        "telemetry", "metrics", "device", "tenants", "cursor", "parts",
+        "telemetry", "metrics", "device", "tenants", "cursor", "column",
     )
 
     def __init__(
-        self, telemetry, device: int, tenants: np.ndarray, metrics=None
+        self, telemetry, device: int, tenants: np.ndarray, n: int,
+        metrics=None,
     ) -> None:
         self.telemetry = telemetry
         self.metrics = metrics
         self.device = device
         self.tenants = tenants
         self.cursor = 0
-        self.parts: List[np.ndarray] = []
+        self.column = np.empty(n, dtype=np.float64)
 
     def on_batch(self, latencies_us: np.ndarray, end_us: float, ssd) -> None:
         n = int(latencies_us.size)
@@ -304,8 +310,8 @@ class _LaneFold:
             self.metrics.on_array_batch(
                 self.device, tslice, latencies_us, end_us
             )
+        self.column[self.cursor : self.cursor + n] = latencies_us
         self.cursor += n
-        self.parts.append(latencies_us)
 
     def on_complete(self, now_us: float, latency_us: float, ssd) -> None:
         tel = self.telemetry
@@ -315,16 +321,14 @@ class _LaneFold:
             self.metrics.on_array_complete(
                 self.device, tenant, now_us, latency_us
             )
+        self.column[self.cursor] = latency_us
         self.cursor += 1
-        self.parts.append(np.array([latency_us], dtype=np.float64))
 
     def snapshot(self, now_us: float, ssd) -> None:  # boundary no-op
         pass
 
     def latencies(self) -> np.ndarray:
-        if not self.parts:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate(self.parts)
+        return self.column[: self.cursor]
 
 
 # ------------------------------------------------------------ eligibility
@@ -386,7 +390,9 @@ def _replay_independent(array, subs) -> Tuple[list, list, list, int]:
     scalar_gates = 0
     sim = array.sim
     for lane, (sub, tenants, _idx) in zip(array.lanes, subs):
-        fold = _LaneFold(array.telemetry, lane.index, tenants, array.metrics)
+        fold = _LaneFold(
+            array.telemetry, lane.index, tenants, len(sub), array.metrics
+        )
         # Assigned post-construction on purpose: the constructor path
         # would also register the GC-snapshot hook, which the batched
         # kernel drives explicitly.
@@ -436,7 +442,9 @@ class _LaneState:
     def __init__(self, lane, sub, tenants, telemetry, metrics=None) -> None:
         self.lane = lane
         self.sub = sub
-        self.fold = _LaneFold(telemetry, lane.index, tenants, metrics)
+        self.fold = _LaneFold(
+            telemetry, lane.index, tenants, len(sub), metrics
+        )
         lane.telemetry = None
         lane._trace_name = sub.name
         lane.rows_done = False
@@ -547,21 +555,21 @@ class _EpochRunner:
             lane.rows_done = True
             return
         now = self.sim.now
+        arrival = float(state.times[state.i])
         if (
-            state.times[state.i] > now
+            arrival > now
             and lane.scheme.needs_background_gc()
+            and self.array.coordinator.may_act_in_gap(lane, now, arrival)
         ):
-            # Genuine idle gap with reclamation pending: stay idle so
-            # window ticks / token hand-offs happen at real instants,
-            # and resume at the next arrival.
+            # Genuine idle gap with reclamation pending and a
+            # coordinator that may act in it: stay idle so window ticks
+            # / token hand-offs happen at real instants, and resume at
+            # the next arrival.
             lane._busy = False
             if not state.resume_pending:
                 state.resume_pending = True
                 self.sim.schedule_at(
-                    float(state.times[state.i]),
-                    EventKind.GENERIC,
-                    state,
-                    self._on_resume,
+                    arrival, EventKind.GENERIC, state, self._on_resume
                 )
             return
         self._commit_next(state)
@@ -725,9 +733,10 @@ class _EpochRunner:
         if e > i:
             # Idle-gap barrier: the first completion that strictly
             # precedes the next arrival *while background reclamation
-            # is needed* hands control to the coordinator.  Before the
-            # need onset, on_idle/on_window decline for every policy,
-            # so earlier gaps stay inside the run.
+            # is needed*, in a gap the coordinator may act in, hands
+            # control to the coordinator.  Every other gap is one where
+            # on_idle/on_window provably decline, so it stays inside
+            # the run.
             seg_times = times[i:e]
             completions, t_end = completion_recurrence(
                 seg_times,
@@ -770,12 +779,14 @@ class _EpochRunner:
         self, state, i, e, completions, af0, free0, ppb, progs, w
     ) -> Optional[int]:
         """First index after which an idle gap with background need
-        opens inside ``[i, e)``, or ``None`` when the run is whole.
+        opens inside ``[i, e)`` that the coordinator may act in, or
+        ``None`` when the run is whole.
 
         A gap at position ``k`` (completion ``k`` strictly before
         arrival ``k+1``) matters only once ``needs_background_gc()``
         holds after request ``k`` — before that every policy's
-        ``on_idle``/``on_window`` declines.  The need onset is the
+        ``on_idle``/``on_window`` declines — and only if
+        ``may_act_in_gap`` holds for it.  The need onset is the
         first write whose *inclusive* program count pulls free blocks
         below the stop watermark (free blocks fall monotonically
         inside a run).  The trailing gap (after ``e - 1``) is handled
@@ -797,14 +808,18 @@ class _EpochRunner:
             j_bg = int(w[int(np.argmax(hit))])
         if j_bg >= e - 1:
             return None
-        gaps = completions[: e - i - 1] < state.times[i + 1 : e]
         rel0 = j_bg - i
-        if rel0 > 0:
-            gaps = gaps.copy()
-            gaps[:rel0] = False
-        if not gaps.any():
+        starts = completions[rel0 : e - i - 1]
+        arrivals = state.times[j_bg + 1 : e]
+        (gaps,) = np.nonzero(starts < arrivals)
+        if not gaps.size:
             return None
-        return i + int(np.argmax(gaps)) + 1
+        act = self.array.coordinator.may_act_in_gap(
+            state.lane, starts[gaps], arrivals[gaps]
+        )
+        if not act.any():
+            return None
+        return j_bg + int(gaps[int(np.argmax(act))]) + 1
 
     def _commit_run(
         self, state, i, e, completions, t_end, w, wn, wfps, progs,

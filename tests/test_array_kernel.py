@@ -10,10 +10,18 @@ Two layers pin ``repro.kernel.arrayepoch`` to the reference event loop:
 * **trajectory identity** — a 4-device / 4-tenant replay produces
   sha256-identical per-device trajectories on both kernels at NCQ
   depths {1, 4, 32} under every GC-coordination policy (depth 1 forces
-  the scalar admission-gate replay, depth 32 the analytic counters).
+  the scalar admission-gate replay, depth 32 the analytic counters);
+* **idle-gap predicate soundness** (Hypothesis) — whenever the
+  reference coordinator hooks would start a burst on a lane during an
+  idle gap, ``may_act_in_gap`` says so, float edge ties included;
+* **work counters** — the quick ``array-tail`` specs commit exactly
+  the pinned number of batched runs, with result digests identical to
+  the reference loop.
 """
 
+import dataclasses
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +29,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.array import SSDArray
+from repro.array.coord import StaggeredCoordinator, TokenCoordinator
 from repro.array.router import RangeRouter
 from repro.config import small_config
+from repro.experiments.array_tail import array_tail_specs
 from repro.kernel.arrayepoch import (
     merge_completions,
     ncq_occupancy,
@@ -327,3 +337,208 @@ class TestMetricsEquivalence:
             assert rh.total == vh.total
             assert rh.max_us == vh.max_us
             assert rh.sum_us == pytest.approx(vh.sum_us, rel=1e-9, abs=1e-6)
+
+
+# ------------------------------------------------ idle-gap predicate
+
+
+def _bound(coord, devices):
+    """``coord`` bound to ``devices`` stub lanes that always need
+    background GC; ``started`` records the lanes a burst starts on."""
+    sim = SimpleNamespace(now=0.0)
+    scheme = SimpleNamespace(needs_background_gc=lambda: True)
+    lanes = [
+        SimpleNamespace(index=d, busy=False, sim=sim, scheme=scheme)
+        for d in range(devices)
+    ]
+    coord.bind(SimpleNamespace(lanes=lanes, tracer=None))
+    started = []
+
+    def burst(lane, duration=5.0):
+        started.append(lane.index)
+        return duration
+
+    coord._start_idle_burst = burst
+    return coord, lanes, sim, started
+
+
+def _window_ticks(w, until):
+    """The staggered tick instants up to ``until``, generated exactly as
+    ``SSDArray._schedule_window`` re-arms them from time 0."""
+    t = 0.0
+    while True:
+        nxt = (t // w + 1.0) * w
+        if nxt > until or nxt <= t:
+            return
+        yield nxt
+        t = nxt
+
+
+def _staggered_acts(w, devices, lane_index, gap_start, next_arrival):
+    """Does the reference staggered coordinator start a burst on the
+    lane in this gap?  ``on_idle`` fires when the gap opens; a tick at
+    the gap's start or at the next arrival may fire on either side of
+    the lane's own event, so both ends count."""
+    coord, lanes, sim, started = _bound(
+        StaggeredCoordinator(window_us=w), devices
+    )
+    lane = lanes[lane_index]
+    sim.now = gap_start
+    coord.on_idle(lane)
+    for tick in _window_ticks(w, next_arrival):
+        if tick >= gap_start:
+            coord.on_window(tick)
+    return lane_index in started, coord, lane
+
+
+@st.composite
+def staggered_gaps(draw):
+    w = draw(
+        st.one_of(
+            st.sampled_from([0.1, 1.0, 3.0, 7.5, 1250.0, 3278.0]),
+            st.floats(0.5, 5000.0, allow_nan=False, allow_infinity=False),
+        )
+    )
+    devices = draw(st.integers(1, 6))
+    lane = draw(st.integers(0, devices - 1))
+    k = draw(st.integers(0, 60))
+    # Exact window edges (k*W, in the tick arithmetic) are the ties.
+    gap_start = draw(
+        st.one_of(
+            st.just(k * w),
+            st.floats(0.0, 1.0).map(lambda f: (k + f) * w),
+        )
+    )
+    m = draw(st.integers(0, 2 * devices + 1))
+    next_arrival = draw(
+        st.one_of(
+            st.just((gap_start // w + 1.0 + m) * w),
+            st.floats(0.0, (m + 1) * w).map(lambda d: gap_start + d),
+        )
+    )
+    return w, devices, lane, gap_start, max(next_arrival, gap_start)
+
+
+class TestIdleGapPredicate:
+    """``may_act_in_gap`` never says "no" where the reference acts."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(staggered_gaps())
+    def test_staggered_is_sound(self, case):
+        w, devices, lane_index, gap_start, next_arrival = case
+        acts, coord, lane = _staggered_acts(
+            w, devices, lane_index, gap_start, next_arrival
+        )
+        may = coord.may_act_in_gap(lane, gap_start, next_arrival)
+        if acts:
+            assert may
+        # The array form is the elementwise scalar form.
+        vec = coord.may_act_in_gap(
+            lane, np.array([gap_start, gap_start]),
+            np.array([next_arrival, gap_start]),
+        )
+        assert vec[0] == may
+        assert vec[1] == coord.may_act_in_gap(lane, gap_start, gap_start)
+
+    def test_staggered_edge_ties(self):
+        w, devices = 1250.0, 4
+        coord, lanes, _sim, _ = _bound(
+            StaggeredCoordinator(window_us=w), devices
+        )
+        # Gap opening exactly on an edge: owner(edge) decides.
+        assert coord.may_act_in_gap(lanes[2], 2 * w, 2 * w + 10.0)
+        assert not coord.may_act_in_gap(lanes[3], 2 * w, 2 * w + 10.0)
+        # The lane's own edge equal to the next arrival may still act.
+        assert coord.may_act_in_gap(lanes[3], 2 * w + 1.0, 3 * w)
+        assert not coord.may_act_in_gap(lanes[3], 2 * w + 1.0, 3 * w - 1e-6)
+        # A gap spanning a whole rotation reaches every lane.
+        assert all(
+            coord.may_act_in_gap(lane, 0.5, 0.5 + devices * w)
+            for lane in lanes
+        )
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(2, 5),
+        st.floats(0.0, 1000.0, allow_nan=False),
+        st.floats(0.1, 500.0, allow_nan=False),
+        st.sampled_from(["before", "at", "after"]),
+        st.floats(1e-6, 500.0, allow_nan=False),
+    )
+    def test_token_is_sound(self, devices, grant, duration, where, delta):
+        coord, lanes, sim, started = _bound(TokenCoordinator(), devices)
+        holder, lane = lanes[0], lanes[-1]
+        sim.now = grant
+        coord._start_idle_burst = lambda l: started.append(l.index) or duration
+        coord.on_idle(holder)
+        release = grant + duration
+        assert coord.holder is holder and coord.release_us == release
+        gap_start = {
+            "before": max(0.0, release - delta),
+            "at": release,
+            "after": release + delta,
+        }[where]
+        may = coord.may_act_in_gap(lane, gap_start, gap_start + delta)
+        # Reference: the holder's GC_COMPLETE fires at ``release``; at
+        # an exact tie it may run before the lane's completion.
+        if release <= gap_start:
+            coord.on_collection_done(holder, release)
+        sim.now = gap_start
+        coord.on_idle(lane)
+        if lane.index in started:
+            assert may
+        if gap_start < release:
+            assert not may  # the token provably stays with the holder
+        assert may == (gap_start >= release)
+
+    def test_token_free_or_own(self):
+        coord, lanes, sim, _ = _bound(TokenCoordinator(), 2)
+        assert coord.may_act_in_gap(lanes[1], 0.0, 10.0)
+        coord.on_idle(lanes[1])
+        assert coord.may_act_in_gap(lanes[1], 1.0, 10.0)
+        assert not coord.may_act_in_gap(lanes[0], 1.0, 10.0)
+        assert coord.may_act_in_gap(lanes[0], coord.release_us, 10.0)
+
+
+# ---------------------------------------------- experiment work gates
+
+
+def _result_digest(result) -> str:
+    """sha256 over every device's counters and trajectory plus the
+    array's NCQ counters and coordinator stats."""
+    h = hashlib.sha256()
+    for run in result.devices:
+        h.update(repr((run.gc, run.io, run.wear, run.simulated_us)).encode())
+        h.update(run.response_times_us.tobytes())
+    stats = sorted(result.coord_stats.items())
+    h.update(repr((result.ncq_peaks, result.ncq_held, stats)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.slow
+class TestArrayTailWork:
+    """The quick ``array-tail`` coordinated specs: identical on both
+    kernels, and the idle-gap predicate keeps their epochs long.  The
+    committed-run counts are exact deterministic work counters (before
+    the predicate: 8,904 staggered and 5,926 global-token runs)."""
+
+    @pytest.mark.parametrize(
+        "coordination, runs, ceiling",
+        [("staggered", 511, 1000), ("global-token", 2510, 3500)],
+    )
+    def test_identity_and_committed_runs(self, coordination, runs, ceiling):
+        (spec,) = [
+            s for s in array_tail_specs("quick") if s.gc_coord == coordination
+        ]
+        results = {
+            kernel: dataclasses.replace(
+                spec, config_overrides=(("kernel", kernel),)
+            ).execute()
+            for kernel in ("reference", "vectorized")
+        }
+        ref, vec = results["reference"], results["vectorized"]
+        assert ref.metrics.values["cagc_kernel_batches_total"] == 0
+        assert vec.kernel_fallback_reason is None
+        assert _result_digest(vec) == _result_digest(ref)
+        batches = vec.metrics.values["cagc_kernel_batches_total"]
+        assert batches == runs <= ceiling
