@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """GC pressure over time: free space and reclamation activity.
 
-Replays the Mail workload under Baseline and CAGC and renders the
-device's free-space fraction and cumulative GC activity as text
+Replays the Mail workload under Baseline and CAGC with a metrics
+bundle attached and renders the device's free-space fraction and
+cumulative GC activity (the snapshot's simulated-time series) as text
 timelines — showing *when* pressure builds, how the watermark regulates
 it, and how CAGC's dedup stretches the interval between GC bursts.
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from repro import build_fiu_trace, make_scheme, small_config
 from repro.device.ssd import SSD
+from repro.obs import DeviceMetrics
 
 BARS = " ▁▂▃▄▅▆▇█"
 
@@ -25,23 +27,31 @@ def sparkline(values: np.ndarray, lo: float, hi: float) -> str:
     return "".join(BARS[i] for i in idx)
 
 
+def resample(times: np.ndarray, values: np.ndarray, points: int) -> np.ndarray:
+    """Step-interpolate a series onto ``points`` evenly spaced times."""
+    grid = np.linspace(times[0], times[-1], points)
+    idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, times.size - 1)
+    return values[idx]
+
+
 def main() -> None:
     config = small_config(blocks=256, pages_per_block=64, channels=4)
     trace = build_fiu_trace("mail", config, n_requests=0, fill_factor=3.0)
     print(f"replaying {len(trace):,} mail requests on a 64 MB device\n")
 
     for name in ("baseline", "cagc"):
-        ssd = SSD(make_scheme(name, config))
-        result = ssd.replay(trace)
-        _, free = ssd.timeline.resample("free_fraction", points=72)
-        _, erased = ssd.timeline.resample("blocks_erased", points=72)
+        result = SSD(make_scheme(name, config), metrics=DeviceMetrics()).replay(trace)
+        times = result.metrics.times_us
+        erased_all = result.metrics.series["cagc_gc_blocks_erased_total"]
+        free = resample(times, result.metrics.series["cagc_free_fraction"], 72)
+        erased = resample(times, erased_all, 72)
         print(f"[{name}]")
         print(f"  free space  |{sparkline(free, 0.0, 0.5)}|  (0..50%)")
         print(f"  erases      |{sparkline(erased, 0.0, float(erased.max() or 1))}|  "
               f"(cumulative, final={result.blocks_erased})")
-        first_gc_us = ssd.timeline.series("free_fraction")[0]
+        first_gc_us = times[np.argmax(erased_all > 0)]
         print(
-            f"  first GC at {first_gc_us[0] / 1e6:.2f}s simulated, "
+            f"  first GC by {first_gc_us / 1e6:.2f}s simulated, "
             f"{result.gc.gc_invocations} bursts, "
             f"GC busy {result.gc.gc_busy_us / 1e6:.2f}s "
             f"of {result.simulated_us / 1e6:.2f}s total\n"

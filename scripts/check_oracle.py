@@ -75,12 +75,6 @@ def main(argv=None) -> int:
         "(bit-identity sweep) instead of against the naive oracle model",
     )
     parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="attach RunTelemetry to both replay paths and diff the "
-        "folded latency histograms too (kernel-equivalence mode only)",
-    )
-    parser.add_argument(
         "--metrics",
         action="store_true",
         help="attach a DeviceMetrics (or ArrayMetrics, with --array) bundle "
@@ -192,7 +186,6 @@ def main(argv=None) -> int:
                         scheme=scheme,
                         policy=policy,
                         config=config,
-                        telemetry=args.trace,
                         metrics=args.metrics,
                     )
                 else:
@@ -215,7 +208,6 @@ def main(argv=None) -> int:
                                 scheme=s,
                                 policy=p,
                                 config=config,
-                                telemetry=args.trace,
                                 metrics=args.metrics,
                             )
                             is not None

@@ -218,10 +218,8 @@ class _ArrayLane(SSD):
         if self._coord is None or self._preemptive:
             return super()._gc_before_write(now)
         gc_us = self._coord.foreground_gc(self, now)
-        if gc_us > 0.0:
-            self._sample_gc_state(now + gc_us)
-            if self.hooks:
-                self.hooks(self)
+        if gc_us > 0.0 and self.gc_hook is not None:
+            self.gc_hook(self)
         return gc_us
 
     def _maybe_background_gc(self) -> None:
@@ -430,9 +428,7 @@ class SSDArray:
     ) -> None:
         self.telemetry.on_complete(lane.index, tenant, latency_us)
         if self.metrics is not None:
-            self.metrics.on_array_complete(
-                lane.index, tenant, self.sim.now, latency_us
-            )
+            self.metrics.on_array_complete(lane.index, tenant, self.sim.now)
         if self.heartbeat is not None:
             self.heartbeat.tick(
                 self.sim.now,

@@ -12,7 +12,9 @@ with a tight relative bound).
 Percentile queries are answered from bucket counts, so per-tenant
 p99/p999 SLO rows are exact partitions of the array-wide view — the
 numbers ``cagc-repro report`` prints per tenant add up to the global
-distribution by construction.
+distribution by construction.  An attached
+:class:`~repro.obs.metrics.ArrayMetrics` bundle wraps these same
+histograms instead of recording its own copies.
 """
 
 from __future__ import annotations

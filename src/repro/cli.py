@@ -485,19 +485,33 @@ def _disable_cache() -> None:
 
 
 def _make_observers(args):
-    """Build (tracer, telemetry, heartbeat) from the obs flags."""
-    from repro.obs import Heartbeat, RunTelemetry, Tracer
+    """Build (tracer, heartbeat) from the obs flags."""
+    from repro.obs import Heartbeat, Tracer
 
     tracer = Tracer() if args.trace else None
-    telemetry = RunTelemetry() if args.trace else None
     heartbeat = Heartbeat(args.heartbeat) if args.heartbeat is not None else None
-    return tracer, telemetry, heartbeat
+    return tracer, heartbeat
 
 
-def _write_trace(tracer, timeline, args) -> None:
-    """Fold the device timeline into the trace and write it out."""
-    if timeline is not None:
-        tracer.add_counters_from(timeline.to_dict())
+#: ``timeline`` counter-track name -> metrics snapshot series column.
+_TRACE_COUNTERS = {
+    "free_fraction": "cagc_free_fraction",
+    "blocks_erased": "cagc_gc_blocks_erased_total",
+    "pages_migrated": "cagc_gc_pages_migrated_total",
+    "gc_busy_us": "cagc_gc_busy_us_total",
+}
+
+
+def _write_trace(tracer, snapshot, args) -> None:
+    """Fold the metrics series into the trace and write it out."""
+    if snapshot is not None:
+        times = snapshot.times_us.tolist()
+        tracer.add_counters_from(
+            {
+                name: {"times_us": times, "values": snapshot.series[column].tolist()}
+                for name, column in _TRACE_COUNTERS.items()
+            }
+        )
     tracer.write(args.trace, args.trace_format)
     log.info(
         "wrote %d trace events (%s) to %s",
@@ -555,9 +569,9 @@ def _trace_one_experiment_run(args_ids, args) -> None:
         log.warning("--trace: no underlying runs for %s", args_ids)
         return
     spec = specs[0]
-    tracer, telemetry, heartbeat = _make_observers(args)
+    tracer, heartbeat = _make_observers(args)
     log.info("tracing %s ...", spec.label())
-    spec.execute(tracer=tracer, telemetry=telemetry, heartbeat=heartbeat)
+    spec.execute(tracer=tracer, heartbeat=heartbeat)
     _write_trace(tracer, None, args)
 
 
@@ -818,7 +832,7 @@ def _simulate_array(args, config) -> int:
         make_scheme(args.scheme, config, policy=make_policy(args.policy))
         for _ in range(args.array_devices)
     ]
-    tracer, _, heartbeat = _make_observers(args)
+    tracer, heartbeat = _make_observers(args)
     array = SSDArray(
         schemes,
         coordination=args.gc_coord,
@@ -898,7 +912,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             args.preset, config, n_requests=0, fill_factor=args.fill_factor
         )
     scheme = make_scheme(args.scheme, config, policy=make_policy(args.policy))
-    tracer, telemetry, heartbeat = _make_observers(args)
+    tracer, heartbeat = _make_observers(args)
     start = time.time()
     if args.device == "parallel":
         from repro.device.parallel import ParallelSSD
@@ -906,12 +920,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         device = ParallelSSD(scheme, tracer=tracer, heartbeat=heartbeat)
     else:
         from repro.device.ssd import SSD
+        from repro.obs import DeviceMetrics
 
         device = SSD(
             scheme,
             tracer=tracer,
-            telemetry=telemetry,
             heartbeat=heartbeat,
+            # --trace folds the metrics series into a counter track.
+            metrics=DeviceMetrics() if tracer is not None else None,
             # Streaming replays drop per-request samples for the fixed
             # histogram so memory stays flat over arbitrarily long traces.
             keep_samples=not args.stream,
@@ -919,7 +935,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     result = device.replay(trace)
     wall = time.time() - start
     if tracer is not None:
-        _write_trace(tracer, getattr(device, "timeline", None), args)
+        _write_trace(tracer, result.metrics, args)
     lat = result.latency
     rows = [
         ("requests", lat.count),
@@ -1084,7 +1100,7 @@ def _slo_doc(result, array: bool) -> List[dict]:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """Render the unified telemetry view of one (possibly cached) run."""
-    from repro.obs import RunTelemetry
+    from repro.metrics.report import summary_rows
 
     if args.no_cache:
         _disable_cache()
@@ -1099,7 +1115,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.array_devices:
         rows = _array_report_rows(result)
     else:
-        rows = RunTelemetry.summary_rows(result)
+        rows = summary_rows(result)
     rows = list(rows) + _kernel_rows(kernel)
     print(format_table(("Metric", "Value"), rows, title=spec.label()))
     hits = cache.hits if cache is not None else 0

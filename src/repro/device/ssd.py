@@ -84,10 +84,12 @@ class RunResult:
 class SSD:
     """One simulated SSD: a scheme plus the admission/service machinery.
 
-    ``tracer`` / ``telemetry`` / ``heartbeat`` / ``metrics`` are the
-    optional observers from :mod:`repro.obs`.  Each one costs exactly
-    one ``is not None`` test per request when absent — the default
-    replay path stays untouched.
+    ``tracer`` / ``heartbeat`` / ``metrics`` are the optional observers
+    from :mod:`repro.obs`, and ``gc_hook`` an optional ``fn(ssd)``
+    called after every GC episode (foreground burst or idle chunk; the
+    differential oracle wires its invariant checker here).  Each one
+    costs exactly one ``is not None`` test per site when absent — the
+    default replay path stays untouched.
     """
 
     def __init__(
@@ -95,7 +97,6 @@ class SSD:
         scheme: FTLScheme,
         sim: Optional[Simulator] = None,
         tracer=None,
-        telemetry=None,
         heartbeat=None,
         metrics=None,
         keep_samples: bool = True,
@@ -132,59 +133,16 @@ class SSD:
                 scheme.config.write_buffer_pages,
                 dram_us=scheme.config.write_buffer_dram_us,
             )
-        from repro.metrics.timeline import TimelineRecorder
-        from repro.obs.hooks import HookMux
-
-        #: free-space / GC-activity time series (sampled at GC events).
-        self.timeline = TimelineRecorder()
-        #: All post-GC observers, fired with this SSD after every GC
-        #: episode (foreground burst or idle chunk).  The differential
-        #: oracle's invariant checker and telemetry snapshots coexist
-        #: here; see also the :attr:`gc_hook` compatibility property.
-        self.hooks = HookMux()
-        self._user_gc_hook: Optional[Callable[["SSD"], None]] = None
-        #: sim time of the latest GC state sample.  GC completes *inside*
-        #: a service computation (sim.now still reads the service start),
-        #: so hook-driven snapshots take their timestamp from here to
-        #: keep the timeline monotone.
-        self._gc_sample_us = 0.0
+        self.gc_hook: Optional[Callable[["SSD"], None]] = None
         self.tracer = tracer
         #: the scheme emits GC-phase spans through the same tracer.
         scheme.tracer = tracer
-        self.telemetry = telemetry
-        if telemetry is not None:
-            self.hooks.add(self._telemetry_gc_snapshot)
         self.heartbeat = heartbeat
         #: resolved-handle metrics bundle (repro.obs.metrics); binding
         #: here registers every gauge against this scheme/buffer once.
         self.metrics = metrics
         if metrics is not None:
             metrics.bind(self)
-
-    # ------------------------------------------------------------------ hooks
-
-    @property
-    def gc_hook(self) -> Optional[Callable[["SSD"], None]]:
-        """Single-slot compatibility view over :attr:`hooks`.
-
-        Historically ``ssd.gc_hook = fn`` installed the one post-GC
-        callback (the differential-oracle harness still assigns
-        :func:`repro.oracle.invariants.check_all` this way).  The slot
-        now maps onto one :class:`~repro.obs.HookMux` entry, so it
-        composes with telemetry snapshots instead of clobbering them.
-        """
-        return self._user_gc_hook
-
-    @gc_hook.setter
-    def gc_hook(self, hook: Optional[Callable[["SSD"], None]]) -> None:
-        if self._user_gc_hook is not None:
-            self.hooks.remove(self._user_gc_hook)
-        self._user_gc_hook = hook
-        if hook is not None:
-            self.hooks.add(hook)
-
-    def _telemetry_gc_snapshot(self, ssd: "SSD") -> None:
-        self.telemetry.snapshot(max(self._gc_sample_us, self.sim.now), self)
 
     # ------------------------------------------------------------------ replay
 
@@ -200,8 +158,7 @@ class SSD:
         the batched kernels in :mod:`repro.kernel` instead of the event
         engine — bit-identical results, one pass per chunk.  Features
         the kernels do not model (preemptive GC, write buffers,
-        telemetry/heartbeat observers, per-page-hashing schemes) fall
-        back to the reference loop below.
+        per-page-hashing schemes) fall back to the reference loop below.
         """
         if self.heartbeat is not None:
             try:
@@ -222,8 +179,6 @@ class SSD:
             remaining = self.buffer.drain()
             if remaining:
                 self._destage_with_gc(remaining, self.sim.now)
-        if self.telemetry is not None:
-            self.telemetry.snapshot(max(self._gc_sample_us, self.sim.now), self)
         if self.metrics is not None:
             self.metrics.finish(self.sim.now, self)
         if self.heartbeat is not None:
@@ -290,8 +245,6 @@ class SSD:
         latency_us = self.sim.now - arrival_us
         self.latency.record(latency_us)
         self.requests_completed += 1
-        if self.telemetry is not None:
-            self.telemetry.on_complete(self.sim.now, latency_us, self)
         if self.metrics is not None:
             self.metrics.on_complete(self.sim.now, latency_us, self)
         if self.heartbeat is not None:
@@ -322,9 +275,8 @@ class SSD:
 
     def _on_bg_gc_done(self, event: Event) -> None:
         self._busy = False
-        self._sample_gc_state(self.sim.now)
-        if self.hooks:
-            self.hooks(self)
+        if self.gc_hook is not None:
+            self.gc_hook(self)
         if self._queue:
             self._start_service()
         else:
@@ -373,22 +325,9 @@ class SSD:
             gc_us = self._foreground_preemptive_gc(now)
         else:
             gc_us = self.scheme.run_gc(now) if self.scheme.needs_gc() else 0.0
-        if gc_us > 0.0:
-            self._sample_gc_state(now + gc_us)
-            if self.hooks:
-                self.hooks(self)
+        if gc_us > 0.0 and self.gc_hook is not None:
+            self.gc_hook(self)
         return gc_us
-
-    def _sample_gc_state(self, time_us: float) -> None:
-        self._gc_sample_us = time_us
-        scheme = self.scheme
-        self.timeline.sample("free_fraction", time_us, scheme.allocator.free_fraction())
-        self.timeline.sample(
-            "blocks_erased", time_us, float(scheme.gc_counters.blocks_erased)
-        )
-        self.timeline.sample(
-            "pages_migrated", time_us, float(scheme.gc_counters.pages_migrated)
-        )
 
     def _service_buffered_write(
         self, lpn: int, npages: int, fps, now: float
@@ -471,7 +410,6 @@ def run_trace(
     scheme: FTLScheme,
     trace: Trace,
     tracer=None,
-    telemetry=None,
     heartbeat=None,
     metrics=None,
     keep_samples: bool = True,
@@ -480,7 +418,6 @@ def run_trace(
     return SSD(
         scheme,
         tracer=tracer,
-        telemetry=telemetry,
         heartbeat=heartbeat,
         metrics=metrics,
         keep_samples=keep_samples,

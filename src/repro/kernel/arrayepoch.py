@@ -259,23 +259,25 @@ def _gate_replay(a: np.ndarray, c: np.ndarray, depth: int) -> Tuple[int, int]:
 
 
 class _LaneFold:
-    """Per-lane telemetry adapter: batched folds into ArrayTelemetry.
+    """Per-lane metrics adapter: batched folds into ArrayTelemetry.
 
-    Quacks like ``RunTelemetry`` for the single-device kernel hooks
-    (``on_batch``/``on_complete``/``snapshot``) but lands every
-    latency in the array's global, per-device and per-tenant
-    histograms — the exact counts the reference's per-completion
+    Quacks like :class:`~repro.obs.metrics.DeviceMetrics` for the
+    single-device kernel hooks (``on_batch``/``on_complete``/
+    ``on_fallback``/``finish``/``snapshot``) but lands every latency
+    once in the array's global, per-device and per-tenant histograms —
+    the exact counts the reference's per-completion
     ``ArrayTelemetry.on_complete`` calls produce, folded per batch.
     It also keeps the lane's latency column (one float64 slot per
     sub-trace row, written in place at the cursor) so completions
     (arrival + latency) can be reconstructed for the NCQ counters.
 
     When the array carries an :class:`~repro.obs.metrics.ArrayMetrics`
-    bundle the same folds land there too (``on_array_batch`` /
-    ``on_array_complete``) — counter increments and histogram bucket
-    counts stay exact; only the time-series recorder cadence differs
-    (batch boundaries instead of per completion, same deliberate
-    trade-off the single-device kernel makes).
+    bundle (whose histogram handles wrap the same ``ArrayTelemetry``
+    histograms) its counters move too (``on_array_batch`` /
+    ``on_array_complete`` / ``on_fallback``) — exact increments; only
+    the time-series recorder cadence differs (batch boundaries instead
+    of per completion, same deliberate trade-off the single-device
+    kernel makes).
     """
 
     __slots__ = (
@@ -318,14 +320,19 @@ class _LaneFold:
         tenant = int(self.tenants[self.cursor]) if self.tenants.size else 0
         tel.on_complete(self.device, tenant, latency_us)
         if self.metrics is not None:
-            self.metrics.on_array_complete(
-                self.device, tenant, now_us, latency_us
-            )
+            self.metrics.on_array_complete(self.device, tenant, now_us)
         self.column[self.cursor] = latency_us
         self.cursor += 1
 
-    def snapshot(self, now_us: float, ssd) -> None:  # boundary no-op
-        pass
+    def on_fallback(self, reason: str) -> None:
+        if self.metrics is not None:
+            self.metrics.on_fallback(reason)
+
+    def finish(self, now_us: float, ssd) -> None:
+        pass  # the array finishes its own metrics bundle
+
+    def snapshot(self) -> None:
+        return None  # per-device RunResult.metrics stays None
 
     def latencies(self) -> np.ndarray:
         return self.column[: self.cursor]
@@ -393,14 +400,13 @@ def _replay_independent(array, subs) -> Tuple[list, list, list, int]:
         fold = _LaneFold(
             array.telemetry, lane.index, tenants, len(sub), array.metrics
         )
-        # Assigned post-construction on purpose: the constructor path
-        # would also register the GC-snapshot hook, which the batched
-        # kernel drives explicitly.
-        lane.telemetry = fold
+        # Assigned post-construction on purpose: the constructor would
+        # bind it as a DeviceMetrics bundle.
+        lane.metrics = fold
         lane._trace_name = sub.name
         sim.now = 0.0  # each lane replays on its own clock segment
         result = replay_vectorized(lane, sub)
-        lane.telemetry = None
+        lane.metrics = None
         lane.last_event_us = result.simulated_us if len(sub) else 0.0
         lane.rows_done = True
         lats = fold.latencies()
@@ -445,7 +451,6 @@ class _LaneState:
         self.fold = _LaneFold(
             telemetry, lane.index, tenants, len(sub), metrics
         )
-        lane.telemetry = None
         lane._trace_name = sub.name
         lane.rows_done = False
         scheme = lane.scheme
@@ -621,9 +626,8 @@ class _EpochRunner:
         state = self.states[lane.index]
         now = self.sim.now
         lane._busy = False
-        lane._sample_gc_state(now)
-        if lane.hooks:
-            lane.hooks(lane)
+        if lane.gc_hook is not None:
+            lane.gc_hook(lane)
         if now > state.t:
             state.t = now  # the burst occupied the server
         if state.i >= state.n:
@@ -951,9 +955,7 @@ class _EpochRunner:
         lane.latency.record(completion - arrival)
         lane.requests_completed += 1
         state.fold.on_complete(completion, completion - arrival, lane)
-        metrics = self.array.metrics
-        if metrics is not None:
-            metrics.on_fallback(reason)
+        state.fold.on_fallback(reason)
         if self.tracer is not None:
             self.tracer.span(
                 TRACK_KERNEL, "fallback", start, duration,

@@ -21,15 +21,15 @@ them:
    one elementwise pass (bulk) or the plan's per-request program
    counts (inline), completions from the sequential recurrence
    (njit-compiled when numba is importable), latencies land via
-   ``LatencyRecorder.record_many`` (and, when telemetry is attached,
-   one exact histogram fold plus boundary-clocked snapshots through
-   ``RunTelemetry.on_batch``), and the writes' state effects apply
+   ``LatencyRecorder.record_many`` (and, when metrics are attached,
+   one exact histogram fold plus a boundary-clocked series sample
+   through ``DeviceMetrics.on_batch``), and the writes' state effects apply
    through :func:`repro.kernel.write.apply_write_run` or
    :func:`repro.kernel.inline.apply_inline_run`;
 4. the boundary request (GC-triggering write, or any trim) goes
    through the reference scheme calls — same ``run_gc`` /
-   ``write_request`` / ``trim_request``, same post-GC hook, telemetry
-   and timeline sampling — and the scan restarts behind it.
+   ``write_request`` / ``trim_request``, same post-GC hook and metrics
+   accounting — and the scan restarts behind it.
 
 Requests the batched kernels do not model (negative fingerprints in a
 chunk) drop to the same per-request reference path, so the fallback is
@@ -80,9 +80,9 @@ def kernel_eligible(ssd: SSD, trace) -> bool:
     blocking foreground GC, no DRAM write buffer, and either a
     bulk-write scheme or the inline-dedupe scheme (whose foreground
     hash/lookup path has its own plan/apply kernel).  Post-GC hooks,
-    tracers, telemetry, metrics and heartbeats are supported —
-    telemetry and metrics fold per-batch with exact histogram counts,
-    snapshots/series samples clock at batch boundaries.  Anything else
+    tracers, metrics and heartbeats are supported — metrics fold
+    per-batch with exact histogram counts, series samples clock at
+    batch boundaries.  Anything else
     silently takes the reference event loop under the same
     ``FTLScheme`` interface.
     """
@@ -109,7 +109,6 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
     trigger_blocks = scheme._gc_trigger_blocks
     latency = ssd.latency
     tracer = ssd.tracer
-    telemetry = ssd.telemetry
     metrics = ssd.metrics
     heartbeat = ssd.heartbeat
     hot = Region.HOT
@@ -303,8 +302,6 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
                 latency.record_many(lat_batch)
                 ssd.requests_completed += e - i
                 served = True
-                if telemetry is not None:
-                    telemetry.on_batch(lat_batch, t, ssd)
                 if metrics is not None:
                     metrics.on_batch(lat_batch, t, ssd)
                 if heartbeat is not None:
@@ -379,8 +376,6 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
                     window = min(_PLAN_WINDOW_MAX, window * 2)
 
     ssd.sim.now = t if served else ssd.sim.now
-    if telemetry is not None:
-        telemetry.snapshot(max(ssd._gc_sample_us, ssd.sim.now), ssd)
     if metrics is not None:
         metrics.finish(ssd.sim.now, ssd)
     if heartbeat is not None:
@@ -429,10 +424,8 @@ def _slow_request(
     ssd.sim.now = now  # post-GC hooks read the service-start clock
     if op == _OP_WRITE:
         gc_us = scheme.run_gc(now) if scheme.needs_gc() else 0.0
-        if gc_us > 0.0:
-            ssd._sample_gc_state(now + gc_us)
-            if ssd.hooks:
-                ssd.hooks(ssd)
+        if gc_us > 0.0 and ssd.gc_hook is not None:
+            ssd.gc_hook(ssd)
         outcome = scheme.write_request(lpn, fps, now + gc_us)
         service = timing.write_request_us(
             outcome.programs, scheme.flash.geometry.channels
@@ -451,11 +444,9 @@ def _slow_request(
     completion = now + duration
     ssd.latency.record(completion - arrival)
     ssd.requests_completed += 1
-    if ssd.telemetry is not None:
-        # The reference completion event fires with the sim clock at
-        # the completion time; the histogram/snapshot view matches.
-        ssd.telemetry.on_complete(completion, completion - arrival, ssd)
     if ssd.metrics is not None:
+        # The reference completion event fires with the sim clock at
+        # the completion time; the histogram/series view matches.
         ssd.metrics.on_complete(completion, completion - arrival, ssd)
         ssd.metrics.on_fallback(reason)
     if ssd.heartbeat is not None:

@@ -1,4 +1,5 @@
-"""Plain-text report helpers: fixed-width tables and normalization.
+"""Plain-text report helpers: fixed-width tables, normalization, and
+the ``cagc-repro report`` summary rows of one run.
 
 Every experiment prints its results as rows matching the paper's
 figures; these helpers keep the formatting in one place.
@@ -6,7 +7,9 @@ figures; these helpers keep the formatting in one place.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
+
+import numpy as np
 
 Number = Union[int, float]
 
@@ -58,3 +61,71 @@ def format_table(
     for row in str_rows:
         lines.append(sep.join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
+
+
+#: GC phases in attribution order (matches the pipeline's resources).
+GC_PHASES: Tuple[str, ...] = ("read", "hash", "write", "erase")
+
+
+def gc_phase_breakdown(gc) -> Dict[str, float]:
+    """Per-phase GC busy time (µs) from a :class:`GCCounters`."""
+    return {
+        "read": gc.gc_read_us,
+        "hash": gc.gc_hash_us,
+        "write": gc.gc_write_us,
+        "erase": gc.gc_erase_us,
+    }
+
+
+def summary_rows(result) -> List[Tuple[str, str]]:
+    """(metric, value) rows for the ``report`` table of one (possibly
+    cached) :class:`~repro.device.ssd.RunResult`."""
+    from repro.obs.telemetry import LatencyHistogram
+
+    gc = result.gc
+    io = result.io
+    lat = result.latency
+    hist = LatencyHistogram.from_samples(result.response_times_us)
+    phases = gc_phase_breakdown(gc)
+    phase_total = sum(phases.values())
+    rows: List[Tuple[str, str]] = [
+        ("requests", f"{lat.count:,}"),
+        ("simulated time", f"{result.simulated_us / 1e6:.2f}s"),
+        ("mean / p50 response", f"{lat.mean_us:.1f} / {lat.median_us:.1f}us"),
+        (
+            "p95 / p99 / p999",
+            f"{lat.p95_us:.0f} / {lat.p99_us:.0f} / {lat.p999_us:.0f}us",
+        ),
+        (
+            "p99 (histogram)",
+            f"{hist.percentile(99.0):.0f}us ({hist.total:,} samples, "
+            f"{int(np.count_nonzero(hist.counts))} buckets)",
+        ),
+        ("write amplification", f"{result.write_amplification():.3f}"),
+        (
+            "GC dedup ratio",
+            f"{gc.dedup_skipped / gc.pages_examined:.1%}"
+            if gc.pages_examined
+            else "n/a",
+        ),
+        (
+            "inline dedup ratio",
+            f"{io.inline_dedup_hits / io.logical_pages_written:.1%}"
+            if io.logical_pages_written
+            else "n/a",
+        ),
+        ("blocks erased", f"{gc.blocks_erased:,}"),
+        ("pages migrated", f"{gc.pages_migrated:,}"),
+        ("promotions", f"{gc.promotions:,}"),
+        ("GC invocations", f"{gc.gc_invocations:,}"),
+        ("GC busy (makespan)", f"{gc.gc_busy_us / 1e3:.1f}ms"),
+    ]
+    for phase in GC_PHASES:
+        us = phases[phase]
+        share = f" ({us / phase_total:.0%})" if phase_total else ""
+        rows.append((f"GC {phase} busy", f"{us / 1e3:.1f}ms{share}"))
+    if result.buffer is not None:
+        rows.append(
+            ("buffer absorption", f"{result.buffer.absorption_ratio:.1%}")
+        )
+    return rows

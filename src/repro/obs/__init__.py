@@ -9,16 +9,13 @@ rest of the stack threads through:
   in simulated-time coordinates, one track per pipeline resource
   (foreground I/O, GC phases, each hash lane), exportable as JSONL or
   Chrome trace-event JSON loadable in Perfetto / ``chrome://tracing``;
-* :class:`RunTelemetry` + :class:`LatencyHistogram`
-  (``repro.obs.telemetry``) — fixed-bucket latency percentiles and
-  per-phase GC time attribution without storing every sample;
+* :class:`LatencyHistogram` (``repro.obs.telemetry``) — fixed-bucket
+  latency percentiles without storing every sample;
 * :mod:`repro.obs.log` — the one logger the CLI and scripts share
   (``--quiet`` / ``--verbose``);
 * :class:`Heartbeat` (``repro.obs.heartbeat``) — wall-clock progress
   lines (sim time, events/sec, rolling ops/s, GC collects, ETA) to
   stderr for long replays;
-* :class:`HookMux` (``repro.obs.hooks``) — fan-out for ``SSD.gc_hook``
-  so oracle invariant checks and telemetry snapshots coexist;
 * :class:`DeviceMetrics` / :class:`ArrayMetrics` (``repro.obs.metrics``)
   — the unified metrics registry: typed Counter/Gauge/Histogram handles
   resolved once at attach time, per-device/per-tenant label dimensions,
@@ -36,7 +33,6 @@ pays one attribute test per site and nothing more — the property the
 from repro.obs.compare import compare_snapshots
 from repro.obs.export import prometheus_text, series_csv, series_jsonl
 from repro.obs.heartbeat import Heartbeat
-from repro.obs.hooks import HookMux
 from repro.obs.metrics import (
     ArrayMetrics,
     DeviceMetrics,
@@ -45,7 +41,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.series import TimeSeriesRecorder
 from repro.obs.slo import SLObjective, default_objectives, evaluate_slos
-from repro.obs.telemetry import LatencyHistogram, RunTelemetry
+from repro.obs.telemetry import LatencyHistogram
 from repro.obs.trace import (
     TRACK_GC,
     TRACK_GC_READ,
@@ -63,11 +59,9 @@ __all__ = [
     "ArrayMetrics",
     "DeviceMetrics",
     "Heartbeat",
-    "HookMux",
     "LatencyHistogram",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "RunTelemetry",
     "SLObjective",
     "TimeSeriesRecorder",
     "compare_snapshots",

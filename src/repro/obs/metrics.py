@@ -343,10 +343,11 @@ class DeviceMetrics:
 
     # -------------------------------------------------------------- bind
 
-    def bind(self, ssd) -> None:
-        """Resolve every handle against ``ssd`` (idempotent)."""
+    def _bind_requests(self) -> bool:
+        """Register the request, latency and kernel handles and bind
+        the recorder; ``False`` when an earlier bind already did."""
         if self._bound:
-            return
+            return False
         self._bound = True
         reg = self.registry
         self.requests = reg.counter(f"{PREFIX}_requests_total")
@@ -358,6 +359,14 @@ class DeviceMetrics:
         self.kernel_fallbacks = reg.counter_vec(
             f"{PREFIX}_kernel_fallback_requests_total", "reason"
         )
+        self.recorder.bind(reg, window_hist=self.latency.hist)
+        return True
+
+    def bind(self, ssd) -> None:
+        """Resolve every handle against ``ssd`` (idempotent)."""
+        if not self._bind_requests():
+            return
+        reg = self.registry
         self._bind_scheme(ssd.scheme)
         if ssd.buffer is not None:
             stats = ssd.buffer.stats
@@ -373,7 +382,6 @@ class DeviceMetrics:
                 f"{PREFIX}_buffer_overwrite_hits_total",
                 lambda: float(stats.overwrite_hits),
             )
-        self.recorder.bind(reg, window_hist=self.latency.hist)
 
     def _bind_scheme(self, scheme) -> None:
         reg = self.registry
@@ -478,11 +486,14 @@ class ArrayMetrics(DeviceMetrics):
     """Array-tier bundle: the device handles plus per-device and
     per-tenant label dimensions.
 
-    Every completion feeds the global counter/histogram *and* exactly
-    one ``device`` child and one ``tenant`` child, so each labeled
-    family partitions its global parent exactly — same law as
-    :class:`~repro.array.telemetry.ArrayTelemetry`, now expressed in
-    registry form (and pinned by a hypothesis property test).
+    Every completion feeds the global counter *and* exactly one
+    ``device`` child and one ``tenant`` child, so each labeled family
+    partitions its global parent exactly (pinned by a hypothesis
+    property test).  The latency histograms are not kept twice: the
+    global, per-device and per-tenant handles wrap the array's own
+    :class:`~repro.array.telemetry.ArrayTelemetry` histograms, which
+    the array records every latency into exactly once.  The completion
+    hooks therefore only bump counters and clock the recorder.
     """
 
     def __init__(
@@ -501,22 +512,10 @@ class ArrayMetrics(DeviceMetrics):
         self._tenant_hist: List[LatencyHistogram] = []
 
     def bind_array(self, array, devices: int, tenants: int) -> None:
-        """Resolve the global handles plus one child per label value."""
+        """Resolve the global handles plus one child per label value,
+        with every latency handle wrapping ``array.telemetry``."""
+        self._bind_requests()
         reg = self.registry
-        if not self._bound:
-            self._bound = True
-            self.requests = reg.counter(f"{PREFIX}_requests_total")
-            self.latency = reg.histogram(f"{PREFIX}_request_latency_us")
-            self.kernel_batches = reg.counter(
-                f"{PREFIX}_kernel_batches_total"
-            )
-            self.kernel_batched_requests = reg.counter(
-                f"{PREFIX}_kernel_batched_requests_total"
-            )
-            self.kernel_fallbacks = reg.counter_vec(
-                f"{PREFIX}_kernel_fallback_requests_total", "reason"
-            )
-            self.recorder.bind(reg, window_hist=self.latency.hist)
         self.device_requests = reg.counter_vec(
             f"{PREFIX}_requests_total", "device"
         )
@@ -536,12 +535,15 @@ class ArrayMetrics(DeviceMetrics):
         self._tenant_req = [
             self.tenant_requests.labels(t) for t in range(tenants)
         ]
-        self._device_hist = [
-            self.device_latency.labels(i).hist for i in range(devices)
-        ]
-        self._tenant_hist = [
-            self.tenant_latency.labels(t).hist for t in range(tenants)
-        ]
+        telemetry = array.telemetry
+        self.latency.hist = telemetry.hist
+        self._device_hist = telemetry.device_hists
+        self._tenant_hist = telemetry.tenant_hists
+        for i, hist in enumerate(self._device_hist):
+            self.device_latency.labels(i).hist = hist
+        for t, hist in enumerate(self._tenant_hist):
+            self.tenant_latency.labels(t).hist = hist
+        self.recorder.bind(reg, window_hist=telemetry.hist)
         for i, lane in enumerate(array.lanes):
             gc = lane.scheme.gc_counters
             reg.gauge(
@@ -563,16 +565,12 @@ class ArrayMetrics(DeviceMetrics):
             ),
         )
 
-    def on_array_complete(
-        self, device: int, tenant: int, now_us: float, latency_us: float
-    ) -> None:
-        """One finished request on ``device`` belonging to ``tenant``."""
+    def on_array_complete(self, device: int, tenant: int, now_us: float) -> None:
+        """One finished request on ``device`` belonging to ``tenant``
+        (its latency is already in the shared histograms)."""
         self.requests.value += 1.0
-        self.latency.hist.record(latency_us)
         self._device_req[device].value += 1.0
         self._tenant_req[tenant].value += 1.0
-        self._device_hist[device].record(latency_us)
-        self._tenant_hist[tenant].record(latency_us)
         recorder = self.recorder
         if now_us >= recorder.next_due_us:
             recorder.sample(now_us)
@@ -585,26 +583,23 @@ class ArrayMetrics(DeviceMetrics):
         end_us: float,
     ) -> None:
         """Batch-folded form for the epoch array kernel: one device's
-        run of completions with their per-request tenant ids.
+        run of completions with their per-request tenant ids (the
+        latencies are already in the shared histograms).
 
-        Counter increments and histogram bucket counts are exact
-        (``record_many`` is a fold of the same per-sample updates);
-        the time-series recorder clocks at batch boundaries, the same
-        deliberate cadence difference the single-device kernel has.
+        Counter increments are exact; the time-series recorder clocks
+        at batch boundaries, the same deliberate cadence difference the
+        single-device kernel has.
         """
         n = latencies_us.size
         if not n:
             return
         self.requests.value += float(n)
-        self.latency.hist.record_many(latencies_us)
         self.kernel_batches.value += 1.0
         self.kernel_batched_requests.value += float(n)
         self._device_req[device].value += float(n)
-        self._device_hist[device].record_many(latencies_us)
-        for tenant in np.unique(tenant_ids):
-            mask = tenant_ids == tenant
-            self._tenant_req[int(tenant)].value += float(mask.sum())
-            self._tenant_hist[int(tenant)].record_many(latencies_us[mask])
+        counts = np.bincount(tenant_ids)
+        for tenant in np.flatnonzero(counts):
+            self._tenant_req[tenant].value += float(counts[tenant])
         recorder = self.recorder
         if end_us >= recorder.next_due_us:
             recorder.sample(end_us)

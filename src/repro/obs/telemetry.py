@@ -1,29 +1,17 @@
-"""Run-level telemetry: bounded-memory percentiles and GC attribution.
+"""Bounded-memory latency percentiles.
 
-Two pieces:
-
-* :class:`LatencyHistogram` — fixed log-spaced buckets covering 0.1 µs
-  to ~100 s.  Recording is O(log buckets), memory is constant, and any
-  percentile is answerable afterwards to within one bucket's relative
-  width (~7%) — p50/p95/p99/p999 without storing half a million floats.
-* :class:`RunTelemetry` — the aggregator the device layer feeds.  It
-  subsumes the scattered end-of-run counters into one view: latency
-  percentiles (histogram), per-phase GC time attribution (read / hash /
-  write / erase busy time, carried by :class:`~repro.metrics.counters.
-  GCCounters` since the phase fields landed there), and periodic
-  sim-time snapshots into the device's existing
-  :class:`~repro.metrics.timeline.TimelineRecorder`, uniform across all
-  four schemes.
-
-``RunTelemetry.from_result`` builds the same view from a cached
-:class:`~repro.device.ssd.RunResult` (the ``cagc-repro report`` path),
-so live runs and cache hits render identically.
+:class:`LatencyHistogram` has fixed log-spaced buckets covering 0.1 µs
+to ~100 s.  Recording is O(log buckets), memory is constant, and any
+percentile is answerable afterwards to within one bucket's relative
+width (~7%) — p50/p95/p99/p999 without storing half a million floats.
+The metrics registry's :class:`~repro.obs.metrics.Histogram` handles
+and the array tier's SLO histograms are all this one type.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -139,134 +127,3 @@ class LatencyHistogram:
             "sum_us": self.sum_us,
             "buckets": {int(i): int(self.counts[i]) for i in occupied},
         }
-
-
-#: GC phases in attribution order (matches the pipeline's resources).
-GC_PHASES: Tuple[str, ...] = ("read", "hash", "write", "erase")
-
-
-class RunTelemetry:
-    """Live aggregator attached to a device (or built from a result).
-
-    When attached to an :class:`~repro.device.ssd.SSD` the device calls
-    :meth:`on_complete` once per finished request — a single predicated
-    call, only when telemetry was requested — which feeds the latency
-    histogram and, every ``snapshot_every_us`` of simulated time, a
-    uniform state snapshot into the device's timeline:
-    ``free_fraction``, ``blocks_erased``, ``pages_migrated``,
-    ``gc_busy_us`` — the same series for every scheme.
-    """
-
-    def __init__(self, snapshot_every_us: Optional[float] = None) -> None:
-        self.hist = LatencyHistogram()
-        self.snapshot_every_us = snapshot_every_us
-        self._next_snapshot_us = 0.0 if snapshot_every_us else math.inf
-        self.snapshots = 0
-
-    # ------------------------------------------------------------------ live path
-
-    def on_complete(self, now_us: float, latency_us: float, ssd) -> None:
-        """Per-request hook (device layer calls this when attached)."""
-        self.hist.record(latency_us)
-        if now_us >= self._next_snapshot_us:
-            self.snapshot(now_us, ssd)
-            # Skip ahead past any idle gap instead of emitting a backlog.
-            interval = self.snapshot_every_us or math.inf
-            self._next_snapshot_us = now_us + interval
-
-    def on_batch(self, latencies_us: np.ndarray, end_us: float, ssd) -> None:
-        """Batched form of :meth:`on_complete` for the vectorized replay.
-
-        The histogram fold is exact (same counts, sum and max as the
-        per-request path); state snapshots clock at the batch boundary
-        — between batches the device state is identical to the event
-        engine's, so a boundary snapshot matches a reference snapshot
-        taken at the same simulated time.
-        """
-        self.hist.record_many(latencies_us)
-        if end_us >= self._next_snapshot_us:
-            self.snapshot(end_us, ssd)
-            interval = self.snapshot_every_us or math.inf
-            self._next_snapshot_us = end_us + interval
-
-    def snapshot(self, now_us: float, ssd) -> None:
-        """Sample the uniform state series into the device timeline."""
-        scheme = ssd.scheme
-        timeline = ssd.timeline
-        timeline.sample("free_fraction", now_us, scheme.allocator.free_fraction())
-        gc = scheme.gc_counters
-        timeline.sample("blocks_erased", now_us, float(gc.blocks_erased))
-        timeline.sample("pages_migrated", now_us, float(gc.pages_migrated))
-        timeline.sample("gc_busy_us", now_us, gc.gc_busy_us)
-        self.snapshots += 1
-
-    # ------------------------------------------------------------------ reporting
-
-    @classmethod
-    def from_result(cls, result) -> "RunTelemetry":
-        """Build the reporting view from a (possibly cached)
-        :class:`~repro.device.ssd.RunResult`."""
-        telemetry = cls()
-        telemetry.hist = LatencyHistogram.from_samples(result.response_times_us)
-        return telemetry
-
-    @staticmethod
-    def gc_phase_breakdown(gc) -> Dict[str, float]:
-        """Per-phase GC busy time (µs) from a :class:`GCCounters`."""
-        return {
-            "read": gc.gc_read_us,
-            "hash": gc.gc_hash_us,
-            "write": gc.gc_write_us,
-            "erase": gc.gc_erase_us,
-        }
-
-    @staticmethod
-    def summary_rows(result) -> List[Tuple[str, str]]:
-        """(metric, value) rows for the ``report`` table."""
-        gc = result.gc
-        io = result.io
-        lat = result.latency
-        hist = LatencyHistogram.from_samples(result.response_times_us)
-        phases = RunTelemetry.gc_phase_breakdown(gc)
-        phase_total = sum(phases.values())
-        rows: List[Tuple[str, str]] = [
-            ("requests", f"{lat.count:,}"),
-            ("simulated time", f"{result.simulated_us / 1e6:.2f}s"),
-            ("mean / p50 response", f"{lat.mean_us:.1f} / {lat.median_us:.1f}us"),
-            (
-                "p95 / p99 / p999",
-                f"{lat.p95_us:.0f} / {lat.p99_us:.0f} / {lat.p999_us:.0f}us",
-            ),
-            (
-                "p99 (histogram)",
-                f"{hist.percentile(99.0):.0f}us ({hist.total:,} samples, "
-                f"{int(np.count_nonzero(hist.counts))} buckets)",
-            ),
-            ("write amplification", f"{result.write_amplification():.3f}"),
-            (
-                "GC dedup ratio",
-                f"{gc.dedup_skipped / gc.pages_examined:.1%}"
-                if gc.pages_examined
-                else "n/a",
-            ),
-            (
-                "inline dedup ratio",
-                f"{io.inline_dedup_hits / io.logical_pages_written:.1%}"
-                if io.logical_pages_written
-                else "n/a",
-            ),
-            ("blocks erased", f"{gc.blocks_erased:,}"),
-            ("pages migrated", f"{gc.pages_migrated:,}"),
-            ("promotions", f"{gc.promotions:,}"),
-            ("GC invocations", f"{gc.gc_invocations:,}"),
-            ("GC busy (makespan)", f"{gc.gc_busy_us / 1e3:.1f}ms"),
-        ]
-        for phase in GC_PHASES:
-            us = phases[phase]
-            share = f" ({us / phase_total:.0%})" if phase_total else ""
-            rows.append((f"GC {phase} busy", f"{us / 1e3:.1f}ms{share}"))
-        if result.buffer is not None:
-            rows.append(
-                ("buffer absorption", f"{result.buffer.absorption_ratio:.1%}")
-            )
-        return rows

@@ -152,8 +152,9 @@ class Tracer:
 
     def add_counters_from(self, series: Dict[str, Dict[str, List[float]]],
                           track: str = "timeline") -> None:
-        """Fold a :meth:`TimelineRecorder.to_dict` export into counter
-        events, so device time-series ride along in the same file."""
+        """Fold ``{name: {"times_us": [...], "values": [...]}}`` series
+        into counter events, so device time-series ride along in the
+        same file."""
         for name, data in sorted(series.items()):
             for t, v in zip(data["times_us"], data["values"]):
                 self.counter(track, name, t, v)

@@ -147,11 +147,13 @@ def diff_array_kernels(
 
     With ``metrics=True`` an :class:`~repro.obs.metrics.ArrayMetrics`
     bundle is attached to both replays and the kernel-independent
-    aggregates are diffed: the global request counter and latency
-    histogram plus every per-device and per-tenant child.  Time-series
-    sample counts and the batch/fallback counters are deliberately
-    *not* compared — the two kernels clock the sampler differently
-    (per completion vs per batch boundary) by design.
+    counters are diffed: the global request counter plus every
+    per-device and per-tenant child.  Its latency histogram handles
+    wrap the telemetry histograms compared above, so they are not
+    compared twice.  Time-series sample counts and the batch/fallback
+    counters are deliberately *not* compared — the two kernels clock
+    the sampler differently (per completion vs per batch boundary) by
+    design.
     """
     import math
 
@@ -313,46 +315,6 @@ def diff_array_kernels(
                     -1,
                     "metrics",
                     f"{label}: {ra.value!r} != {rb.value!r}",
-                    scheme,
-                    policy,
-                )
-        hist_pairs = [("latency", rm.latency.hist, vm.latency.hist)]
-        hist_pairs += [
-            (f"device {i} latency", rh, vh)
-            for i, (rh, vh) in enumerate(zip(rm._device_hist, vm._device_hist))
-        ]
-        hist_pairs += [
-            (f"tenant {i} latency", rh, vh)
-            for i, (rh, vh) in enumerate(zip(rm._tenant_hist, vm._tenant_hist))
-        ]
-        for label, rh, vh in hist_pairs:
-            if not np.array_equal(rh.counts, vh.counts):
-                return Divergence(
-                    -1,
-                    "metrics",
-                    f"{label} histogram bucket counts differ",
-                    scheme,
-                    policy,
-                )
-            for sub, ra, rb in (
-                ("hist total", rh.total, vh.total),
-                ("hist max_us", rh.max_us, vh.max_us),
-            ):
-                if ra != rb:
-                    return Divergence(
-                        -1,
-                        "metrics",
-                        f"{label} {sub}: {ra!r} != {rb!r}",
-                        scheme,
-                        policy,
-                    )
-            if not math.isclose(
-                rh.sum_us, vh.sum_us, rel_tol=1e-9, abs_tol=1e-6
-            ):
-                return Divergence(
-                    -1,
-                    "metrics",
-                    f"{label} hist sum_us: {rh.sum_us!r} != {vh.sum_us!r}",
                     scheme,
                     policy,
                 )

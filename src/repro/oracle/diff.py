@@ -264,7 +264,6 @@ def diff_kernels(
     scheme: str = "baseline",
     policy: str = "greedy",
     config: Optional[SSDConfig] = None,
-    telemetry: bool = False,
     metrics: bool = False,
 ) -> Optional[Divergence]:
     """Replay ``trace`` under ``kernel=reference`` and
@@ -278,14 +277,10 @@ def diff_kernels(
     invariants are checked on both devices so a divergence that keeps
     the snapshots equal but corrupts internal bookkeeping still trips.
 
-    With ``telemetry=True`` a ``RunTelemetry`` observer is attached to
-    both replays (the vectorized path folds it per batch) and the
-    resulting latency histograms are diffed too — counts, total, sum
-    and max must match bit-exactly.
-
     With ``metrics=True`` a ``DeviceMetrics`` bundle is attached to
-    both replays and the kernel-independent aggregates are diffed: the
-    request counter and the latency histogram's counts/total/sum/max.
+    both replays (the vectorized path folds it per batch) and the
+    kernel-independent aggregates are diffed: the request counter and
+    the latency histogram's counts/total/sum/max, all bit-exact.
     Time-series sample counts and the batch counters are deliberately
     *not* compared — the two kernels clock the sampler differently
     (per completion vs per batch boundary) by design.
@@ -302,23 +297,16 @@ def diff_kernels(
         config = fuzz_config()
     results = {}
     snapshots = {}
-    observers = {}
     meters = {}
     for kernel in ("reference", "vectorized"):
         cfg = _dc_replace(config, kernel=kernel)
-        observer = None
-        if telemetry:
-            from repro.obs.telemetry import RunTelemetry
-
-            observer = RunTelemetry(snapshot_every_us=500.0)
-        observers[kernel] = observer
         meter = None
         if metrics:
             from repro.obs.metrics import DeviceMetrics
 
             meter = DeviceMetrics()
         meters[kernel] = meter
-        ssd = SSD(build_scheme(scheme, policy, cfg), telemetry=observer, metrics=meter)
+        ssd = SSD(build_scheme(scheme, policy, cfg), metrics=meter)
         try:
             results[kernel] = ssd.replay(trace)
             check_all(ssd)
@@ -363,22 +351,6 @@ def diff_kernels(
             return Divergence(
                 -1, "state", f"{label}: {ra!r} != {rb!r}", scheme, policy
             )
-    if telemetry:
-        rh = observers["reference"].hist
-        vh = observers["vectorized"].hist
-        if not np.array_equal(rh.counts, vh.counts):
-            return Divergence(
-                -1, "telemetry", "histogram bucket counts differ", scheme, policy
-            )
-        for label, ra, rb in (
-            ("hist total", rh.total, vh.total),
-            ("hist sum_us", rh.sum_us, vh.sum_us),
-            ("hist max_us", rh.max_us, vh.max_us),
-        ):
-            if ra != rb:
-                return Divergence(
-                    -1, "telemetry", f"{label}: {ra!r} != {rb!r}", scheme, policy
-                )
     if metrics:
         rm, vm = meters["reference"], meters["vectorized"]
         rh, vh = rm.latency.hist, vm.latency.hist

@@ -32,7 +32,9 @@ from repro.ftl.wear import WearStats
 #: v2: GCCounters gained per-phase busy-time fields (gc_read_us, ...).
 #: v3: array results (kind="array": per-device results + SLO histograms).
 #: v4: optional metrics snapshot (final values + columnar time series).
-SCHEMA_VERSION = 5
+#: v5: per-device kernel GC stats on array results.
+#: v6: independent-array metrics count the lanes' kernel fallbacks.
+SCHEMA_VERSION = 6
 
 
 class SchemaMismatchError(RuntimeError):

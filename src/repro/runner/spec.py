@@ -209,7 +209,6 @@ class RunSpec:
     def execute(
         self,
         tracer=None,
-        telemetry=None,
         heartbeat=None,
         metrics="auto",
         keep_samples=True,
@@ -220,7 +219,7 @@ class RunSpec:
         exactly: ``seed=0`` replays the preset's canonical trace, other
         seeds draw an independent trace with the same characteristics.
 
-        ``tracer``/``telemetry``/``heartbeat``/``metrics`` attach
+        ``tracer``/``heartbeat``/``metrics`` attach
         :mod:`repro.obs` observers to the replay (observers never enter
         the cache key: they must not — and by construction cannot —
         change the simulated outcome, only record it).  ``metrics``
@@ -274,7 +273,6 @@ class RunSpec:
             ftl,
             trace,
             tracer=tracer,
-            telemetry=telemetry,
             heartbeat=heartbeat,
             metrics=metrics,
             keep_samples=keep_samples,

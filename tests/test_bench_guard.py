@@ -195,39 +195,35 @@ def test_array_kernel_speedup_floors():
         )
 
 
-def test_telemetry_batching_overhead_within_15pct():
-    # Telemetry-enabled vectorized replays fold per-batch
-    # (LatencyHistogram.record_many + boundary snapshots) instead of
-    # falling back to the reference event loop; the acceptance bar is
-    # that an attached RunTelemetry costs at most 15% over the
-    # untraced vectorized replay.
+def test_metrics_batching_overhead_within_15pct():
+    # Metrics-enabled vectorized replays fold per-batch
+    # (LatencyHistogram.record_many + boundary series samples) instead
+    # of falling back to the reference event loop; the acceptance bar
+    # is that an attached DeviceMetrics costs at most 15% over the
+    # bare vectorized replay.
     import time
 
     from repro.config import small_config
     from repro.device.ssd import SSD
-    from repro.obs.telemetry import RunTelemetry
+    from repro.obs.metrics import DeviceMetrics
     from repro.schemes import make_scheme
     from repro.workloads.fiu import build_fiu_trace
 
     cfg = small_config(blocks=128, pages_per_block=32, kernel="vectorized")
     trace = build_fiu_trace("mail", cfg, n_requests=5_000)
-    walls = {"bare": [], "telemetry": []}
+    walls = {"bare": [], "metrics": []}
     for _ in walls:  # warm-up
         SSD(make_scheme("cagc", cfg)).replay(trace)
     for _ in range(7):
-        for mode in ("bare", "telemetry"):
-            telemetry = (
-                RunTelemetry(snapshot_every_us=10_000.0)
-                if mode == "telemetry"
-                else None
-            )
-            ssd = SSD(make_scheme("cagc", cfg), telemetry=telemetry)
+        for mode in ("bare", "metrics"):
+            metrics = DeviceMetrics() if mode == "metrics" else None
+            ssd = SSD(make_scheme("cagc", cfg), metrics=metrics)
             start = time.perf_counter()
             ssd.replay(trace)
             walls[mode].append(time.perf_counter() - start)
-    ratio = min(walls["telemetry"]) / min(walls["bare"])
+    ratio = min(walls["metrics"]) / min(walls["bare"])
     assert ratio <= 1.15, (
-        f"telemetry-enabled vectorized replay is {ratio:.2f}x the bare "
+        f"metrics-enabled vectorized replay is {ratio:.2f}x the bare "
         f"replay (bar is 1.15x)"
     )
 

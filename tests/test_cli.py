@@ -257,6 +257,31 @@ class TestSimulateCommand:
         assert events
         assert {"kind", "track", "name", "ts_us"} <= set(events[0])
 
+    def test_simulate_trace_folds_metrics_series_into_timeline(self, tmp_path):
+        import json
+
+        out = tmp_path / "run.jsonl"
+        rc = main(
+            [
+                "simulate", "--scheme", "cagc", "--preset", "homes",
+                "--blocks", "64", "--pages-per-block", "16",
+                "--fill-factor", "2.0",
+                "--trace", str(out), "--trace-format", "jsonl", "-q",
+            ]
+        )
+        assert rc == 0
+        events = [json.loads(line) for line in out.read_text().splitlines()]
+        counters = {}
+        for event in events:
+            if event["track"] == "timeline":
+                counters.setdefault(event["name"], []).append(event)
+        assert set(counters) == {
+            "free_fraction", "blocks_erased", "pages_migrated", "gc_busy_us",
+        }
+        erased = [e["value"] for e in counters["blocks_erased"]]
+        assert erased[-1] > 0  # fill_factor 2.0 triggers GC
+        assert erased == sorted(erased)  # cumulative counter
+
     def test_quiet_flag_suppresses_status(self, tmp_path, capsys):
         out = tmp_path / "run.jsonl"
         main(

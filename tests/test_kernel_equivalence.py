@@ -124,24 +124,24 @@ class TestInlineDedupePolicies:
 
 
 class TestTelemetryParity:
-    """Telemetry-enabled vectorized replays stay on the batched path;
+    """Metrics-enabled vectorized replays stay on the batched path;
     the histogram fold must be exact and the percentiles identical."""
 
     @pytest.mark.parametrize(
         "scheme_name", ("baseline", "cagc", "inline-dedupe")
     )
     def test_histogram_exact(self, scheme_name):
-        from repro.obs.telemetry import RunTelemetry
+        from repro.obs.metrics import DeviceMetrics
 
         hists = {}
         for kernel in ("reference", "vectorized"):
             cfg = small_config(blocks=64, pages_per_block=16, kernel=kernel)
             trace = build_fiu_trace("mail", cfg, n_requests=1500)
-            telemetry = RunTelemetry(snapshot_every_us=500.0)
-            ssd = SSD(build_scheme(scheme_name, "greedy", cfg), telemetry=telemetry)
+            metrics = DeviceMetrics(interval_us=500.0)
+            ssd = SSD(build_scheme(scheme_name, "greedy", cfg), metrics=metrics)
             ssd.replay(trace)
-            hists[kernel] = telemetry.hist
-            assert telemetry.snapshots > 0
+            hists[kernel] = metrics.latency.hist
+            assert metrics.recorder.samples > 1
         ref, vec = hists["reference"], hists["vectorized"]
         assert np.array_equal(ref.counts, vec.counts)
         assert ref.total == vec.total
@@ -154,14 +154,14 @@ class TestTelemetryParity:
             assert ref.percentile(p) == vec.percentile(p)
 
     def test_telemetry_keeps_batched_path(self):
-        """An attached RunTelemetry must not force the reference path."""
-        from repro.obs.telemetry import RunTelemetry
+        """An attached DeviceMetrics must not force the reference path."""
+        from repro.obs.metrics import DeviceMetrics
 
         cfg = small_config(blocks=64, pages_per_block=16, kernel="vectorized")
         trace = build_fiu_trace("mail", cfg, n_requests=10)
         ssd = SSD(
             build_scheme("cagc", "greedy", cfg),
-            telemetry=RunTelemetry(),
+            metrics=DeviceMetrics(),
         )
         assert kernel_eligible(ssd, trace)
 

@@ -276,42 +276,58 @@ class TestDeviceMetricsSnapshot:
             if name.endswith("_total"):
                 assert np.all(np.diff(column) >= -1e-9), name
 
+    def test_gc_activity_series(self, snapshot):
+        free = snapshot.series["cagc_free_fraction"]
+        assert ((free >= 0) & (free <= 1)).all()
+        erased = snapshot.series["cagc_gc_blocks_erased_total"]
+        assert erased[-1] > erased[0]  # GC ran during the replay
+
+
+def _array_run(coordination="independent", metrics=None, **cfg_kwargs):
+    """3 tenants over 2 devices with an ArrayMetrics bundle attached."""
+    from repro.array import SSDArray
+    from repro.config import small_config
+    from repro.oracle.diff import build_scheme
+    from repro.workloads.fiu import build_fiu_trace
+    from repro.workloads.multiplex import multiplex_traces
+
+    cfg = small_config(
+        blocks=64, pages_per_block=16, gc_mode="blocking", **cfg_kwargs
+    )
+    # 3 tenants over 2 devices: scale each tenant's footprint to its
+    # layout window (same construction the CLI's array path uses).
+    slots = 2
+    tenant_traces = [
+        build_fiu_trace(
+            "mail",
+            cfg,
+            n_requests=800,
+            fill_factor=3.0 / slots,
+            lpn_utilization=0.84 / slots,
+            seed=100 + t,
+        )
+        for t in range(3)
+    ]
+    merged = multiplex_traces(
+        tenant_traces, devices=2, pages_per_device=cfg.logical_pages
+    )
+    schemes = [build_scheme("cagc", "greedy", cfg) for _ in range(2)]
+    array = SSDArray(
+        schemes,
+        coordination=coordination,
+        ncq_depth=16,
+        metrics=metrics if metrics is not None else ArrayMetrics(),
+    )
+    return array.replay(merged)
+
+
+COORDINATIONS = ("independent", "staggered", "global-token")
+
 
 class TestArrayMetrics:
     @pytest.fixture(scope="class")
     def result(self):
-        from repro.array import SSDArray
-        from repro.config import small_config
-        from repro.oracle.diff import build_scheme
-        from repro.workloads.fiu import build_fiu_trace
-        from repro.workloads.multiplex import multiplex_traces
-
-        cfg = small_config(blocks=64, pages_per_block=16, gc_mode="blocking")
-        # 3 tenants over 2 devices: scale each tenant's footprint to its
-        # layout window (same construction the CLI's array path uses).
-        slots = 2
-        tenant_traces = [
-            build_fiu_trace(
-                "mail",
-                cfg,
-                n_requests=800,
-                fill_factor=3.0 / slots,
-                lpn_utilization=0.84 / slots,
-                seed=100 + t,
-            )
-            for t in range(3)
-        ]
-        merged = multiplex_traces(
-            tenant_traces, devices=2, pages_per_device=cfg.logical_pages
-        )
-        schemes = [build_scheme("cagc", "greedy", cfg) for _ in range(2)]
-        array = SSDArray(
-            schemes,
-            coordination="independent",
-            ncq_depth=16,
-            metrics=ArrayMetrics(),
-        )
-        return array.replay(merged)
+        return _array_run()
 
     def test_device_and_tenant_families_partition_global(self, result):
         values = result.metrics.values
@@ -339,3 +355,51 @@ class TestArrayMetrics:
             for i in range(2)
         )
         assert per_device == snapshot.values["cagc_gc_blocks_erased_total"]
+
+    @pytest.mark.parametrize("coordination", COORDINATIONS)
+    def test_kernel_counters_cover_every_request(self, coordination):
+        """Every request of an epoch-kernel replay is either batched or
+        a reason-tagged fallback, under every coordination."""
+        values = _array_run(coordination, kernel="vectorized").metrics.values
+        family = 'cagc_kernel_fallback_requests_total{reason="'
+        fallbacks = sum(v for k, v in values.items() if k.startswith(family))
+        assert fallbacks > 0
+        assert (
+            values["cagc_kernel_batched_requests_total"] + fallbacks
+            == values["cagc_requests_total"]
+        )
+
+    @pytest.mark.parametrize("kernel", ("reference", "vectorized"))
+    @pytest.mark.parametrize("coordination", COORDINATIONS)
+    def test_latencies_fold_once(self, monkeypatch, kernel, coordination):
+        """Work-counter gate: each latency lands in the global, device
+        and tenant histograms once — the ArrayMetrics handles share the
+        array telemetry's histograms instead of keeping copies."""
+        from repro.obs.telemetry import LatencyHistogram
+
+        calls = {"record": 0, "record_many": 0}
+        for name in calls:
+            original = getattr(LatencyHistogram, name)
+
+            def counted(self, value, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, value)
+
+            monkeypatch.setattr(LatencyHistogram, name, counted)
+        tenants_per_batch = []
+        on_array_batch = ArrayMetrics.on_array_batch
+
+        def batch(self, device, tenant_ids, latencies_us, end_us):
+            tenants_per_batch.append(np.unique(tenant_ids).size)
+            return on_array_batch(self, device, tenant_ids, latencies_us, end_us)
+
+        monkeypatch.setattr(ArrayMetrics, "on_array_batch", batch)
+        metrics = ArrayMetrics()
+        result = _array_run(coordination, metrics=metrics, kernel=kernel)
+        requests = result.requests_completed
+        batched = metrics.kernel_batched_requests.value
+        assert len(tenants_per_batch) == metrics.kernel_batches.value
+        assert calls["record"] == 3 * (requests - batched)
+        assert calls["record_many"] == sum(2 + t for t in tenants_per_batch)
+        if kernel == "reference":
+            assert calls == {"record": 3 * requests, "record_many": 0}

@@ -1,4 +1,5 @@
-"""Tests for run telemetry: histograms, GC phase attribution, hooks.
+"""Tests for run telemetry: histograms, GC phase attribution, the
+report summary rows and the post-GC hook.
 
 The latency histogram trades ~7% relative resolution (its bucket
 growth factor) for constant memory, so accuracy tests compare against
@@ -14,8 +15,9 @@ import pytest
 
 from repro.config import small_config
 from repro.device.ssd import SSD, run_trace
-from repro.obs import HookMux, LatencyHistogram, RunTelemetry
-from repro.obs.telemetry import GC_PHASES
+from repro.kernel import replay_vectorized
+from repro.metrics.report import GC_PHASES, gc_phase_breakdown, summary_rows
+from repro.obs import LatencyHistogram
 from repro.schemes import make_scheme
 from repro.workloads.fiu import build_fiu_trace
 
@@ -120,7 +122,7 @@ class TestPhaseAttribution:
         # to more than the critical-path makespan would allow serially.
         result, _ = _small_run("cagc")
         gc = result.gc
-        phases = RunTelemetry.gc_phase_breakdown(gc)
+        phases = gc_phase_breakdown(gc)
         assert set(phases) == set(GC_PHASES)
         assert all(v >= 0 for v in phases.values())
         serial = gc.gc_read_us + gc.gc_hash_us + gc.gc_write_us + gc.gc_erase_us
@@ -135,45 +137,10 @@ class TestPhaseAttribution:
         )
 
 
-class TestRunTelemetryLive:
-    def test_on_complete_feeds_histogram_and_snapshots(self):
-        cfg = small_config(blocks=64, pages_per_block=16)
-        trace = build_fiu_trace("homes", cfg, n_requests=0, fill_factor=2.0)
-        telemetry = RunTelemetry(snapshot_every_us=10_000.0)
-        ssd = SSD(make_scheme("cagc", cfg), telemetry=telemetry)
-        result = ssd.replay(trace)
-        assert telemetry.hist.total == result.latency.count
-        assert telemetry.hist.mean_us == pytest.approx(result.latency.mean_us)
-        assert telemetry.snapshots > 1
-        # uniform series landed in the device timeline
-        for name in ("free_fraction", "blocks_erased", "pages_migrated", "gc_busy_us"):
-            times, values = ssd.timeline.series(name)
-            assert times.size > 0, name
-            assert (np.diff(times) >= 0).all()
-
-    def test_gc_hook_snapshot_coexists_with_user_hook(self):
-        cfg = small_config(blocks=64, pages_per_block=16)
-        trace = build_fiu_trace("homes", cfg, n_requests=0, fill_factor=2.0)
-        telemetry = RunTelemetry()
-        ssd = SSD(make_scheme("baseline", cfg), telemetry=telemetry)
-        calls = []
-        ssd.gc_hook = lambda dev: calls.append(dev.scheme.gc_counters.blocks_erased)
-        assert len(ssd.hooks) == 2  # telemetry snapshot + user hook
-        ssd.replay(trace)
-        assert calls, "user hook never fired"
-        assert telemetry.snapshots >= len(calls)
-
-    def test_from_result_matches_live_histogram(self):
-        result, _ = _small_run("cagc")
-        rebuilt = RunTelemetry.from_result(result)
-        assert rebuilt.hist.total == result.latency.count
-        assert rebuilt.hist.percentile(99) == pytest.approx(
-            result.latency.p99_us, rel=0.15
-        )
-
+class TestReportRows:
     def test_summary_rows_cover_the_report(self):
         result, _ = _small_run("cagc")
-        rows = dict(RunTelemetry.summary_rows(result))
+        rows = dict(summary_rows(result))
         for key in (
             "requests",
             "write amplification",
@@ -199,38 +166,48 @@ class TestSerialization:
         assert clone.gc.gc_read_us > 0.0
 
 
-class TestHookMux:
-    def test_order_and_removal(self):
-        mux = HookMux()
-        calls = []
-        first = mux.add(lambda x: calls.append(("first", x)))
-        mux.add(lambda x: calls.append(("second", x)))
-        mux("dev")
-        assert calls == [("first", "dev"), ("second", "dev")]
-        mux.remove(first)
-        assert len(mux) == 1
-        assert first not in mux
-
-    def test_empty_mux_is_falsy(self):
-        mux = HookMux()
-        assert not mux
-        mux.add(lambda: None)
-        assert mux
-
-    def test_exceptions_propagate(self):
-        # invariant checkers rely on their AssertionError killing the run
-        mux = HookMux()
-        mux.add(lambda x: (_ for _ in ()).throw(AssertionError("boom")))
-        with pytest.raises(AssertionError, match="boom"):
-            mux("dev")
-
-    def test_gc_hook_property_replaces_cleanly(self):
+class TestGCHook:
+    def test_gc_hook_is_a_plain_attribute(self):
         cfg = small_config(blocks=64, pages_per_block=16)
         ssd = SSD(make_scheme("baseline", cfg))
+        assert ssd.gc_hook is None
         a, b = (lambda dev: None), (lambda dev: None)
         ssd.gc_hook = a
         ssd.gc_hook = b
         assert ssd.gc_hook is b
-        assert len(ssd.hooks) == 1
         ssd.gc_hook = None
-        assert len(ssd.hooks) == 0
+        assert ssd.gc_hook is None
+
+    def test_gc_hook_exceptions_propagate(self):
+        # invariant checkers rely on their AssertionError killing the run
+        cfg = small_config(blocks=64, pages_per_block=16)
+        trace = build_fiu_trace("homes", cfg, n_requests=0, fill_factor=2.0)
+        ssd = SSD(make_scheme("baseline", cfg))
+
+        def boom(dev):
+            raise AssertionError("boom")
+
+        ssd.gc_hook = boom
+        with pytest.raises(AssertionError, match="boom"):
+            ssd.replay(trace)
+
+    @pytest.mark.parametrize("gc_mode", ("blocking", "preemptive"))
+    def test_gc_hook_fires_once_per_gc_episode(self, gc_mode):
+        cfg = small_config(
+            blocks=64, pages_per_block=16, gc_mode=gc_mode, kernel="reference"
+        )
+        trace = build_fiu_trace("homes", cfg, n_requests=0, fill_factor=2.0)
+        ssd = SSD(make_scheme("cagc", cfg))
+        calls = []
+        ssd.gc_hook = lambda dev: calls.append(dev.sim.now)
+        ssd.replay(trace)
+        assert calls, "workload must trigger GC"
+        if gc_mode == "blocking":
+            # one call per foreground burst, from the same service path
+            # the batched kernel's GC-trigger fallback runs
+            assert len(calls) == ssd.scheme.gc_counters.gc_invocations
+            vec = SSD(make_scheme("cagc", cfg))
+            vec_calls = []
+            vec.gc_hook = lambda dev: vec_calls.append(dev.sim.now)
+            replay_vectorized(vec, trace)
+            assert vec_calls == calls

@@ -32,14 +32,12 @@ class TestTopLevelExports:
             "repro.workloads.fiu_format",
             "repro.workloads.analysis",
             "repro.metrics",
-            "repro.metrics.timeline",
             "repro.experiments",
             "repro.obs",
             "repro.obs.trace",
             "repro.obs.telemetry",
             "repro.obs.log",
             "repro.obs.heartbeat",
-            "repro.obs.hooks",
             "repro.cli",
         ],
     )
