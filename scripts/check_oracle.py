@@ -16,6 +16,8 @@ Usage::
     PYTHONPATH=src python scripts/check_oracle.py                 # 100 seeds
     PYTHONPATH=src python scripts/check_oracle.py --seeds 20
     PYTHONPATH=src python scripts/check_oracle.py --schemes cagc --shrink
+    PYTHONPATH=src python scripts/check_oracle.py --kernel-equivalence \
+        --profiles trim-churn mixed --seeds 25   # every seed per profile
 
 Also wired into pytest as the opt-in ``oracle`` marker::
 
@@ -47,7 +49,7 @@ from repro.oracle import (  # noqa: E402
     shrink_trace,
 )
 from repro.obs import log  # noqa: E402
-from repro.oracle.fuzz import profile_for_seed  # noqa: E402
+from repro.oracle.fuzz import PROFILES, profile_for_seed  # noqa: E402
 from repro.oracle.shrink import save_regression  # noqa: E402
 
 
@@ -61,6 +63,13 @@ def main(argv=None) -> int:
         type=int,
         default=2,
         help="full-state snapshot compare cadence (1 = every request)",
+    )
+    parser.add_argument(
+        "--profiles",
+        nargs="+",
+        choices=PROFILES,
+        help="fuzz profiles to replay every seed under (default: rotate "
+        "one profile per seed; single-device sweeps only)",
     )
     parser.add_argument(
         "--schemes", nargs="+", default=list(ALL_SCHEMES), choices=ALL_SCHEMES
@@ -95,6 +104,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--regress-dir", default="tests/regress")
     args = parser.parse_args(argv)
+    if args.array and args.profiles:
+        parser.error("--profiles: the array sweep always uses the 'array' profile")
     log.setup_from_args(args)
 
     config = fuzz_config()
@@ -175,60 +186,65 @@ def main(argv=None) -> int:
                                 path,
                             )
             continue
-        trace = fuzz_trace(seed, config, n_requests=args.requests)
-        log.debug("seed %d (%s): %d requests", seed, profile_for_seed(seed), len(trace))
-        for scheme in args.schemes:
-            for policy in args.policies:
-                runs += 1
-                if args.kernel_equivalence:
-                    divergence = diff_kernels(
-                        trace,
-                        scheme=scheme,
-                        policy=policy,
-                        config=config,
-                        metrics=args.metrics,
-                    )
-                else:
-                    divergence = diff_trace(
-                        trace,
-                        scheme=scheme,
-                        policy=policy,
-                        config=config,
-                        check_every=args.check_every,
-                    )
-                if divergence is None:
-                    continue
-                failures += 1
-                log.error("seed %d (%s): %s", seed, profile_for_seed(seed), divergence)
-                if args.shrink:
+        for profile in args.profiles or [profile_for_seed(seed)]:
+            trace = fuzz_trace(
+                seed, config, n_requests=args.requests, profile=profile
+            )
+            log.debug("seed %d (%s): %d requests", seed, profile, len(trace))
+            for scheme in args.schemes:
+                for policy in args.policies:
+                    runs += 1
                     if args.kernel_equivalence:
-                        predicate = (
-                            lambda tr, s=scheme, p=policy: diff_kernels(
-                                tr,
-                                scheme=s,
-                                policy=p,
-                                config=config,
-                                metrics=args.metrics,
-                            )
-                            is not None
+                        divergence = diff_kernels(
+                            trace,
+                            scheme=scheme,
+                            policy=policy,
+                            config=config,
+                            metrics=args.metrics,
                         )
                     else:
-                        predicate = make_divergence_predicate(scheme, policy, config)
-                    minimal = shrink_trace(
-                        trace,
-                        predicate,
-                        name=f"fuzz-s{seed}-{scheme}-{policy}",
-                    )
-                    path = save_regression(
-                        minimal, args.regress_dir, f"fuzz-s{seed}-{scheme}-{policy}"
-                    )
-                    log.error(
-                        "  shrunk %d -> %d requests: %s", len(trace), len(minimal), path
-                    )
+                        divergence = diff_trace(
+                            trace,
+                            scheme=scheme,
+                            policy=policy,
+                            config=config,
+                            check_every=args.check_every,
+                        )
+                    if divergence is None:
+                        continue
+                    failures += 1
+                    log.error("seed %d (%s): %s", seed, profile, divergence)
+                    if args.shrink:
+                        if args.kernel_equivalence:
+                            predicate = (
+                                lambda tr, s=scheme, p=policy: diff_kernels(
+                                    tr,
+                                    scheme=s,
+                                    policy=p,
+                                    config=config,
+                                    metrics=args.metrics,
+                                )
+                                is not None
+                            )
+                        else:
+                            predicate = make_divergence_predicate(
+                                scheme, policy, config
+                            )
+                        name = f"fuzz-s{seed}-{profile}-{scheme}-{policy}"
+                        minimal = shrink_trace(trace, predicate, name=name)
+                        path = save_regression(minimal, args.regress_dir, name)
+                        log.error(
+                            "  shrunk %d -> %d requests: %s",
+                            len(trace),
+                            len(minimal),
+                            path,
+                        )
     wall = time.time() - start
     combos = len(args.schemes) * len(args.policies)
     if args.array:
         combos *= len(COORDINATIONS)
+    elif args.profiles:
+        combos *= len(args.profiles)
     log.info(
         "oracle sweep: %d seeds x %d scheme/policy combos = "
         "%d differential runs, %d divergences (%.1fs)",

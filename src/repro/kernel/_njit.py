@@ -6,20 +6,17 @@ irreducibly sequential recurrences:
 * the FIFO completion recurrence ``t_i = max(a_i, t_{i-1}) + d_i``
   (float addition is not associative, so a cumsum reformulation would
   not be bit-identical to the event engine);
-* the GC-trigger prefix scan locating the first write of a run whose
-  block pulls would cross the free-block watermark;
 * the hash-lane pipeline recurrence of the Fig 5 GC pipeline (and the
   inline-dedupe foreground hash stage): each page's hash stage starts
   on the first-free lane, so lane occupancy is a sequential min/max
   chain over the per-page read-done times.
 
-When numba is importable both compile with ``@njit(cache=True)``;
+When numba is importable they compile with ``@njit(cache=True)``;
 otherwise the module degrades silently to pure-Python / NumPy versions
 that produce identical results (same IEEE-754 double ops, same integer
 arithmetic).  The container this repo targets does not ship numba, so
 the fallback path is itself kept fast: the recurrence runs over
-``tolist()`` floats (no per-element ndarray boxing) and the trigger
-scan is pure vectorized integer math.
+``tolist()`` floats (no per-element ndarray boxing).
 """
 
 from __future__ import annotations
@@ -55,26 +52,6 @@ def _completion_recurrence_py(arrivals, durations, t_prev):
         comp[i] = t
     out[:] = comp
     return out, t
-
-
-def _first_trigger_py(cum_pages_before, af0, ppb, budget):
-    """First write ordinal whose GC check fires, or -1.
-
-    ``cum_pages_before[j]`` is the exclusive prefix sum of the run's
-    write page counts.  A write triggers GC when the block pulls its
-    predecessors forced leave fewer than the watermark's worth of free
-    blocks: ``pulls > budget`` with ``pulls = max(0,
-    ceil((cum - af0) / ppb))`` (``af0`` = pages left in the active
-    block at run start).  Exact integer form — covers the case where
-    the device is already below the watermark at run start (budget < 0
-    triggers on the very first write).
-    """
-    pulls = (cum_pages_before - af0 + (ppb - 1)) // ppb
-    np.maximum(pulls, 0, out=pulls)
-    mask = pulls > budget
-    if not mask.any():
-        return -1
-    return int(np.argmax(mask))
 
 
 def _hash_lane_recurrence_py(read_done, hash_us, lookup_us, lanes):
@@ -132,16 +109,6 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
         return out, t
 
     @njit(cache=True)
-    def _first_trigger_nb(cum_pages_before, af0, ppb, budget):
-        for j in range(cum_pages_before.shape[0]):
-            pulls = (cum_pages_before[j] - af0 + (ppb - 1)) // ppb
-            if pulls < 0:
-                pulls = 0
-            if pulls > budget:
-                return j
-        return -1
-
-    @njit(cache=True)
     def _hash_lane_recurrence_nb(read_done, hash_us, lookup_us, lanes):
         n = read_done.shape[0]
         out = np.empty(n, dtype=np.float64)
@@ -169,9 +136,7 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
         return out
 
     completion_recurrence = _completion_recurrence_nb
-    first_trigger = _first_trigger_nb
     hash_lane_recurrence = _hash_lane_recurrence_nb
 else:
     completion_recurrence = _completion_recurrence_py
-    first_trigger = _first_trigger_py
     hash_lane_recurrence = _hash_lane_recurrence_py

@@ -47,7 +47,8 @@ single-device kernel established:
   coordinated replays with negative fingerprints);
 * ``array-coord-grant`` — per-request: a coordination grant boundary
   (the write whose deferral must actually reclaim) re-enters the
-  reference scheme calls, composing like ``gc-trigger``/``trim``;
+  reference scheme calls, composing like ``gc-trigger``; trims ride
+  inside runs like writes;
 * ``array-ncq-stall`` — per-lane counters: the closed-form NCQ
   occupancy hit an admission tie or a closed gate and the counters
   were re-derived through the scalar gate replay (trajectories are
@@ -62,14 +63,19 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.ftl.allocator import Region
-from repro.kernel._njit import completion_recurrence, first_trigger
+from repro.kernel._njit import completion_recurrence
 from repro.kernel.cagcmig import install_fast_cagc
 from repro.kernel.gcmig import install_fast_gc
-from repro.kernel.inline import apply_inline_run, plan_inline_run
+from repro.kernel.inline import (
+    apply_inline_run,
+    inline_write_durations,
+    plan_inline_run,
+)
 from repro.kernel.orchestrator import (
-    _PLAN_WINDOW_MAX,
-    _PLAN_WINDOW_MIN,
+    gc_trigger_ordinal,
     replay_vectorized,
+    write_fps,
+    write_prefix,
 )
 from repro.kernel.views import ColumnViews
 from repro.kernel.write import apply_write_run
@@ -79,6 +85,7 @@ from repro.sim.events import EventKind
 from repro.workloads.request import OpKind
 
 _OP_WRITE = int(OpKind.WRITE)
+_OP_READ = int(OpKind.READ)
 _OP_TRIM = int(OpKind.TRIM)
 
 #: Whole-array fallback reason: some device or observer feature is
@@ -98,6 +105,12 @@ ARRAY_FALLBACK_REASONS = (
     FALLBACK_NCQ_STALL,
     FALLBACK_UNMODELLED,
 )
+
+#: Run window bounds (requests) for every lane, bulk or inline: a window
+#: edge is one more place a run may end, so the cap trades per-run
+#: overhead against the inline plan's lookahead.
+_WINDOW_MIN = 256
+_WINDOW_MAX = 8192
 
 
 # --------------------------------------------------------------- splitter
@@ -439,10 +452,9 @@ class _LaneState:
 
     __slots__ = (
         "lane", "sub", "fold", "n", "i", "t", "times", "ops", "lpns",
-        "npages", "offsets", "fps_flat", "is_write", "is_trim", "wn_all",
-        "cum_pages", "contiguous", "durations", "trim_positions",
-        "write_positions", "inline", "views", "window", "resume_pending",
-        "run_end",
+        "npages", "offsets", "fps_flat", "is_read", "is_trim", "is_row",
+        "wn_all", "wprefix", "contiguous", "durations", "write_positions",
+        "inline", "views", "window", "resume_pending", "run_end",
     )
 
     def __init__(self, lane, sub, tenants, telemetry, metrics=None) -> None:
@@ -475,14 +487,13 @@ class _LaneState:
         self.fps_flat = sub.fps_flat
         is_write = self.ops == _OP_WRITE
         is_trim = self.ops == _OP_TRIM
-        self.is_write = is_write
+        self.is_read = self.ops == _OP_READ
         self.is_trim = is_trim
         lengths = self.offsets[1:] - self.offsets[:-1]
         wn_all = np.where(is_write, lengths, 0).astype(np.int64)
         self.wn_all = wn_all
-        #: pages written up to and including each position — the
-        #: background-need onset scan keys off the *post*-request state.
-        self.cum_pages = np.cumsum(wn_all)
+        #: state-changing rows: writes and trims.
+        self.is_row = is_write | is_trim
         self.contiguous = int(np.where(~is_write, lengths, 0).sum()) == 0
         timing = scheme.timing
         channels = scheme.flash.geometry.channels
@@ -505,8 +516,8 @@ class _LaneState:
                 ),
             ),
         ).astype(np.float64)
-        self.trim_positions = np.nonzero(is_trim)[0]
         self.write_positions = np.nonzero(is_write)[0]
+        self.wprefix = write_prefix(wn_all[self.write_positions])
 
 
 def _pulls(cum: np.ndarray, af0: int, ppb: int) -> np.ndarray:
@@ -518,8 +529,8 @@ class _EpochRunner:
     """Coordinated replay: batched epochs on the real event heap.
 
     Each lane alternates between (a) committing one *run* — a batch of
-    requests with no working GC grant, no trim, and no idle gap with
-    background need — through the vectorized kernels, and (b) handing
+    requests with no working GC grant and no idle gap with background
+    need — through the vectorized kernels, and (b) handing
     control back to the shared event heap until the run's completion
     time, so window ticks, token grants and idle bursts fire through
     the stock coordinator code at exactly the reference instants.
@@ -655,21 +666,13 @@ class _EpochRunner:
         times = state.times
         wall0 = time.perf_counter()
 
-        trim_idx = np.searchsorted(state.trim_positions, i)
-        next_trim = (
-            int(state.trim_positions[trim_idx])
-            if trim_idx < state.trim_positions.size
-            else n
-        )
-        win = min(i + state.window, next_trim, n)
-        lo = int(np.searchsorted(state.write_positions, i))
-        hi = int(np.searchsorted(state.write_positions, win))
-        w = state.write_positions[lo:hi]
+        win = min(i + state.window, n)
+        w = i + np.flatnonzero(state.is_row[i:win])
         e = win
-        reason: Optional[str] = None
         plan = None
         wfps = None
         wn = None
+        wt = None
         progs = None
         af0 = (
             allocator._active_free[hot]
@@ -679,59 +682,42 @@ class _EpochRunner:
         free0 = allocator.free_blocks
         budget_reserve = free0 - scheme.reserve_blocks()
         if w.size:
-            wn = state.wn_all[w]
-            pages = int(wn.sum())
-            if state.contiguous:
-                wfps = state.fps_flat[state.offsets[i] : state.offsets[win]]
-            else:
-                wfps = (
-                    np.concatenate(
-                        [
-                            state.fps_flat[
-                                state.offsets[j] : state.offsets[j + 1]
-                            ]
-                            for j in w.tolist()
-                        ]
-                    )
-                    if pages
-                    else state.fps_flat[:0]
-                )
+            # Page counts: a write's fingerprint span, a trim's extent.
+            wt = state.is_trim[w]
+            wn = np.where(wt, state.npages[w], state.wn_all[w])
+            wfps = write_fps(
+                state.fps_flat, state.offsets, state.contiguous, i, win, w[~wt]
+            )
             if state.inline:
                 jw, plan = plan_inline_run(
-                    scheme, state.views, state.lpns[w], wn, wfps,
+                    scheme, state.views, state.lpns[w], wn, wt, wfps,
                     af0, budget_reserve, ppb,
                 )
                 progs = plan.programs
             else:
-                cum_before = np.cumsum(wn) - wn
-                jw = first_trigger(cum_before, af0, ppb, budget_reserve)
-                jw = int(w.size) if jw < 0 else int(jw)
-                progs = wn
+                k = gc_trigger_ordinal(
+                    state.wprefix,
+                    int(np.searchsorted(state.write_positions, i)),
+                    af0, ppb, budget_reserve,
+                )
+                jw = (
+                    int(np.searchsorted(w, state.write_positions[k]))
+                    if k < state.write_positions.size
+                    else int(w.size)
+                )
+                progs = np.where(wt, 0, wn)
             if jw < w.size:
-                e = int(w[jw])
-                reason = FALLBACK_COORD_GRANT
+                e = int(w[jw])  # the working grant: a scalar boundary
                 w = w[:jw]
                 wn = wn[:jw]
+                wt = wt[:jw]
                 progs = progs[:jw]
-                wfps = wfps[: int(wn.sum())]
-        if reason is None and e == next_trim and e < n:
-            reason = "trim"
+                wfps = wfps[: int(wn[~wt].sum())]
         if state.inline and w.size:
-            timing = scheme.timing
-            channels = scheme.flash.geometry.channels
-            lanes_ = timing.hash_lanes
-            pr = progs[: w.size]
-            base_w = np.where(
-                pr > 0,
-                timing.overhead_us
-                + ((pr + (channels - 1)) // channels) * timing.write_us,
-                timing.overhead_us,
-            )
-            state.durations[w] = (
-                base_w
-                + ((wn + (lanes_ - 1)) // lanes_) * timing.hash_us
-                + wn * timing.lookup_us
-                + np.where(pr == 0, timing.lookup_us, 0.0)
+            wm = ~wt
+            state.durations[w[wm]] = inline_write_durations(
+                scheme.timing, scheme.flash.geometry.channels,
+                progs[: w.size][wm], wn[wm],
             )
 
         if e > i:
@@ -752,32 +738,32 @@ class _EpochRunner:
             )
             if cut is not None:
                 e = cut
-                reason = None
                 completions = completions[: e - i]
                 t_end = float(completions[-1])
                 keep = int(np.searchsorted(w, e))
                 w = w[:keep]
                 if wn is not None:
                     wn = wn[:keep]
+                    wt = wt[:keep]
                     progs = progs[:keep]
-                    wfps = wfps[: int(wn.sum())]
+                    wfps = wfps[: int(wn[~wt].sum())]
                 if state.inline and w.size:
                     # Plans aggregate window-level state (refcount and
                     # overlay deltas), so a shortened run re-resolves;
                     # the per-request outcomes are prefix-stable, so
                     # the already-used durations are unchanged.
                     _, plan = plan_inline_run(
-                        scheme, state.views, state.lpns[w], wn,
+                        scheme, state.views, state.lpns[w], wn, wt,
                         wfps, af0, budget_reserve, ppb,
                     )
             self._commit_run(
-                state, i, e, completions, t_end, w, wn, wfps, progs,
+                state, i, e, completions, t_end, w, wn, wt, wfps, progs,
                 plan, af0, free0, wall0,
             )
             return
-        # Empty run: request i itself is the boundary (working grant or
-        # trim) and goes through the reference scheme calls.
-        self._commit_scalar(state, reason or FALLBACK_COORD_GRANT, wall0)
+        # Empty run: request i itself is the boundary (a working grant)
+        # and goes through the reference scheme calls.
+        self._commit_scalar(state, FALLBACK_COORD_GRANT, wall0)
 
     def _bg_gap_cut(
         self, state, i, e, completions, af0, free0, ppb, progs, w
@@ -826,7 +812,7 @@ class _EpochRunner:
         return j_bg + int(gaps[int(np.argmax(act))]) + 1
 
     def _commit_run(
-        self, state, i, e, completions, t_end, w, wn, wfps, progs,
+        self, state, i, e, completions, t_end, w, wn, wt, wfps, progs,
         plan, af0, free0, wall0,
     ) -> None:
         lane = state.lane
@@ -836,27 +822,30 @@ class _EpochRunner:
         lane.latency.record_many(lat_batch)
         lane.requests_completed += e - i
         state.fold.on_batch(lat_batch, t_end, lane)
-        seg_reads = int((~state.is_write[i:e]).sum())  # no trims in a run
+        is_read = state.is_read[i:e]
+        seg_reads = int(np.count_nonzero(is_read))
         if seg_reads:
             io = scheme.io_counters
             io.read_requests += seg_reads
-            io.pages_read += int(
-                np.where(~state.is_write[i:e], state.npages[i:e], 0).sum()
-            )
+            io.pages_read += int(state.npages[i:e][is_read].sum())
         pages = 0
         last_start = float(t_end - state.durations[e - 1])
         if w.size:
-            pages = int(wn.sum())
+            pages = len(wfps)
             starts = completions[w - i] - state.durations[w]
             if state.inline:
                 apply_inline_run(
-                    scheme, state.views, state.lpns[w], wn, wfps, starts, plan
+                    scheme, state.views, state.lpns[w], wn, wt, wfps, starts,
+                    plan,
                 )
             else:
                 apply_write_run(
-                    scheme, state.views, state.lpns[w], wn, wfps, starts
+                    scheme, state.views, state.lpns[w], wn, wt, wfps, starts
                 )
-            self._count_deferrals(state, progs[: w.size], starts, af0, free0)
+            wm = ~wt  # only writes run the (deferred) GC check
+            self._count_deferrals(
+                state, progs[: w.size][wm], starts[wm], af0, free0
+            )
         if self.tracer is not None:
             ts = float(completions[0] - state.durations[i])
             self.tracer.span(
@@ -868,17 +857,14 @@ class _EpochRunner:
         state.i = e
         state.t = float(t_end)
         state.run_end = float(t_end)
-        # Adapt the plan window to the observed run length (same policy
-        # as the single-device inline planner: boundaries shrink it to
-        # ~2x the run, unbroken windows double it).
+        # Adapt the run window to the observed run length (boundaries
+        # shrink it to ~2x the run, unbroken windows double it).
         run_len = e - i
         if run_len >= state.window:
-            if state.window < _PLAN_WINDOW_MAX:
-                state.window = min(_PLAN_WINDOW_MAX, state.window * 2)
+            if state.window < _WINDOW_MAX:
+                state.window = min(_WINDOW_MAX, state.window * 2)
         else:
-            state.window = min(
-                _PLAN_WINDOW_MAX, max(_PLAN_WINDOW_MIN, 2 * run_len)
-            )
+            state.window = min(_WINDOW_MAX, max(_WINDOW_MIN, 2 * run_len))
         lane._busy = True
         # Two-hop completion scheduling: hop to the last request's
         # service start first so same-time completion ties across lanes
@@ -921,36 +907,25 @@ class _EpochRunner:
                 )
 
     def _commit_scalar(self, state, reason: str, wall0: float) -> None:
-        """One boundary request through the reference scheme calls."""
+        """One boundary request — the write whose working grant must
+        reclaim — through the reference scheme calls."""
         lane = state.lane
         scheme = lane.scheme
         timing = scheme.timing
         i = state.i
         arrival = float(state.times[i])
         start = arrival if arrival > state.t else state.t
-        op = int(state.ops[i])
-        lpn = int(state.lpns[i])
-        npages = int(state.npages[i])
-        if op == _OP_WRITE:
-            fview = state.fps_flat[state.offsets[i] : state.offsets[i + 1]]
-            gc_us = lane._gc_before_write(start)
-            outcome = scheme.write_request(lpn, fview, start + gc_us)
-            service = timing.write_request_us(
-                outcome.programs, scheme.flash.geometry.channels
-            )
-            if outcome.hashed_pages:
-                service += timing.inline_dedup_us(outcome.hashed_pages)
-            if outcome.programs == 0:
-                service += timing.lookup_us
-            duration = gc_us + service
-        elif op == _OP_TRIM:
-            scheme.trim_request(lpn, npages, start)
-            duration = timing.overhead_us + timing.lookup_us * npages
-        else:  # pragma: no cover - reads never form boundaries
-            scheme.read_request(lpn, npages)
-            duration = timing.read_request_us(
-                npages, scheme.flash.geometry.channels
-            )
+        fview = state.fps_flat[state.offsets[i] : state.offsets[i + 1]]
+        gc_us = lane._gc_before_write(start)
+        outcome = scheme.write_request(int(state.lpns[i]), fview, start + gc_us)
+        service = timing.write_request_us(
+            outcome.programs, scheme.flash.geometry.channels
+        )
+        if outcome.hashed_pages:
+            service += timing.inline_dedup_us(outcome.hashed_pages)
+        if outcome.programs == 0:
+            service += timing.lookup_us
+        duration = gc_us + service
         completion = start + duration
         lane.latency.record(completion - arrival)
         lane.requests_completed += 1

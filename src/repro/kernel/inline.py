@@ -13,7 +13,10 @@ What still factors out of the per-request reference chain:
   dicts (no index/mapping/flash mutations, no NumPy scalar boxing).
   The loop carries exactly the state the reference carries implicitly:
   the current canonical page per fingerprint, per-page refcounts, the
-  forward-map overlay, and which pages died.  Because flash programs
+  forward-map overlay, and which pages died.  Trims ride in the same
+  loop in request order: a trimmed LPN unmaps in the overlay and its
+  page loses one referrer, dying (and leaving the canonical map) at
+  zero like any rebound-away page.  Because flash programs
   happen only on dedup misses, the GC watermark check is a running
   miss-count comparison, fused into the same loop — the plan stops at
   the first write request whose check would fire;
@@ -85,40 +88,60 @@ class InlinePlan:
 def plan_inline_run(
     scheme: FTLScheme,
     views: ColumnViews,
-    wlpns: np.ndarray,
-    wpages: np.ndarray,
+    rlpns: np.ndarray,
+    rpages: np.ndarray,
+    trims: np.ndarray,
     fps: np.ndarray,
     af0: int,
     budget: int,
     ppb: int,
 ):
-    """Resolve a window of inline-dedupe write requests read-only.
+    """Resolve a window of inline-dedupe write and trim requests read-only.
 
-    Returns ``(j, plan)``: the first ``j`` requests form a run (no GC
-    trigger before any of them); request ``j`` — when ``j <
-    len(wlpns)`` — is the one whose pre-write watermark check fires and
-    must go through the reference slow path.  ``plan.programs[:j]``
-    gives each resolved request's flash program count (its dedup
-    misses), which fully determines its service time.
+    ``rlpns``/``rpages``/``trims`` are the window's per-request columns
+    in request order (a trim's page count is its extent); ``fps`` is
+    the concatenated fingerprint stream of the writes alone.  Returns
+    ``(j, plan)``: the first ``j`` requests form a run (no GC trigger
+    before any of them); request ``j`` — when ``j < len(rlpns)`` — is
+    the write whose pre-write watermark check fires and must go through
+    the reference slow path.  ``plan.programs[:j]`` gives each resolved
+    request's flash program count (its dedup misses; 0 for a trim),
+    which fully determines a write's service time.
     """
-    nreq = len(wlpns)
+    nreq = len(rlpns)
     plan = InlinePlan(views.ref.size, nreq)
-    P_all = int(wpages.sum())
+    P_all = int(rpages.sum())
 
-    ends = np.cumsum(wpages)
-    within = np.arange(P_all, dtype=np.int64) - np.repeat(ends - wpages, wpages)
-    lpn_p = np.repeat(wlpns, wpages) + within
+    ends = np.cumsum(rpages)
+    within = np.arange(P_all, dtype=np.int64) - np.repeat(ends - rpages, rpages)
+    lpn_p = np.repeat(rlpns, rpages) + within
 
     # Pre-grow the forward map before the gather (and before apply's
     # transient scatter view): array.array cannot extend while exported.
+    # Only writes grow it; trims of LPNs beyond it are no-ops.
     mapping = scheme.mapping
-    if P_all:
-        max_lpn = int(lpn_p.max())
+    wsel = None  # write pages of the stream (None: all of them)
+    if trims.any():
+        wsel = ~np.repeat(trims, rpages)
+    if fps.size:
+        max_lpn = int((lpn_p if wsel is None else lpn_p[wsel]).max())
         if max_lpn >= len(mapping._fwd):
             mapping._grow_lpn(max_lpn)
 
     canon0 = probe_many(scheme.index, fps)
-    uniq = np.unique(lpn_p)
+    in_map = None  # stream pages whose LPN the forward map covers
+    if wsel is None:
+        fps_p = fps
+        canon_p = canon0
+        uniq = np.unique(lpn_p)
+    else:
+        # Page-aligned fingerprint/canonical columns (trim slots unused).
+        fps_p = np.zeros(P_all, dtype=np.int64)
+        fps_p[wsel] = fps
+        canon_p = np.full(P_all, _NO_PPN, dtype=np.int64)
+        canon_p[wsel] = canon0
+        in_map = lpn_p < len(mapping._fwd)
+        uniq = np.unique(lpn_p[in_map])
     fwd_view = views.fwd()
     old0 = fwd_view[uniq]
     del fwd_view
@@ -145,44 +168,53 @@ def plan_inline_run(
     # (budget < 0 means the device is already below the watermark).
     limit = af0 + budget * ppb if budget >= 0 else -1
     hits = 0
-    wn_l = wpages.tolist()
-    fpl = fps.tolist()
-    c0l = canon0.tolist()
+    wn_l = rpages.tolist()
+    trim_l = trims.tolist()
+    fpl = fps_p.tolist()
+    c0l = canon_p.tolist()
     lpnl = lpn_p.tolist()
     k = 0
     j = 0
     while j < nreq:
-        if len(miss_fp) > limit:
+        trim = trim_l[j]
+        if not trim and len(miss_fp) > limit:
             break  # request j's pre-write GC check fires
         m0 = len(miss_fp)
         for _ in range(wn_l[j]):
-            fp = fpl[k]
             lpn = lpnl[k]
-            cur = canon[fp] if fp in canon else c0l[k]
-            old = overlay[lpn]
-            k += 1
-            if cur >= 0:  # dedup hit: rebind lpn to the canonical page
-                hits += 1
-                if old == cur:
-                    r = rc[cur]  # drop + re-add: refcount unchanged
-                    if r > obs.get(cur, 0):
-                        obs[cur] = r
-                    continue
-                r = rc[cur] + 1
-                rc[cur] = r
-                if r > obs.get(cur, 0):
-                    obs[cur] = r
-                overlay[lpn] = cur
-            else:  # miss: program a fresh page, insert as canonical
-                h = nb + len(miss_fp)
-                canon[fp] = h
-                miss_fp.append(fp)
-                miss_req.append(j)
-                rc[h] = 1
-                obs[h] = 1
-                overlay[lpn] = h
+            if trim:  # unmap: the old page just loses a referrer
+                k += 1
+                old = overlay.get(lpn, _NO_PPN)  # absent: beyond the map
                 if old < 0:
                     continue
+                overlay[lpn] = _NO_PPN
+            else:
+                fp = fpl[k]
+                cur = canon[fp] if fp in canon else c0l[k]
+                old = overlay[lpn]
+                k += 1
+                if cur >= 0:  # dedup hit: rebind lpn to the canonical page
+                    hits += 1
+                    if old == cur:
+                        r = rc[cur]  # drop + re-add: refcount unchanged
+                        if r > obs.get(cur, 0):
+                            obs[cur] = r
+                        continue
+                    r = rc[cur] + 1
+                    rc[cur] = r
+                    if r > obs.get(cur, 0):
+                        obs[cur] = r
+                    overlay[lpn] = cur
+                else:  # miss: program a fresh page, insert as canonical
+                    h = nb + len(miss_fp)
+                    canon[fp] = h
+                    miss_fp.append(fp)
+                    miss_req.append(j)
+                    rc[h] = 1
+                    obs[h] = 1
+                    overlay[lpn] = h
+                    if old < 0:
+                        continue
             if old >= 0:
                 ro = rc[old] - 1
                 rc[old] = ro
@@ -206,7 +238,7 @@ def plan_inline_run(
     plan.rc = rc
     plan.overlay = overlay
     if k < P_all:  # stopped early: restrict to the pages actually resolved
-        uniq_r = np.unique(lpn_p[:k])
+        uniq_r = np.unique(lpn_p[:k] if in_map is None else lpn_p[:k][in_map[:k]])
         old0 = old0[np.searchsorted(uniq, uniq_r)]
         uniq = uniq_r
     plan.uniq = uniq
@@ -214,25 +246,52 @@ def plan_inline_run(
     return j, plan
 
 
+def inline_write_durations(
+    timing, channels: int, programs: np.ndarray, wpages: np.ndarray
+) -> np.ndarray:
+    """Service durations of resolved inline-dedupe writes.
+
+    Elementwise :meth:`SSD._service` for a write with ``programs``
+    dedup misses out of ``wpages`` hashed pages: the striped program
+    time, plus the serial hash/lookup cost as one term (the same float
+    association as ``write_request_us(...) + inline_dedup_us(...)``),
+    plus one extra lookup for a fully deduplicated write.
+    """
+    base = np.where(
+        programs > 0,
+        timing.overhead_us
+        + ((programs + (channels - 1)) // channels) * timing.write_us,
+        timing.overhead_us,
+    )
+    lanes = timing.hash_lanes
+    dedup = ((wpages + (lanes - 1)) // lanes) * timing.hash_us + (
+        wpages * timing.lookup_us
+    )
+    return base + dedup + np.where(programs == 0, timing.lookup_us, 0.0)
+
+
 def apply_inline_run(
     scheme: FTLScheme,
     views: ColumnViews,
-    wlpns: np.ndarray,
-    wpages: np.ndarray,
+    rlpns: np.ndarray,
+    rpages: np.ndarray,
+    trims: np.ndarray,
     fps: np.ndarray,
-    wstarts: np.ndarray,
+    rstarts: np.ndarray,
     plan: InlinePlan,
 ) -> None:
     """Apply one resolved run to the scheme's state (net-final).
 
-    Arguments are the run's per-request columns trimmed to the ``j``
+    Arguments are the run's per-request columns cut to the ``j``
     requests :func:`plan_inline_run` resolved, plus each request's
     service start time (programs stamp their block's ``last_write_us``
     with the owning request's start, exactly like the reference's
-    per-page ``allocate_page`` calls).
+    per-page ``allocate_page`` calls).  An LPN whose last touch in the
+    run is a trim ends unmapped.
     """
-    nreq = len(wlpns)
-    P = int(wpages.sum())
+    nreq = len(rlpns)
+    ntrim = int(np.count_nonzero(trims))
+    P = len(fps)
     mapping = scheme.mapping
     flash = scheme.flash
     allocator = scheme.allocator
@@ -240,13 +299,14 @@ def apply_inline_run(
     ppb = flash.pages_per_block
 
     io = scheme.io_counters
-    io.write_requests += nreq
+    io.write_requests += nreq - ntrim
+    io.trim_requests += ntrim
     io.logical_pages_written += P
     io.user_pages_programmed += plan.misses
     io.inline_dedup_hits += plan.hits
     index.hits += plan.hits
     index.misses += plan.misses
-    if P == 0:
+    if not plan.uniq.size:
         return
 
     nb = plan.nb
@@ -262,7 +322,7 @@ def apply_inline_run(
     touched_blocks = set()
     if M:
         miss_req = np.asarray(plan.miss_req, dtype=np.int64)
-        page_now = wstarts[miss_req]
+        page_now = rstarts[miss_req]
         hot = Region.HOT
         active = allocator._active
         active_free = allocator._active_free
@@ -287,8 +347,9 @@ def apply_inline_run(
     shared = mapping._shared
 
     # ---- deaths ----------------------------------------------------------
-    # Pre-run pages whose last referrer rebound away: peak at death is
-    # the stored pre-run peak raised by any in-run observations.
+    # Pre-run pages whose last referrer rebound away or was trimmed:
+    # peak at death is the stored pre-run peak raised by any in-run
+    # observations.
     dead_real = np.asarray(plan.dead_real, dtype=np.int64)
     dead_set = set(plan.dead_real)
     inval = new_ppns[:0]
@@ -318,7 +379,7 @@ def apply_inline_run(
         inval = dead_real
 
     # Pages born and dead inside the run: programmed, then every
-    # referrer rebound away.  Their fingerprint/peak/refcount columns
+    # referrer rebound away or trimmed.  Their fingerprint/peak/refcount columns
     # were never written, so only the flash invalidation and the
     # histogram event (peak = max refcount the page ever reached) land.
     alive = np.ones(M, dtype=bool)
@@ -391,7 +452,7 @@ def apply_inline_run(
     # (intermediate churn cancels; the refcount the plan tracked must
     # match the final set size).
     rem_sel = (old0 >= 0) & (final_h != old0)
-    add_sel = ~born & (final_h != old0)
+    add_sel = (final_h >= 0) & ~born & (final_h != old0)
     touched_real: Dict[int, List[List[int]]] = {}
     for p, lpn in zip(old0[rem_sel].tolist(), uniq[rem_sel].tolist()):
         if p in dead_set:
@@ -439,7 +500,9 @@ def apply_inline_run(
     fwd_view = views.fwd()
     fwd_view[uniq] = final_p
     del fwd_view
-    mapping._len += int(np.count_nonzero(old0 == _NO_PPN))
+    mapping._len += int(np.count_nonzero(final_h >= 0)) - int(
+        np.count_nonzero(old0 >= 0)
+    )
 
     # New canonicals enter the index after all removals above (a
     # fingerprint whose pre-run canonical died in-run re-keys to the

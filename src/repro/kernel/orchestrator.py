@@ -4,17 +4,18 @@
 bit for bit without the event engine.  The FIFO single-server device
 makes request timing a pure recurrence — ``completion_i =
 max(arrival_i, completion_{i-1}) + duration_i`` — and the replay
-factors into *runs* of requests with no GC trigger or trim between
-them:
+factors into *runs* of requests with no GC trigger between them:
 
 1. slice a chunk of raw trace columns (``Trace.iter_chunks`` /
    ``StreamingTrace.iter_chunks``; the chunk size comes from
    ``SSDConfig.kernel_chunk_requests``);
 2. find the run boundary.  For bulk schemes every write programs all
    its pages, so the first GC-triggering write follows from the
-   allocator state alone (an exact integer prefix scan over the write
-   page counts).  For the inline-dedupe scheme only dedup *misses*
-   program, so :func:`repro.kernel.inline.plan_inline_run` resolves
+   allocator state alone (one binary search over the chunk's write
+   page prefix sum, :func:`gc_trigger_ordinal`).  Trims program
+   nothing, so they never end a run.  For the inline-dedupe scheme
+   only dedup *misses* program, so
+   :func:`repro.kernel.inline.plan_inline_run` resolves
    the window's dedup outcomes read-only — one vectorized index probe
    plus a dict loop — with the same watermark check fused in;
 3. everything before that boundary is one run: service times come from
@@ -23,20 +24,21 @@ them:
    (njit-compiled when numba is importable), latencies land via
    ``LatencyRecorder.record_many`` (and, when metrics are attached,
    one exact histogram fold plus a boundary-clocked series sample
-   through ``DeviceMetrics.on_batch``), and the writes' state effects apply
-   through :func:`repro.kernel.write.apply_write_run` or
+   through ``DeviceMetrics.on_batch``), and the writes' and trims'
+   state effects apply, net-final and in request order, through
+   :func:`repro.kernel.write.apply_write_run` or
    :func:`repro.kernel.inline.apply_inline_run`;
-4. the boundary request (GC-triggering write, or any trim) goes
-   through the reference scheme calls — same ``run_gc`` /
-   ``write_request`` / ``trim_request``, same post-GC hook and metrics
-   accounting — and the scan restarts behind it.
+4. the boundary request (the GC-triggering write) goes through the
+   reference scheme calls — same ``run_gc`` / ``write_request``, same
+   post-GC hook and metrics accounting — and the scan restarts behind
+   it.
 
 Requests the batched kernels do not model (negative fingerprints in a
 chunk) drop to the same per-request reference path, so the fallback is
 row-granular, never a mid-run abort.  The ``kernel`` tracer track
 records one ``batch`` span per run and one ``fallback`` span per
 slow-path request (with host ``wall_us`` attribution and a ``reason``
-tag — ``gc-trigger``, ``trim`` or ``negative-fp``), which
+tag — ``gc-trigger`` or ``negative-fp``), which
 ``repro.obs.kernel_attribution`` folds into per-reason report rows.
 """
 
@@ -49,10 +51,14 @@ import numpy as np
 
 from repro.device.ssd import RunResult, SSD
 from repro.ftl.allocator import Region
-from repro.kernel._njit import completion_recurrence, first_trigger
+from repro.kernel._njit import completion_recurrence
 from repro.kernel.cagcmig import install_fast_cagc
 from repro.kernel.gcmig import install_fast_gc
-from repro.kernel.inline import apply_inline_run, plan_inline_run
+from repro.kernel.inline import (
+    apply_inline_run,
+    inline_write_durations,
+    plan_inline_run,
+)
 from repro.kernel.views import ColumnViews
 from repro.kernel.write import apply_write_run
 from repro.obs.trace import TRACK_KERNEL
@@ -68,9 +74,62 @@ _OP_TRIM = int(OpKind.TRIM)
 #: from scratch after every GC boundary, so the window adapts to the
 #: observed run length: big windows amortize the vectorized probe over
 #: dedup-heavy traffic, small ones bound the wasted lookahead when GC
-#: triggers every few dozen writes.
+#: triggers every few dozen writes.  The cap also bounds the plan's
+#: transient memory (per-page lists and dicts grow with the window):
+#: on a 100k-request streamed replay an 8192 cap raised peak RSS by
+#: ~6 MB over a 1024 cap at no measurable time gain.
 _PLAN_WINDOW_MIN = 256
-_PLAN_WINDOW_MAX = 8192
+_PLAN_WINDOW_MAX = 1024
+
+
+def write_prefix(wpages: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum of write page counts (one extra end slot):
+    ``prefix[k]`` is the pages programmed by writes ``0..k-1``."""
+    prefix = np.zeros(wpages.size + 1, dtype=np.int64)
+    np.cumsum(wpages, out=prefix[1:])
+    return prefix
+
+
+def gc_trigger_ordinal(
+    prefix: np.ndarray, lo: int, af0: int, ppb: int, budget: int
+) -> int:
+    """First write ordinal ``>= lo`` whose pre-write GC check fires.
+
+    Writes from ordinal ``lo`` on pull ``ceil((c - af0) / ppb)`` fresh
+    blocks after programming ``c = prefix[k] - prefix[lo]`` pages
+    (``af0`` = pages left in the active block at ``lo``); the check
+    fires once pulls exceed the free-block ``budget``.  For ``budget >=
+    0`` that is exactly ``c > af0 + budget * ppb``, one binary search
+    over the nondecreasing prefix; ``budget < 0`` (already below the
+    watermark) fires on the first write.  A result ``>= len(prefix) -
+    1`` (the write count) means none of the writes triggers.
+    """
+    if budget < 0:
+        return lo
+    limit = int(prefix[lo]) + af0 + budget * ppb
+    return int(np.searchsorted(prefix, limit, side="right"))
+
+
+def write_fps(
+    fps_flat: np.ndarray,
+    offsets: np.ndarray,
+    contiguous: bool,
+    i: int,
+    e: int,
+    wrows: np.ndarray,
+) -> np.ndarray:
+    """Concatenated fingerprints of the writes ``wrows`` in ``[i, e)``.
+
+    When no other row carries a fingerprint span (``contiguous``) that
+    is one slice of the flat column.
+    """
+    if contiguous:
+        return fps_flat[offsets[i] : offsets[e]]
+    if not wrows.size:
+        return fps_flat[:0]
+    return np.concatenate(
+        [fps_flat[offsets[j] : offsets[j + 1]] for j in wrows.tolist()]
+    )
 
 
 def kernel_eligible(ssd: SSD, trace) -> bool:
@@ -103,7 +162,6 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
     install_fast_gc(scheme, views) or install_fast_cagc(scheme, views)
     timing = scheme.timing
     channels = scheme.flash.geometry.channels
-    lanes = timing.hash_lanes
     allocator = scheme.allocator
     ppb = scheme.flash.pages_per_block
     trigger_blocks = scheme._gc_trigger_blocks
@@ -166,7 +224,7 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
                 served = True
             continue
         # Non-write rows with nonzero fingerprint spans would break the
-        # contiguous-slice fast path below; route them per-request too.
+        # contiguous-slice fast path; gather the writes' spans instead.
         contiguous = int(np.where(~is_write, lengths, 0).sum()) == 0
 
         # Elementwise service durations.  Write durations are
@@ -193,103 +251,60 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
             ),
         )
 
-        trim_positions = np.nonzero(is_trim)[0]
-        trim_cursor = 0
-        write_positions = np.nonzero(is_write)[0]
+        # State-changing rows: writes and trims.
+        is_row = is_write | is_trim
+        if not inline:
+            write_positions = np.nonzero(is_write)[0]
+            wprefix = write_prefix(wn_all[write_positions])
 
         i = 0
         while i < n:
-            # Stretch end: the next trim (state-order-dependent, so it
-            # splits the run) or the chunk end.
-            while trim_cursor < len(trim_positions) and trim_positions[trim_cursor] < i:
-                trim_cursor += 1
-            stop = (
-                int(trim_positions[trim_cursor])
-                if trim_cursor < len(trim_positions)
-                else n
-            )
             reason: Optional[str] = None
             plan = None
-            wfps = None
+            af0 = (
+                allocator._active_free[hot]
+                if allocator._active[hot] is not None
+                else 0
+            )
+            budget = allocator.free_blocks - trigger_blocks
             if inline:
                 # Inline plan window: resolve at most `window` requests
                 # ahead (the plan restarts after every boundary, so the
                 # lookahead bounds wasted work, not correctness — a
                 # window edge is just another place a run may split).
-                win = stop if stop - i <= window else i + window
-                lo = int(np.searchsorted(write_positions, i))
-                hi = int(np.searchsorted(write_positions, win))
-                w = write_positions[lo:hi]
-                e = win
-                if w.size:
-                    wn = wn_all[w]
-                    pages = int(wn.sum())
-                    if contiguous:
-                        wfps = fps_flat[offsets[i] : offsets[win]]
-                    else:
-                        wfps = np.concatenate(
-                            [
-                                fps_flat[offsets[j] : offsets[j + 1]]
-                                for j in w.tolist()
-                            ]
-                        ) if pages else fps_flat[:0]
-                    af0 = (
-                        allocator._active_free[hot]
-                        if allocator._active[hot] is not None
-                        else 0
-                    )
-                    budget = allocator.free_blocks - trigger_blocks
-                    jw, plan = plan_inline_run(
-                        scheme, views, lpns[w], wn, wfps, af0, budget, ppb
-                    )
-                    if jw < w.size:
-                        e = int(w[jw])
-                        reason = "gc-trigger"
-                        w = w[:jw]
-                        wn = wn[:jw]
-                        wfps = wfps[: int(wn.sum())]
-                    if w.size:
-                        progs = plan.programs[: w.size]
-                        base_w = np.where(
-                            progs > 0,
-                            timing.overhead_us
-                            + ((progs + (channels - 1)) // channels)
-                            * timing.write_us,
-                            timing.overhead_us,
-                        )
-                        dur_w = base_w + (
-                            ((wn + (lanes - 1)) // lanes) * timing.hash_us
-                            + wn * timing.lookup_us
-                        )
-                        durations[w] = dur_w + np.where(
-                            progs == 0, timing.lookup_us, 0.0
-                        )
-                if reason is None and e == stop and stop < n:
-                    reason = "trim"
+                e = n if n - i <= window else i + window
             else:
-                # Bulk: the first GC-triggering write in [i, stop) is an
-                # exact integer prediction from the allocator state.
-                lo = int(np.searchsorted(write_positions, i))
-                hi = int(np.searchsorted(write_positions, stop))
-                w = write_positions[lo:hi]
-                e = stop
-                if w.size:
-                    wn = wn_all[w]
-                    cum_before = np.cumsum(wn) - wn
-                    af0 = (
-                        allocator._active_free[hot]
-                        if allocator._active[hot] is not None
-                        else 0
-                    )
-                    budget = allocator.free_blocks - trigger_blocks
-                    jw = first_trigger(cum_before, af0, ppb, budget)
-                    if jw >= 0:
-                        e = int(w[jw])
-                        reason = "gc-trigger"
-                        w = w[:jw]
-                        wn = wn[:jw]
-                if reason is None and e < n:
-                    reason = "trim"
+                # Bulk: the first GC-triggering write is an exact
+                # integer prediction from the allocator state.
+                e = n
+                k = gc_trigger_ordinal(
+                    wprefix, int(np.searchsorted(write_positions, i)),
+                    af0, ppb, budget,
+                )
+                if k < write_positions.size:
+                    e = int(write_positions[k])
+                    reason = "gc-trigger"
+            # The run's rows with their page counts: a write's
+            # fingerprint span, a trim's extent.
+            w = i + np.flatnonzero(is_row[i:e])
+            wt = is_trim[w]
+            wn = np.where(wt, npages[w], wn_all[w])
+            wfps = write_fps(fps_flat, offsets, contiguous, i, e, w[~wt])
+            if inline and w.size:
+                jw, plan = plan_inline_run(
+                    scheme, views, lpns[w], wn, wt, wfps, af0, budget, ppb
+                )
+                if jw < w.size:
+                    e = int(w[jw])
+                    reason = "gc-trigger"
+                    w = w[:jw]
+                    wn = wn[:jw]
+                    wt = wt[:jw]
+                    wfps = wfps[: int(wn[~wt].sum())]
+                wm = ~wt
+                durations[w[wm]] = inline_write_durations(
+                    timing, channels, plan.programs[: w.size][wm], wn[wm]
+                )
             if e > i:
                 wall0 = time.perf_counter()
                 seg_times = times[i:e]
@@ -312,34 +327,24 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
                         gc_collects=scheme.gc_counters.gc_invocations,
                     )
                 # Reads: counter-only effects.
-                seg_reads = (~is_write[i:e]).sum()  # no trims inside a run
+                is_read = ops[i:e] == _OP_READ
+                seg_reads = int(np.count_nonzero(is_read))
                 if seg_reads:
                     io = scheme.io_counters
-                    io.read_requests += int(seg_reads)
-                    io.pages_read += int(
-                        np.where(~is_write[i:e], npages[i:e], 0).sum()
-                    )
+                    io.read_requests += seg_reads
+                    io.pages_read += int(npages[i:e][is_read].sum())
                 pages = 0
                 if w.size:
-                    pages = int(wn.sum())
                     starts = completions[w - i] - durations[w]
                     if inline:
                         apply_inline_run(
-                            scheme, views, lpns[w], wn, wfps, starts, plan
+                            scheme, views, lpns[w], wn, wt, wfps, starts, plan
                         )
                     else:
-                        if contiguous:
-                            # Non-write spans are empty, so the writes'
-                            # fingerprints are one contiguous slice.
-                            wfps = fps_flat[offsets[i] : offsets[i] + pages]
-                        else:
-                            wfps = np.concatenate(
-                                [
-                                    fps_flat[offsets[j] : offsets[j + 1]]
-                                    for j in w.tolist()
-                                ]
-                            ) if pages else fps_flat[:0]
-                        apply_write_run(scheme, views, lpns[w], wn, wfps, starts)
+                        apply_write_run(
+                            scheme, views, lpns[w], wn, wt, wfps, starts
+                        )
+                    pages = len(wfps)
                 if tracer is not None:
                     ts = float(completions[0] - durations[i])
                     tracer.span(
@@ -348,13 +353,12 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
                         wall_us=(time.perf_counter() - wall0) * 1e6,
                     )
                     tracer.counter(TRACK_KERNEL, "batch_requests", ts, e - i)
-            if reason is not None and e < n:
-                fview = (
-                    fps_flat[offsets[e] : offsets[e + 1]] if is_write[e] else None
-                )
+            if reason is not None:
+                # The GC-triggering write: reference scheme calls.
                 t = _slow_request(
-                    ssd, float(times[e]), int(ops[e]), int(lpns[e]),
-                    int(npages[e]), fview, t, tracer, reason,
+                    ssd, float(times[e]), _OP_WRITE, int(lpns[e]),
+                    int(npages[e]), fps_flat[offsets[e] : offsets[e + 1]],
+                    t, tracer, reason,
                 )
                 fallback_requests += 1
                 served = True
@@ -413,8 +417,8 @@ def _slow_request(
     """One request through the reference scheme calls.
 
     Exactly :meth:`SSD._service` under blocking GC with no write
-    buffer: the GC-triggering writes, trims, and any request the
-    batched kernels do not model.  ``reason`` tags the fallback span
+    buffer: the GC-triggering writes and any request the batched
+    kernels do not model.  ``reason`` tags the fallback span
     for the attribution report.  Returns the completion time.
     """
     wall0 = time.perf_counter()

@@ -1,9 +1,10 @@
 """Batch-vectorized user-write kernel.
 
-Applies a whole *run* of bulk-scheme write requests (no GC trigger, no
-trim in between — the orchestrator guarantees both) to the FTL state in
-one pass over raw columns, producing exactly the state a per-request
-:meth:`FTLScheme.write_request` loop would: same mapping columns, same
+Applies a whole *run* of bulk-scheme write and trim requests (no GC
+trigger in between — the orchestrator guarantees it) to the FTL state
+in one pass over raw columns, producing exactly the state a
+per-request :meth:`FTLScheme.write_request` /
+:meth:`FTLScheme.trim_request` loop would: same mapping columns, same
 flash counters, same refcount histogram, same victim-index membership.
 
 The decomposition exploits that within a run every program goes to the
@@ -14,17 +15,21 @@ hot region and every page's fate is decided by occurrence order alone:
   one stretch per run, so stamping it with the service start of the
   request owning the stretch's last page reproduces the reference's
   final ``last_write_us``;
-* **pre-run overwrites** — for every distinct LPN written, the page it
-  mapped to before the run loses that referrer.  Initially-solo pages
-  (refcount 1 — the overwhelming majority, paper Fig 6) die in one
-  vectorized scatter; initially-shared pages take a short Python loop
-  through the reference ``_drop_ref`` / ``_release_if_dead`` path;
-* **in-run rewrites** — every non-final occurrence of an LPN is a page
-  born dead inside the run: its bind and drop cancel exactly (net-zero
+* **pre-run overwrites and trims** — for every distinct LPN written or
+  trimmed, the page it mapped to before the run loses that referrer.
+  Initially-solo pages (refcount 1 — the overwhelming majority, paper
+  Fig 6) die in one vectorized scatter; initially-shared pages (CAGC's
+  GC merges) take a short Python loop through the reference
+  ``_drop_ref`` / ``_release_if_dead`` path, so a trim only decrefs
+  them;
+* **in-run rewrites** — every non-final write occurrence of an LPN
+  (rewritten or trimmed later in the run) is a page born dead inside
+  the run: its bind and drop cancel exactly (net-zero
   refcount/fingerprint/peak), leaving only the flash invalidation and
   one refcount-1 histogram event;
 * **final occurrences** — one scatter each for the forward map,
-  refcount, solo-referrer, fingerprint and peak columns;
+  refcount, solo-referrer, fingerprint and peak columns (an LPN whose
+  final occurrence is a trim ends unmapped);
 * **victim index** — programs and invalidations apply out of order
   above, so per-event index maintenance is skipped and every touched
   block is reconciled once at the end via
@@ -50,23 +55,23 @@ _IDX_EMPTY = -1
 def apply_write_run(
     scheme: FTLScheme,
     views: ColumnViews,
-    wlpns: np.ndarray,
-    wpages: np.ndarray,
+    rlpns: np.ndarray,
+    rpages: np.ndarray,
+    trims: np.ndarray,
     fps: np.ndarray,
-    wstarts: np.ndarray,
+    rstarts: np.ndarray,
 ) -> None:
-    """Apply one run of write requests to the scheme's state.
+    """Apply one run of write and trim requests to the scheme's state.
 
-    ``wlpns``/``wpages``/``wstarts`` are per-request columns (int64 /
-    int64 / float64); ``fps`` is the concatenated fingerprint stream of
-    all requests (``wpages`` entries each, ``wpages.sum()`` total).
-    Page counts come from the fingerprint spans — the authoritative
-    write size in the reference path.  The caller guarantees: bulk
-    scheme, all fingerprints non-negative, no GC trigger inside the
-    run.
+    ``rlpns``/``rpages``/``trims``/``rstarts`` are per-request columns
+    in request order (int64 / int64 / bool / float64): a write's page
+    count is its fingerprint span (the authoritative write size in the
+    reference path), a trim's is its extent.  ``fps`` is the
+    concatenated fingerprint stream of the writes alone.  The caller
+    guarantees: bulk scheme, all fingerprints non-negative, no GC
+    trigger inside the run.
     """
-    P = int(wpages.sum())
-    nreq = len(wlpns)
+    nreq = len(rlpns)
     mapping = scheme.mapping
     flash = scheme.flash
     allocator = scheme.allocator
@@ -74,32 +79,61 @@ def apply_write_run(
     index = scheme.index
     ppb = flash.pages_per_block
 
-    # Per-LPN bookkeeping hook (spatial hot/cold write counting): only
-    # pay the per-request loop when a scheme actually overrides it.
-    if type(scheme)._note_user_writes is not FTLScheme._note_user_writes:
-        note = scheme._note_user_writes
-        lp = wlpns.tolist()
-        np_ = wpages.tolist()
-        for i in range(nreq):
-            note(lp[i], np_[i])
+    # Per-LPN bookkeeping hooks (spatial hot/cold write counting): only
+    # pay the per-request loop when a scheme actually overrides one.
+    cls = type(scheme)
+    if (
+        cls._note_user_writes is not FTLScheme._note_user_writes
+        or cls._note_user_trim is not FTLScheme._note_user_trim
+    ):
+        note_write = scheme._note_user_writes
+        note_trim = scheme._note_user_trim
+        for lpn, npages, trim in zip(
+            rlpns.tolist(), rpages.tolist(), trims.tolist()
+        ):
+            (note_trim if trim else note_write)(lpn, npages)
 
+    P = len(fps)
+    ntrim = int(np.count_nonzero(trims))
     io = scheme.io_counters
-    io.write_requests += nreq
+    io.write_requests += nreq - ntrim
+    io.trim_requests += ntrim
     io.logical_pages_written += P
     io.user_pages_programmed += P
 
-    if P == 0:
+    # ---- flat page stream (writes and trims in request order) ------------
+    ends = np.cumsum(rpages)
+    Q = int(ends[-1]) if nreq else 0
+    if Q == 0:
         return
+    req_of_page = np.repeat(np.arange(nreq, dtype=np.int64), rpages)
+    within = np.arange(Q, dtype=np.int64) - np.repeat(ends - rpages, rpages)
+    lpn_p = np.repeat(rlpns, rpages) + within
+    wsel = None  # write pages of the stream (None: all of them)
+    if ntrim:
+        wsel = ~trims[req_of_page]
 
-    # ---- flat page stream ------------------------------------------------
-    ends = np.cumsum(wpages)
-    req_of_page = np.repeat(np.arange(nreq, dtype=np.int64), wpages)
-    within = np.arange(P, dtype=np.int64) - np.repeat(ends - wpages, wpages)
-    lpn_p = np.repeat(wlpns, wpages) + within
+    # Pre-grow the forward map before taking its view: array.array
+    # refuses to extend while a NumPy export is alive.  Only writes
+    # grow it: a trim beyond the map is a no-op (``unbind`` returns
+    # None), and an LPN past the writes' growth was never written, so
+    # those trim pages drop out of the stream.
+    if P:
+        max_lpn = int((lpn_p if wsel is None else lpn_p[wsel]).max())
+        if max_lpn >= len(mapping._fwd):
+            mapping._grow_lpn(max_lpn)
+    if wsel is not None:
+        keep = wsel | (lpn_p < len(mapping._fwd))
+        if not keep.all():
+            lpn_p = lpn_p[keep]
+            req_of_page = req_of_page[keep]
+            wsel = wsel[keep]
+            if not lpn_p.size:
+                return
 
     # ---- placement: one allocate_run call per block stretch --------------
-    page_now = wstarts[req_of_page]
-    ppn_p = np.empty(P, dtype=np.int64)
+    page_now = rstarts[req_of_page if wsel is None else req_of_page[wsel]]
+    ppn_w = np.empty(P, dtype=np.int64)
     pos = 0
     hot = Region.HOT
     active = allocator._active
@@ -113,31 +147,44 @@ def apply_write_run(
         stamp = float(page_now[pos + take - 1])
         base, count = allocator.allocate_run(hot, P - pos, stamp)
         assert count == take, "allocate_run cap drifted from prediction"
-        ppn_p[pos : pos + count] = np.arange(base, base + count, dtype=np.int64)
+        ppn_w[pos : pos + count] = np.arange(base, base + count, dtype=np.int64)
         touched_blocks.add(base // ppb)
         pos += count
+    if wsel is None:
+        ppn_p = ppn_w
+        fp_p = fps
+    else:
+        # Trim pages carry no physical page: they unmap.
+        ppn_p = np.full(lpn_p.size, _NO_PPN, dtype=np.int64)
+        ppn_p[wsel] = ppn_w
+        fp_p = np.zeros(lpn_p.size, dtype=np.int64)
+        fp_p[wsel] = fps
 
     # ---- occurrence analysis --------------------------------------------
     uniq, first_pos = np.unique(lpn_p, return_index=True)
-    if uniq.size == P:
-        # No LPN written twice in the run (the common case): every page
-        # survives, nothing is born dead.
+    if uniq.size == lpn_p.size:
+        # No LPN touched twice in the run (the common case): every
+        # written page survives, nothing is born dead.
         last_pos = first_pos
-        live_ppns = ppn_p[last_pos]
-        born_dead = ppn_p[:0]
+        born_dead = ppn_w[:0]
     else:
         _, rev_pos = np.unique(lpn_p[::-1], return_index=True)
-        last_pos = P - 1 - rev_pos  # aligned with uniq (both sorted by LPN)
-        live_ppns = ppn_p[last_pos]
-        dead_mask = np.ones(P, dtype=bool)
+        last_pos = lpn_p.size - 1 - rev_pos  # aligned with uniq (sorted)
+        dead_mask = (
+            np.ones(lpn_p.size, dtype=bool) if wsel is None else wsel.copy()
+        )
         dead_mask[last_pos] = False
         born_dead = ppn_p[dead_mask]
-
-    # Pre-grow the forward map before taking its view: array.array
-    # refuses to extend while a NumPy export is alive.
-    max_lpn = int(lpn_p.max())
-    if max_lpn >= len(mapping._fwd):
-        mapping._grow_lpn(max_lpn)
+    # Final occurrence per LPN: a write maps it, a trim leaves it unmapped.
+    final_ppns = ppn_p[last_pos]
+    live_lpns = uniq
+    live_ppns = final_ppns
+    live_pos = last_pos
+    if wsel is not None:
+        live = final_ppns >= 0
+        live_lpns = uniq[live]
+        live_ppns = final_ppns[live]
+        live_pos = last_pos[live]
 
     ref_view = views.ref
     solo_view = views.solo
@@ -146,14 +193,15 @@ def apply_write_run(
     fwd_view = views.fwd()
 
     # Previous mapping of each distinct LPN (gathered before any drop
-    # mutates the reverse columns).
+    # mutates the reverse columns).  Overwrites and trims alike take a
+    # referrer away from it.
     old0 = fwd_view[uniq]
     mapped_sel = old0 >= 0
     prev_ppns = old0[mapped_sel]
     refs0 = ref_view[prev_ppns]
     shared_sel = refs0 >= 2
 
-    # ---- initially-shared overwrites: reference path ---------------------
+    # ---- initially-shared pages: reference path --------------------------
     if shared_sel.any():
         drop = mapping._drop_ref
         release = scheme._release_if_dead
@@ -164,8 +212,8 @@ def apply_write_run(
             release(ppn)
 
     # ---- vectorized effects ----------------------------------------------
-    # Initially-solo overwrites die wholesale (distinct PPNs: a
-    # refcount-1 page has exactly one referrer).
+    # Initially-solo pages die wholesale (distinct PPNs: a refcount-1
+    # page has exactly one referrer).
     dying = prev_ppns[~shared_sel]
     hist = tracker.histogram
     inval = born_dead
@@ -184,8 +232,9 @@ def apply_write_run(
         flash.page_state[dying] = PageState.INVALID
         inval = np.concatenate([born_dead, dying])
 
-    # In-run born-dead pages: bind and drop cancel; only the flash
-    # invalidation and the refcount-1 histogram event remain.
+    # In-run born-dead pages (rewritten or trimmed later in the run):
+    # bind and drop cancel; only the flash invalidation and the
+    # refcount-1 histogram event remain.
     if born_dead.size:
         _bucket_invalidations(hist, np.maximum(peak_view[born_dead], 1))
         peak_view[born_dead] = 0
@@ -201,12 +250,12 @@ def apply_write_run(
         touched_blocks.update(inval_blocks.tolist())
 
     # Final occurrences: one scatter per column.
-    fwd_view[uniq] = live_ppns
+    fwd_view[uniq] = final_ppns
     ref_view[live_ppns] = 1
-    solo_view[live_ppns] = uniq
-    fp_view[live_ppns] = fps[last_pos]
+    solo_view[live_ppns] = live_lpns
+    fp_view[live_ppns] = fp_p[live_pos]
     peak_view[live_ppns] = np.maximum(peak_view[live_ppns], 1)
-    mapping._len += int(uniq.size) - int(prev_ppns.size)
+    mapping._len += int(live_ppns.size) - int(prev_ppns.size)
     del fwd_view
 
     # ---- victim-index reconciliation -------------------------------------

@@ -9,6 +9,7 @@ floats).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log
 from typing import Tuple
 
 import numpy as np
@@ -93,9 +94,12 @@ class LatencyRecorder:
         """Append a whole batch of samples at once.
 
         Bit-identical to calling :meth:`record` in a loop: exact mode
-        bulk-copies into the sample buffer; histogram mode still folds
-        one sample at a time because ``_sum`` accumulates in request
-        order (float addition is not associative).
+        bulk-copies into the sample buffer; histogram mode bins with the
+        same scalar ``math.log`` expression as :meth:`_record_binned`
+        (``np.log`` may differ by an ulp at a bin edge), counts with one
+        ``bincount``, and accumulates ``_sum`` left to right in request
+        order (float addition is not associative, and builtin ``sum``
+        compensates on newer Pythons).
         """
         arr = np.ascontiguousarray(latencies_us, dtype=np.float64)
         if arr.size == 0:
@@ -103,8 +107,25 @@ class LatencyRecorder:
         if np.min(arr) < 0:
             raise ValueError(f"negative latency {float(np.min(arr))}")
         if not self.keep_samples:
-            for value in arr.tolist():
-                self._record_binned(value)
+            values = arr.tolist()
+            log_lo = float(self._log_lo)
+            scale = float(self._bin_scale)
+            top = _HIST_BINS + 1
+            idx = [
+                0 if v < _HIST_LO_US
+                else top if v >= _HIST_HI_US
+                else 1 + int((log(v) - log_lo) * scale)
+                for v in values
+            ]
+            self._bins += np.bincount(idx, minlength=top + 1)
+            total = self._sum
+            for v in values:
+                total += v
+            self._sum = total
+            peak = float(arr.max())
+            if peak > self._max:
+                self._max = peak
+            self._n += len(values)
             return
         need = self._n + arr.size
         if need > len(self._buf):
@@ -123,8 +144,6 @@ class LatencyRecorder:
         elif latency_us >= _HIST_HI_US:
             idx = _HIST_BINS + 1
         else:
-            from math import log
-
             idx = 1 + int((log(latency_us) - self._log_lo) * self._bin_scale)
         self._bins[idx] += 1
         self._sum += latency_us

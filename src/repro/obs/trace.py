@@ -267,7 +267,7 @@ def kernel_attribution(tracer: "Tracer") -> Dict[str, float]:
     request counts per path, the host wall time each path consumed
     (from the spans' ``wall_us`` arg), the mean batch size, and the
     fallback rate.  Fallback spans carry a ``reason`` tag
-    (``gc-trigger``, ``trim``, ``negative-fp``) folded into
+    (``gc-trigger``, ``negative-fp``, ``array-coord-grant``) folded into
     ``fallback_requests[<reason>]`` keys, and the GC kernels' own
     ``gc_fallback`` instants fold into ``gc_fallbacks[<reason>]`` —
     the per-reason attribution the ``report`` command surfaces.

@@ -34,7 +34,8 @@ from repro.ftl.wear import WearStats
 #: v4: optional metrics snapshot (final values + columnar time series).
 #: v5: per-device kernel GC stats on array results.
 #: v6: independent-array metrics count the lanes' kernel fallbacks.
-SCHEMA_VERSION = 6
+#: v7: TRIMs ride kernel runs (no "trim" fallback reason; fewer batches).
+SCHEMA_VERSION = 7
 
 
 class SchemaMismatchError(RuntimeError):

@@ -236,6 +236,10 @@ class FTLScheme(abc.ABC):
         """Hook for per-LPN bookkeeping on the bulk write path (the
         spatial hot/cold scheme counts write frequency here)."""
 
+    def _note_user_trim(self, lpn: int, npages: int) -> None:
+        """Hook for per-LPN bookkeeping on trims (the spatial hot/cold
+        scheme forgets the extent's write counts here)."""
+
     def destage(self, pages: Sequence[Tuple[int, int]], now_us: float) -> WriteOutcome:
         """Apply write-buffer destages: ``(lpn, fp)`` pairs, possibly
         discontiguous.  Accounted like user page writes (they are the
@@ -261,6 +265,7 @@ class FTLScheme(abc.ABC):
 
     def trim_request(self, lpn: int, npages: int, now_us: float) -> int:
         """Drop mappings for an extent (file delete); returns pages trimmed."""
+        self._note_user_trim(lpn, npages)
         self.io_counters.trim_requests += 1
         trimmed = 0
         for offset in range(npages):

@@ -33,7 +33,8 @@ class LBAHotColdScheme(FTLScheme):
     name = "lba-hotcold"
     #: Foreground writes always program hot (heat only matters at GC
     #: migration time), so the bulk fast path applies; the per-LPN write
-    #: counting moves into :meth:`_note_user_writes`.
+    #: counting lives in the :meth:`_note_user_writes` /
+    #: :meth:`_note_user_trim` hooks, which the batched kernel calls too.
     bulk_user_writes = True
 
     def __init__(
@@ -60,10 +61,14 @@ class LBAHotColdScheme(FTLScheme):
         for offset in range(npages):
             lpn_writes[lpn + offset] += 1
 
-    def trim_request(self, lpn: int, npages: int, now_us: float) -> int:
+    def _note_user_trim(self, lpn: int, npages: int) -> None:
+        lpn_writes = self.lpn_writes
         for offset in range(npages):
-            self.lpn_writes.pop(lpn + offset, None)
-        return super().trim_request(lpn, npages, now_us)
+            lpn_writes.pop(lpn + offset, None)
+
+    #: The base implementation, bound on this class too so per-class
+    #: instrumentation (``bench/tracing.py``) still resolves it here.
+    trim_request = FTLScheme.trim_request
 
     def _is_hot_lpn(self, lpn: int) -> bool:
         return self.lpn_writes.get(lpn, 0) >= self.hot_write_threshold

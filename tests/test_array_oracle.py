@@ -44,6 +44,17 @@ def fuzz_cfg():
     return fuzz_config()
 
 
+@pytest.fixture(scope="module")
+def per_event_cfg():
+    """The fuzz device on the reference kernel, for the injected-bug
+    tests: the bug lives in ``VictimIndex.on_invalidate``, which the
+    reference loop drives on every invalidation.  The batched kernels
+    reconcile touched blocks once per run through ``sync_block``, and
+    a run carries its trims too, so there the committed trigger (two
+    invalidations of one full block) folds into one sync."""
+    return fuzz_config(kernel="reference")
+
+
 class TestArrayProfile:
     def test_extents_route_cleanly_at_every_device_count(self, fuzz_cfg):
         """The ``array`` profile keeps every extent inside one tenant
@@ -107,30 +118,33 @@ class TestNoDivergence:
 
 
 class TestBugDetection:
-    def test_injected_bug_caught_on_array(self, fuzz_cfg):
+    def test_injected_bug_caught_on_array(self, per_event_cfg):
         with victim_index_off_by_one():
             hits = []
             for seed in range(3):
                 divergence = diff_array(
-                    fuzz_trace(seed, fuzz_cfg, profile="array"),
+                    fuzz_trace(seed, per_event_cfg, profile="array"),
                     devices=4,
                     scheme="baseline",
-                    config=fuzz_cfg,
+                    config=per_event_cfg,
                 )
                 if divergence is not None:
                     hits.append(divergence)
         assert hits, "corrupted victim index escaped the array harness"
         assert any(d.kind == "invariant" for d in hits)
 
-    def test_injected_bug_shrinks_to_at_most_10_requests(self, fuzz_cfg):
+    def test_injected_bug_shrinks_to_at_most_10_requests(self, per_event_cfg):
         """Full pipeline on the array: fuzz -> diff_array -> ddmin."""
         with victim_index_off_by_one():
             trace = None
             for seed in range(10):
-                candidate = fuzz_trace(seed, fuzz_cfg, profile="array")
+                candidate = fuzz_trace(seed, per_event_cfg, profile="array")
                 if (
                     diff_array(
-                        candidate, devices=4, scheme="baseline", config=fuzz_cfg
+                        candidate,
+                        devices=4,
+                        scheme="baseline",
+                        config=per_event_cfg,
                     )
                     is not None
                 ):
@@ -138,14 +152,19 @@ class TestBugDetection:
                     break
             assert trace is not None, "bug never diverged across 10 seeds"
             predicate = make_array_divergence_predicate(
-                devices=4, scheme="baseline", policy="greedy", config=fuzz_cfg
+                devices=4,
+                scheme="baseline",
+                policy="greedy",
+                config=per_event_cfg,
             )
             minimal = shrink_trace(trace, predicate)
             assert predicate(minimal), "shrunk trace no longer diverges"
             assert len(minimal) <= 10
         # Clean code replays the minimal trace without divergence.
         assert (
-            diff_array(minimal, devices=4, scheme="baseline", config=fuzz_cfg)
+            diff_array(
+                minimal, devices=4, scheme="baseline", config=per_event_cfg
+            )
             is None
         )
 
@@ -163,10 +182,10 @@ class TestCommittedRegression:
         )
         assert divergence is None, str(divergence)
 
-    def test_regress_trace_still_triggers_bug(self, fuzz_cfg):
+    def test_regress_trace_still_triggers_bug(self, per_event_cfg):
         trace = Trace.load_csv(ARRAY_REGRESS, name=ARRAY_REGRESS.stem)
         with victim_index_off_by_one():
             divergence = diff_array(
-                trace, devices=4, scheme="baseline", config=fuzz_cfg
+                trace, devices=4, scheme="baseline", config=per_event_cfg
             )
         assert divergence is not None and divergence.kind == "invariant"

@@ -36,6 +36,31 @@ class TestHeatTracking:
         with pytest.raises(ValueError):
             LBAHotColdScheme(tiny_config, hot_write_threshold=0)
 
+    @pytest.mark.parametrize("chunk", [2, 65536])
+    def test_batched_trims_keep_heat_in_request_order(self, chunk):
+        """write -> trim -> write of one LPN inside a kernel run: the
+        batched hooks fire in request order, so the heat the second
+        write leaves matches the reference exactly."""
+        from repro.device.ssd import SSD
+        from repro.oracle.fuzz import fuzz_config, rows_to_trace
+        from repro.workloads.request import OpKind
+
+        w, t = int(OpKind.WRITE), int(OpKind.TRIM)
+        rows = [
+            (5.0, w, 3, 2, (101, 102)),
+            (10.0, w, 3, 1, (103,)),
+            (15.0, t, 3, 2, ()),
+            (20.0, w, 4, 1, (104,)),
+            (25.0, w, 3, 1, (105,)),
+        ]
+        heat = {}
+        for kernel in ("reference", "vectorized"):
+            cfg = fuzz_config(kernel=kernel, kernel_chunk_requests=chunk)
+            lba = LBAHotColdScheme(cfg)
+            SSD(lba).replay(rows_to_trace(rows))
+            heat[kernel] = dict(lba.lpn_writes)
+        assert heat["reference"] == heat["vectorized"] == {3: 1, 4: 1}
+
 
 class TestMigrationPlacement:
     def fill_and_gc(self, scheme):

@@ -18,10 +18,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import small_config
 from repro.device.ssd import SSD, run_trace
-from repro.metrics.latency import LatencyRecorder
+from repro.metrics.latency import _HIST_BINS, _HIST_HI_US, _HIST_LO_US, LatencyRecorder
 from repro.schemes import make_scheme
 from repro.workloads.fiu import build_fiu_trace
 from repro.workloads.fiu_format import dump_fiu_trace, iter_fiu_chunks, load_fiu_trace
@@ -198,6 +199,45 @@ class TestHistogramLatency:
         assert b.mean_us == pytest.approx(e.mean_us, rel=1e-9)
         for field in ("median_us", "p95_us", "p99_us", "p999_us"):
             assert getattr(b, field) == pytest.approx(getattr(e, field), rel=0.02)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(
+                st.one_of(
+                    # exact bin edges, the under/overflow bins and their
+                    # boundaries, and arbitrary values in between
+                    st.integers(0, _HIST_BINS).map(
+                        lambda k: float(
+                            np.exp(
+                                np.log(_HIST_LO_US)
+                                + k * (np.log(_HIST_HI_US) - np.log(_HIST_LO_US))
+                                / _HIST_BINS
+                            )
+                        )
+                    ),
+                    st.sampled_from(
+                        [0.0, 1e-9, 0.09999999999999999, _HIST_LO_US,
+                         9999999.999999998, _HIST_HI_US, 3e7]
+                    ),
+                    st.floats(0.0, 5e7, allow_nan=False),
+                ),
+                max_size=40,
+            ),
+            max_size=6,
+        )
+    )
+    def test_binned_record_many_matches_record_loop(self, batches):
+        one = LatencyRecorder(keep_samples=False)
+        many = LatencyRecorder(keep_samples=False)
+        for batch in batches:
+            for value in batch:
+                one.record(value)
+            many.record_many(np.asarray(batch, dtype=np.float64))
+        assert np.array_equal(one._bins, many._bins)
+        assert one._sum == many._sum  # bit-exact left-to-right fold
+        assert one._max == many._max
+        assert one._n == many._n == len(many)
 
     def test_histogram_mode_keeps_no_samples(self):
         rec = LatencyRecorder(keep_samples=False)
