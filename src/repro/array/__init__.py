@@ -14,12 +14,11 @@ from repro.array.coord import (
     TokenCoordinator,
     make_coordinator,
 )
-from repro.array.device import ARRAY_KERNEL_FALLBACK, ArrayResult, SSDArray
+from repro.array.device import ArrayResult, SSDArray
 from repro.array.router import RangeRouter, RoutingError
 from repro.array.telemetry import ArrayTelemetry, fold_histograms
 
 __all__ = [
-    "ARRAY_KERNEL_FALLBACK",
     "ArrayResult",
     "ArrayTelemetry",
     "COORDINATIONS",

@@ -46,15 +46,6 @@ from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventKind
 from repro.workloads.trace import Trace
 
-#: Legacy wholesale-fallback tag from before the epoch-batched array
-#: kernel (``repro.kernel.arrayepoch``) existed; kept only so old
-#: serialized results remain readable.  Live vectorized replays either
-#: run the epoch kernel (``kernel_fallback_reason`` stays ``None``) or
-#: tag one of its reasons (``array-unmodelled`` wholesale;
-#: ``array-coord-grant`` / ``array-ncq-stall`` per-epoch in the trace
-#: attribution).
-ARRAY_KERNEL_FALLBACK = "array-event-loop"
-
 
 @dataclass(frozen=True)
 class ArrayResult:
@@ -455,4 +446,4 @@ class SSDArray:
             self._schedule_window(self.coordinator.window_us)
 
 
-__all__ = ["ARRAY_KERNEL_FALLBACK", "ArrayResult", "SSDArray", "_ArrayLane"]
+__all__ = ["ArrayResult", "SSDArray", "_ArrayLane"]

@@ -293,20 +293,7 @@ class SSD:
         if op == self._op_write:
             if self.buffer is not None:
                 return self._service_buffered_write(lpn, npages, fps, now)
-            # GC watermark check happens on the write path: writes are
-            # what consume free pages.  In blocking mode the whole burst
-            # stalls this request and everything queued behind it; in
-            # preemptive mode only the minimum reclamation needed to
-            # restore the free-block reserve does.
-            gc_us = self._gc_before_write(now)
-            outcome = scheme.write_request(lpn, fps, now + gc_us)
-            service = timing.write_request_us(outcome.programs, self._channels)
-            if outcome.hashed_pages:
-                # Inline dedup: hash + lookup serial on the critical path.
-                service += timing.inline_dedup_us(outcome.hashed_pages)
-            if outcome.programs == 0:
-                service += timing.lookup_us  # metadata-only update
-            return gc_us + service
+            return self._serve_write(lpn, fps, now)
         if op == self._op_read:
             if self.buffer is not None:
                 return self._service_buffered_read(lpn, npages)
@@ -319,6 +306,26 @@ class SSD:
             scheme.trim_request(lpn, npages, now)
             return timing.overhead_us + timing.lookup_us * npages
         raise ValueError(f"unknown opcode {op}")
+
+    def _serve_write(self, lpn: int, fps, start: float) -> float:
+        """Serve one unbuffered write from ``start``; returns its duration.
+
+        The GC watermark check happens on the write path: writes are
+        what consume free pages.  In blocking mode the whole burst
+        stalls this request and everything queued behind it; in
+        preemptive mode only the minimum reclamation needed to restore
+        the free-block reserve does.
+        """
+        timing = self._timing
+        gc_us = self._gc_before_write(start)
+        outcome = self.scheme.write_request(lpn, fps, start + gc_us)
+        service = timing.write_request_us(outcome.programs, self._channels)
+        if outcome.hashed_pages:
+            # Inline dedup: hash + lookup serial on the critical path.
+            service += timing.inline_dedup_us(outcome.hashed_pages)
+        if outcome.programs == 0:
+            service += timing.lookup_us  # metadata-only update
+        return gc_us + service
 
     def _gc_before_write(self, now: float) -> float:
         if self._preemptive:

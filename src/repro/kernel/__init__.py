@@ -2,10 +2,15 @@
 
 The kernel/orchestrator split behind ``config.kernel = "vectorized"``:
 
-* :mod:`repro.kernel.orchestrator` — chunked replay driver: slices raw
-  trace columns, finds GC-trigger boundaries, and routes everything
-  between them through the batched kernels (and everything else through
-  the reference per-request path);
+* :mod:`repro.kernel.orchestrator` — chunked replay driver and the run
+  step it shares with the coordinated array lanes: per-chunk columns,
+  the run planner (GC-trigger or reserve boundaries, adaptive window),
+  the run and scalar-boundary commits; everything between boundaries
+  goes through the batched kernels, everything else through the
+  reference per-request path;
+* :mod:`repro.kernel.arrayepoch` — the epoch-batched array replay: a
+  thin loop around the same run step per lane, plus the array-only
+  barriers, deferral counts and NCQ counters;
 * :mod:`repro.kernel.write` — the write-service kernel: one run of
   bulk-scheme writes as column scatters;
 * :mod:`repro.kernel.inline` — the inline-dedupe foreground kernel:

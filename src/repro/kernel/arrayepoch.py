@@ -24,6 +24,17 @@ event loop.  The array's coupling surface is narrow by construction:
   — then advances the shared clock to that barrier through the
   ordinary event heap and repeats.
 
+A coordinated lane takes the single-device kernel's run step as is:
+:class:`~repro.kernel.orchestrator.RunColumns` over its sub-trace,
+:func:`~repro.kernel.orchestrator.plan_run` with the coordinator's
+reserve as the free-block floor, :func:`~repro.kernel.orchestrator
+.commit_run` through its :class:`_LaneFold`, the same adaptive run
+window, and :meth:`SSD._serve_write <repro.device.ssd.SSD._serve_write>`
+plus :func:`~repro.kernel.orchestrator.commit_scalar` for a grant
+boundary.  What is array-only lives here: idle-gap cuts, batched
+deferral counts, and the two-hop completion scheduling on the shared
+event heap.
+
 The coordinated epoch planner leans on one watermark fact: a deferred
 foreground GC (``GCCoordinator._defer`` -> ``_restore_reserve``) does
 *zero work* while ``free_blocks >= reserve_blocks()`` — it only bumps
@@ -62,31 +73,27 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.ftl.allocator import Region
 from repro.kernel._njit import completion_recurrence
-from repro.kernel.cagcmig import install_fast_cagc
-from repro.kernel.gcmig import install_fast_gc
-from repro.kernel.inline import (
-    apply_inline_run,
-    inline_write_durations,
-    plan_inline_run,
-)
+from repro.kernel.inline import plan_inline_run
 from repro.kernel.orchestrator import (
-    gc_trigger_ordinal,
+    _WINDOW_MAX,
+    RunColumns,
+    commit_run,
+    commit_scalar,
+    device_eligible,
+    kernel_views,
+    next_window,
+    plan_run,
     replay_vectorized,
-    write_fps,
-    write_prefix,
 )
-from repro.kernel.views import ColumnViews
-from repro.kernel.write import apply_write_run
-from repro.obs.trace import TRACK_ARRAY, TRACK_KERNEL
-from repro.schemes.inline_dedupe import InlineDedupeScheme
+from repro.obs.trace import TRACK_ARRAY
 from repro.sim.events import EventKind
-from repro.workloads.request import OpKind
 
-_OP_WRITE = int(OpKind.WRITE)
-_OP_READ = int(OpKind.READ)
-_OP_TRIM = int(OpKind.TRIM)
+# Unused here: commit_run applies runs through the orchestrator's
+# bindings.  Kept only so bench/tracing.py's sites for this module
+# resolve; drop with them at the next benchmark change.
+from repro.kernel.inline import apply_inline_run  # noqa: F401,E402
+from repro.kernel.write import apply_write_run  # noqa: F401,E402
 
 #: Whole-array fallback reason: some device or observer feature is
 #: outside the epoch model and the replay runs the reference loop.
@@ -105,12 +112,6 @@ ARRAY_FALLBACK_REASONS = (
     FALLBACK_NCQ_STALL,
     FALLBACK_UNMODELLED,
 )
-
-#: Run window bounds (requests) for every lane, bulk or inline: a window
-#: edge is one more place a run may end, so the cap trades per-run
-#: overhead against the inline plan's lookahead.
-_WINDOW_MIN = 256
-_WINDOW_MAX = 8192
 
 
 # --------------------------------------------------------------- splitter
@@ -358,29 +359,19 @@ def array_kernel_eligible(array, trace) -> Optional[str]:
     """``None`` when the epoch orchestrator models this replay exactly,
     else the ``array-unmodelled`` fallback reason.
 
-    Mirrors the single-device :func:`repro.kernel.orchestrator
-    .kernel_eligible` axes per lane (blocking GC, no write buffer,
-    bulk or inline-dedupe scheme, a sliceable trace) and adds the
-    array-only ones: heartbeat observers clock per completion on the
-    shared loop, and coordinated replays of hand-built traces with
-    negative fingerprints would interleave per-request fallbacks with
-    coordination decisions the planner cannot predict.  An
-    :class:`~repro.obs.metrics.ArrayMetrics` bundle is supported — the
-    lane folds feed it batch-exactly, so runner-cached array runs stay
-    kernel-eligible.
+    Every lane must pass the single-device
+    :func:`repro.kernel.orchestrator.device_eligible` (blocking GC, no
+    write buffer, bulk or inline-dedupe scheme) and the trace must be
+    sliceable; the array-only axes are heartbeat observers (they clock
+    per completion on the shared loop) and coordinated replays of
+    hand-built traces with negative fingerprints (they would interleave
+    per-request fallbacks with coordination decisions the planner cannot
+    predict).  An :class:`~repro.obs.metrics.ArrayMetrics` bundle is
+    supported — the lane folds feed it batch-exactly, so runner-cached
+    array runs stay kernel-eligible.
     """
-    for lane in array.lanes:
-        scheme = lane.scheme
-        if scheme.config.kernel != "vectorized":
-            return FALLBACK_UNMODELLED
-        if scheme.config.gc_mode != "blocking":
-            return FALLBACK_UNMODELLED
-        if lane.buffer is not None:
-            return FALLBACK_UNMODELLED
-        if not (
-            scheme.bulk_user_writes or type(scheme) is InlineDedupeScheme
-        ):
-            return FALLBACK_UNMODELLED
+    if not all(device_eligible(lane) for lane in array.lanes):
+        return FALLBACK_UNMODELLED
     if array.heartbeat is not None:
         return FALLBACK_UNMODELLED
     times = getattr(trace, "times_us", None)
@@ -393,10 +384,31 @@ def array_kernel_eligible(array, trace) -> Optional[str]:
     return None
 
 
+def _ncq_counters(array, lane, sub, latencies: np.ndarray) -> None:
+    """Set the lane's NCQ ``peak``/``held`` from its arrival and
+    completion (arrival + latency) columns, tracing an
+    ``array-ncq-stall`` instant when the scalar gate replay was needed."""
+    arrivals = np.asarray(sub.times_us, dtype=np.float64)
+    completions = (
+        arrivals + latencies if latencies.size == len(sub) else arrivals
+    )
+    peak, held, scalar = ncq_occupancy(arrivals, completions, array.ncq_depth)
+    lane.ncq_peak = peak
+    lane.ncq_held = held
+    if scalar and array.tracer is not None:
+        array.tracer.instant(
+            TRACK_ARRAY,
+            "kernel-fallback",
+            float(lane.last_event_us),
+            reason=FALLBACK_NCQ_STALL,
+            device=lane.index,
+        )
+
+
 # -------------------------------------------------------- independent N
 
 
-def _replay_independent(array, subs) -> Tuple[list, list, list, int]:
+def _replay_independent(array, subs) -> None:
     """Degenerate epochs: one full-trace kernel run per lane.
 
     Lanes never interact under ``independent`` coordination (no
@@ -404,10 +416,6 @@ def _replay_independent(array, subs) -> Tuple[list, list, list, int]:
     sub-stream through the single-device vectorized kernel on its own
     clock; the shared clock only has to end at the latest lane.
     """
-    results = []
-    folds = []
-    completions = []
-    scalar_gates = 0
     sim = array.sim
     for lane, (sub, tenants, _idx) in zip(array.lanes, subs):
         fold = _LaneFold(
@@ -422,39 +430,22 @@ def _replay_independent(array, subs) -> Tuple[list, list, list, int]:
         lane.metrics = None
         lane.last_event_us = result.simulated_us if len(sub) else 0.0
         lane.rows_done = True
-        lats = fold.latencies()
-        arr = np.asarray(sub.times_us, dtype=np.float64)
-        comp = arr + lats if lats.size == len(sub) else arr
-        peak, held, scalar = ncq_occupancy(arr, comp, array.ncq_depth)
-        lane.ncq_peak = peak
-        lane.ncq_held = held
-        scalar_gates += int(scalar)
-        if scalar and array.tracer is not None:
-            array.tracer.instant(
-                TRACK_ARRAY,
-                "kernel-fallback",
-                float(lane.last_event_us),
-                reason=FALLBACK_NCQ_STALL,
-                device=lane.index,
-            )
-        results.append(result)
-        folds.append(fold)
-        completions.append(comp)
+        _ncq_counters(array, lane, sub, fold.latencies())
     sim.now = max([lane.last_event_us for lane in array.lanes] + [0.0])
-    return results, folds, completions, scalar_gates
 
 
 # -------------------------------------------------------- coordinated N
 
 
 class _LaneState:
-    """One lane's replay cursor for the coordinated epoch runner."""
+    """One lane's replay cursor for the coordinated epoch runner: the
+    sub-trace's :class:`~repro.kernel.orchestrator.RunColumns` (one
+    chunk), the next request ``i``, the previous completion ``t`` and
+    the adaptive run window."""
 
     __slots__ = (
-        "lane", "sub", "fold", "n", "i", "t", "times", "ops", "lpns",
-        "npages", "offsets", "fps_flat", "is_read", "is_trim", "is_row",
-        "wn_all", "wprefix", "contiguous", "durations", "write_positions",
-        "inline", "views", "window", "resume_pending", "run_end",
+        "lane", "sub", "fold", "cols", "n", "i", "t", "views", "window",
+        "resume_pending", "run_end",
     )
 
     def __init__(self, lane, sub, tenants, telemetry, metrics=None) -> None:
@@ -466,58 +457,16 @@ class _LaneState:
         lane._trace_name = sub.name
         lane.rows_done = False
         scheme = lane.scheme
-        self.inline = not scheme.bulk_user_writes
-        self.views = ColumnViews(scheme)
-        install_fast_gc(scheme, self.views) or install_fast_cagc(
-            scheme, self.views
+        self.views = kernel_views(scheme)
+        self.cols = RunColumns(
+            sub, scheme.timing, scheme.flash.geometry.channels
         )
-        n = len(sub)
-        self.n = n
+        self.n = self.cols.n
         self.i = 0
         self.t = 0.0  # completion time of this lane's previous request
-        self.window = 1024
+        self.window = _WINDOW_MAX
         self.resume_pending = False
         self.run_end = 0.0
-        times = np.ascontiguousarray(sub.times_us, dtype=np.float64)
-        self.times = times
-        self.ops = sub.ops
-        self.lpns = sub.lpns
-        self.npages = sub.npages
-        self.offsets = sub.fp_offsets
-        self.fps_flat = sub.fps_flat
-        is_write = self.ops == _OP_WRITE
-        is_trim = self.ops == _OP_TRIM
-        self.is_read = self.ops == _OP_READ
-        self.is_trim = is_trim
-        lengths = self.offsets[1:] - self.offsets[:-1]
-        wn_all = np.where(is_write, lengths, 0).astype(np.int64)
-        self.wn_all = wn_all
-        #: state-changing rows: writes and trims.
-        self.is_row = is_write | is_trim
-        self.contiguous = int(np.where(~is_write, lengths, 0).sum()) == 0
-        timing = scheme.timing
-        channels = scheme.flash.geometry.channels
-        slots = (self.npages.astype(np.int64) + (channels - 1)) // channels
-        self.durations = np.where(
-            is_write,
-            np.where(
-                wn_all > 0,
-                timing.overhead_us
-                + ((wn_all + (channels - 1)) // channels) * timing.write_us,
-                timing.overhead_us + timing.lookup_us,
-            ),
-            np.where(
-                is_trim,
-                timing.overhead_us + timing.lookup_us * self.npages,
-                np.where(
-                    self.npages > 0,
-                    timing.overhead_us + slots * timing.read_us,
-                    timing.overhead_us,
-                ),
-            ),
-        ).astype(np.float64)
-        self.write_positions = np.nonzero(is_write)[0]
-        self.wprefix = write_prefix(wn_all[self.write_positions])
 
 
 def _pulls(cum: np.ndarray, af0: int, ppb: int) -> np.ndarray:
@@ -571,7 +520,7 @@ class _EpochRunner:
             lane.rows_done = True
             return
         now = self.sim.now
-        arrival = float(state.times[state.i])
+        arrival = float(state.cols.times[state.i])
         if (
             arrival > now
             and lane.scheme.needs_background_gc()
@@ -618,7 +567,7 @@ class _EpochRunner:
             lane.rows_done = True
             lane._maybe_background_gc()  # end-of-stream on_idle
             return
-        if state.times[state.i] > now:
+        if state.cols.times[state.i] > now:
             lane._maybe_background_gc()  # queue-empty on_idle
             if not lane.busy:
                 self.advance(state)
@@ -645,7 +594,7 @@ class _EpochRunner:
             lane.rows_done = True
             lane._maybe_background_gc()
             return
-        if state.times[state.i] <= now:
+        if state.cols.times[state.i] <= now:
             self._commit_next(state)
             return
         lane._maybe_background_gc()
@@ -656,121 +605,52 @@ class _EpochRunner:
 
     def _commit_next(self, state: _LaneState) -> None:
         """Commit one batched run (or one scalar boundary request)."""
-        lane = state.lane
-        scheme = lane.scheme
-        allocator = scheme.allocator
-        ppb = scheme.flash.pages_per_block
-        hot = Region.HOT
+        scheme = state.lane.scheme
+        cols = state.cols
         i = state.i
-        n = state.n
-        times = state.times
         wall0 = time.perf_counter()
-
-        win = min(i + state.window, n)
-        w = i + np.flatnonzero(state.is_row[i:win])
-        e = win
-        plan = None
-        wfps = None
-        wn = None
-        wt = None
-        progs = None
-        af0 = (
-            allocator._active_free[hot]
-            if allocator._active[hot] is not None
-            else 0
+        run = plan_run(
+            scheme, state.views, cols, i, state.window, scheme.reserve_blocks()
         )
-        free0 = allocator.free_blocks
-        budget_reserve = free0 - scheme.reserve_blocks()
-        if w.size:
-            # Page counts: a write's fingerprint span, a trim's extent.
-            wt = state.is_trim[w]
-            wn = np.where(wt, state.npages[w], state.wn_all[w])
-            wfps = write_fps(
-                state.fps_flat, state.offsets, state.contiguous, i, win, w[~wt]
-            )
-            if state.inline:
-                jw, plan = plan_inline_run(
-                    scheme, state.views, state.lpns[w], wn, wt, wfps,
-                    af0, budget_reserve, ppb,
-                )
-                progs = plan.programs
-            else:
-                k = gc_trigger_ordinal(
-                    state.wprefix,
-                    int(np.searchsorted(state.write_positions, i)),
-                    af0, ppb, budget_reserve,
-                )
-                jw = (
-                    int(np.searchsorted(w, state.write_positions[k]))
-                    if k < state.write_positions.size
-                    else int(w.size)
-                )
-                progs = np.where(wt, 0, wn)
-            if jw < w.size:
-                e = int(w[jw])  # the working grant: a scalar boundary
-                w = w[:jw]
-                wn = wn[:jw]
-                wt = wt[:jw]
-                progs = progs[:jw]
-                wfps = wfps[: int(wn[~wt].sum())]
-        if state.inline and w.size:
-            wm = ~wt
-            state.durations[w[wm]] = inline_write_durations(
-                scheme.timing, scheme.flash.geometry.channels,
-                progs[: w.size][wm], wn[wm],
-            )
-
-        if e > i:
-            # Idle-gap barrier: the first completion that strictly
-            # precedes the next arrival *while background reclamation
-            # is needed*, in a gap the coordinator may act in, hands
-            # control to the coordinator.  Every other gap is one where
-            # on_idle/on_window provably decline, so it stays inside
-            # the run.
-            seg_times = times[i:e]
-            completions, t_end = completion_recurrence(
-                seg_times,
-                np.ascontiguousarray(state.durations[i:e]),
-                state.t,
-            )
-            cut = self._bg_gap_cut(
-                state, i, e, completions, af0, free0, ppb, progs, w
-            )
-            if cut is not None:
-                e = cut
-                completions = completions[: e - i]
-                t_end = float(completions[-1])
-                keep = int(np.searchsorted(w, e))
-                w = w[:keep]
-                if wn is not None:
-                    wn = wn[:keep]
-                    wt = wt[:keep]
-                    progs = progs[:keep]
-                    wfps = wfps[: int(wn[~wt].sum())]
-                if state.inline and w.size:
-                    # Plans aggregate window-level state (refcount and
-                    # overlay deltas), so a shortened run re-resolves;
-                    # the per-request outcomes are prefix-stable, so
-                    # the already-used durations are unchanged.
-                    _, plan = plan_inline_run(
-                        scheme, state.views, state.lpns[w], wn, wt,
-                        wfps, af0, budget_reserve, ppb,
-                    )
-            self._commit_run(
-                state, i, e, completions, t_end, w, wn, wt, wfps, progs,
-                plan, af0, free0, wall0,
-            )
+        e = run.e
+        if e == i:
+            # Empty run: request i itself is the boundary (a working
+            # grant) and goes through the reference scheme calls.
+            self._commit_scalar(state, FALLBACK_COORD_GRANT, wall0)
             return
-        # Empty run: request i itself is the boundary (a working grant)
-        # and goes through the reference scheme calls.
-        self._commit_scalar(state, FALLBACK_COORD_GRANT, wall0)
+        completions, t_end = completion_recurrence(
+            cols.times[i:e], cols.durations[i:e], state.t
+        )
+        # Idle-gap barrier: the first completion that strictly precedes
+        # the next arrival *while background reclamation is needed*, in
+        # a gap the coordinator may act in, hands control to the
+        # coordinator.  Every other gap is one where on_idle/on_window
+        # provably decline, so it stays inside the run.
+        cut = self._bg_gap_cut(state, i, run, completions)
+        if cut is not None:
+            run.truncate(cut, int(np.searchsorted(run.w, cut)))
+            completions = completions[: cut - i]
+            t_end = float(completions[-1])
+            if run.plan is not None:
+                # Plans aggregate window-level state (refcount and
+                # overlay deltas), so a shortened run re-resolves; the
+                # per-request outcomes are prefix-stable, so the
+                # already-used durations are unchanged.
+                run.plan = (
+                    plan_inline_run(
+                        scheme, state.views, cols.lpns[run.w], run.wn,
+                        run.wt, run.wfps, run.af0, run.budget,
+                        scheme.flash.pages_per_block,
+                    )[1]
+                    if run.w.size
+                    else None
+                )
+        self._commit_run(state, i, run.e, completions, t_end, run, wall0)
 
-    def _bg_gap_cut(
-        self, state, i, e, completions, af0, free0, ppb, progs, w
-    ) -> Optional[int]:
+    def _bg_gap_cut(self, state, i, run, completions) -> Optional[int]:
         """First index after which an idle gap with background need
-        opens inside ``[i, e)`` that the coordinator may act in, or
-        ``None`` when the run is whole.
+        opens inside the run ``[i, run.e)`` that the coordinator may act
+        in, or ``None`` when the run is whole.
 
         A gap at position ``k`` (completion ``k`` strictly before
         arrival ``k+1``) matters only once ``needs_background_gc()``
@@ -782,25 +662,27 @@ class _EpochRunner:
         inside a run).  The trailing gap (after ``e - 1``) is handled
         by the run-done event, not here.
         """
+        e = run.e
         if e - i < 2:
             return None
         scheme = state.lane.scheme
         if scheme.needs_background_gc():
             j_bg = i  # background need is already pending at run start
         else:
-            if w is None or not w.size:
+            if not run.w.size:
                 return None  # no writes: need cannot arise inside the run
-            cum_incl = np.cumsum(progs[: w.size])
-            pulls = _pulls(cum_incl, af0, ppb)
-            hit = pulls > free0 - scheme._gc_stop_blocks
+            pulls = _pulls(
+                np.cumsum(run.progs), run.af0, scheme.flash.pages_per_block
+            )
+            hit = pulls > run.free0 - scheme._gc_stop_blocks
             if not hit.any():
                 return None
-            j_bg = int(w[int(np.argmax(hit))])
+            j_bg = int(run.w[int(np.argmax(hit))])
         if j_bg >= e - 1:
             return None
         rel0 = j_bg - i
         starts = completions[rel0 : e - i - 1]
-        arrivals = state.times[j_bg + 1 : e]
+        arrivals = state.cols.times[j_bg + 1 : e]
         (gaps,) = np.nonzero(starts < arrivals)
         if not gaps.size:
             return None
@@ -811,65 +693,27 @@ class _EpochRunner:
             return None
         return j_bg + int(gaps[int(np.argmax(act))]) + 1
 
-    def _commit_run(
-        self, state, i, e, completions, t_end, w, wn, wt, wfps, progs,
-        plan, af0, free0, wall0,
-    ) -> None:
+    def _commit_run(self, state, i, e, completions, t_end, run, wall0) -> None:
         lane = state.lane
-        scheme = lane.scheme
-        seg_times = state.times[i:e]
-        lat_batch = completions - seg_times
-        lane.latency.record_many(lat_batch)
-        lane.requests_completed += e - i
-        state.fold.on_batch(lat_batch, t_end, lane)
-        is_read = state.is_read[i:e]
-        seg_reads = int(np.count_nonzero(is_read))
-        if seg_reads:
-            io = scheme.io_counters
-            io.read_requests += seg_reads
-            io.pages_read += int(state.npages[i:e][is_read].sum())
-        pages = 0
-        last_start = float(t_end - state.durations[e - 1])
-        if w.size:
-            pages = len(wfps)
-            starts = completions[w - i] - state.durations[w]
-            if state.inline:
-                apply_inline_run(
-                    scheme, state.views, state.lpns[w], wn, wt, wfps, starts,
-                    plan,
-                )
-            else:
-                apply_write_run(
-                    scheme, state.views, state.lpns[w], wn, wt, wfps, starts
-                )
-            wm = ~wt  # only writes run the (deferred) GC check
+        starts = commit_run(
+            lane, state.views, state.cols, run, i, completions, t_end,
+            state.fold, self.tracer, wall0,
+        )
+        if run.w.size:
+            wm = ~run.wt  # only writes run the (deferred) GC check
             self._count_deferrals(
-                state, progs[: w.size][wm], starts[wm], af0, free0
+                state, run.progs[wm], starts[wm], run.af0, run.free0
             )
-        if self.tracer is not None:
-            ts = float(completions[0] - state.durations[i])
-            self.tracer.span(
-                TRACK_KERNEL, "batch", ts, float(t_end - ts),
-                requests=e - i, pages=pages,
-                wall_us=(time.perf_counter() - wall0) * 1e6,
-            )
-            self.tracer.counter(TRACK_KERNEL, "batch_requests", ts, e - i)
         state.i = e
         state.t = float(t_end)
         state.run_end = float(t_end)
-        # Adapt the run window to the observed run length (boundaries
-        # shrink it to ~2x the run, unbroken windows double it).
-        run_len = e - i
-        if run_len >= state.window:
-            if state.window < _WINDOW_MAX:
-                state.window = min(_WINDOW_MAX, state.window * 2)
-        else:
-            state.window = min(_WINDOW_MAX, max(_WINDOW_MIN, 2 * run_len))
+        state.window = next_window(state.window, e - i)
         lane._busy = True
         # Two-hop completion scheduling: hop to the last request's
         # service start first so same-time completion ties across lanes
         # drain in the reference heap's schedule order (the reference
         # schedules each completion event at its service start).
+        last_start = float(t_end - state.cols.durations[e - 1])
         now = self.sim.now
         self.sim.schedule_at(
             last_start if last_start > now else now,
@@ -910,33 +754,18 @@ class _EpochRunner:
         """One boundary request — the write whose working grant must
         reclaim — through the reference scheme calls."""
         lane = state.lane
-        scheme = lane.scheme
-        timing = scheme.timing
+        cols = state.cols
         i = state.i
-        arrival = float(state.times[i])
+        arrival = float(cols.times[i])
         start = arrival if arrival > state.t else state.t
-        fview = state.fps_flat[state.offsets[i] : state.offsets[i + 1]]
-        gc_us = lane._gc_before_write(start)
-        outcome = scheme.write_request(int(state.lpns[i]), fview, start + gc_us)
-        service = timing.write_request_us(
-            outcome.programs, scheme.flash.geometry.channels
+        duration = lane._serve_write(
+            int(cols.lpns[i]), cols.fps_flat[cols.offsets[i] : cols.offsets[i + 1]],
+            start,
         )
-        if outcome.hashed_pages:
-            service += timing.inline_dedup_us(outcome.hashed_pages)
-        if outcome.programs == 0:
-            service += timing.lookup_us
-        duration = gc_us + service
-        completion = start + duration
-        lane.latency.record(completion - arrival)
-        lane.requests_completed += 1
-        state.fold.on_complete(completion, completion - arrival, lane)
-        state.fold.on_fallback(reason)
-        if self.tracer is not None:
-            self.tracer.span(
-                TRACK_KERNEL, "fallback", start, duration,
-                requests=1, wall_us=(time.perf_counter() - wall0) * 1e6,
-                reason=reason,
-            )
+        completion = commit_scalar(
+            lane, state.fold, self.tracer, arrival, start, duration, reason,
+            wall0,
+        )
         state.i = i + 1
         state.t = completion
         state.run_end = completion
@@ -963,39 +792,14 @@ def replay_array_vectorized(array, trace, tenants: int):
 
     subs = split_epoch_streams(array.router, trace)
     if array.coordinator is None:
-        _results, folds, completions, _scalars = _replay_independent(
-            array, subs
-        )
+        _replay_independent(array, subs)
     else:
         runner = _EpochRunner(array, subs)
         if isinstance(array.coordinator, StaggeredCoordinator):
             array._schedule_window(array.coordinator.window_us)
         runner.run()
-        folds = [state.fold for state in runner.states]
-        completions = []
-        for state in runner.states:
-            lats = state.fold.latencies()
-            comp = (
-                state.times + lats
-                if lats.size == state.n
-                else state.times
-            )
-            completions.append(comp)
-        for lane, comp, (sub, _tens, _idx) in zip(
-            array.lanes, completions, subs
-        ):
-            arr = np.asarray(sub.times_us, dtype=np.float64)
-            peak, held, scalar = ncq_occupancy(arr, comp, array.ncq_depth)
-            lane.ncq_peak = peak
-            lane.ncq_held = held
-            if scalar and array.tracer is not None:
-                array.tracer.instant(
-                    TRACK_ARRAY,
-                    "kernel-fallback",
-                    float(lane.last_event_us),
-                    reason=FALLBACK_NCQ_STALL,
-                    device=lane.index,
-                )
+        for lane, state in zip(array.lanes, runner.states):
+            _ncq_counters(array, lane, state.sub, state.fold.latencies())
     coord_stats = (
         array.coordinator.stats() if array.coordinator is not None else {}
     )

@@ -8,30 +8,36 @@ factors into *runs* of requests with no GC trigger between them:
 
 1. slice a chunk of raw trace columns (``Trace.iter_chunks`` /
    ``StreamingTrace.iter_chunks``; the chunk size comes from
-   ``SSDConfig.kernel_chunk_requests``);
-2. find the run boundary.  For bulk schemes every write programs all
-   its pages, so the first GC-triggering write follows from the
-   allocator state alone (one binary search over the chunk's write
-   page prefix sum, :func:`gc_trigger_ordinal`).  Trims program
-   nothing, so they never end a run.  For the inline-dedupe scheme
-   only dedup *misses* program, so
-   :func:`repro.kernel.inline.plan_inline_run` resolves
-   the window's dedup outcomes read-only — one vectorized index probe
-   plus a dict loop — with the same watermark check fused in;
-3. everything before that boundary is one run: service times come from
-   one elementwise pass (bulk) or the plan's per-request program
-   counts (inline), completions from the sequential recurrence
-   (njit-compiled when numba is importable), latencies land via
-   ``LatencyRecorder.record_many`` (and, when metrics are attached,
-   one exact histogram fold plus a boundary-clocked series sample
-   through ``DeviceMetrics.on_batch``), and the writes' and trims'
-   state effects apply, net-final and in request order, through
+   ``SSDConfig.kernel_chunk_requests``) and derive its
+   :class:`RunColumns` once: input checks, write page counts, elementwise
+   service durations, the write page prefix sum;
+2. plan the next run (:func:`plan_run`).  For bulk schemes every write
+   programs all its pages, so the first GC-triggering write follows
+   from the allocator state alone (one binary search over the chunk's
+   write page prefix sum, :func:`gc_trigger_ordinal`).  Trims program
+   nothing, so they never end a run.  For the inline-dedupe scheme only
+   dedup *misses* program, so :func:`repro.kernel.inline.plan_inline_run`
+   resolves the window's dedup outcomes read-only — one vectorized index
+   probe plus a dict loop — with the same watermark check fused in;
+3. everything before that boundary is one run: completions come from
+   the sequential recurrence (njit-compiled when numba is importable),
+   and :func:`commit_run` lands it — latencies via
+   ``LatencyRecorder.record_many`` (and, when metrics are attached, one
+   exact histogram fold plus a boundary-clocked series sample through
+   the observer's ``on_batch``), the writes' and trims' state effects
+   net-final and in request order through
    :func:`repro.kernel.write.apply_write_run` or
    :func:`repro.kernel.inline.apply_inline_run`;
 4. the boundary request (the GC-triggering write) goes through the
    reference scheme calls — same ``run_gc`` / ``write_request``, same
    post-GC hook and metrics accounting — and the scan restarts behind
    it.
+
+Steps 1-3 and the scalar bookkeeping of step 4 (:func:`commit_scalar`)
+are the run step the coordinated array lanes of
+:mod:`repro.kernel.arrayepoch` share; the two drivers differ only in
+the free-block floor that ends a run (the GC trigger here, the
+coordinator's reserve there) and in what they do between runs.
 
 Requests the batched kernels do not model (negative fingerprints in a
 chunk) drop to the same per-request reference path, so the fallback is
@@ -70,16 +76,28 @@ _OP_WRITE = int(OpKind.WRITE)
 _OP_READ = int(OpKind.READ)
 _OP_TRIM = int(OpKind.TRIM)
 
-#: Inline-dedupe plan window bounds (requests).  The plan re-resolves
-#: from scratch after every GC boundary, so the window adapts to the
-#: observed run length: big windows amortize the vectorized probe over
-#: dedup-heavy traffic, small ones bound the wasted lookahead when GC
-#: triggers every few dozen writes.  The cap also bounds the plan's
-#: transient memory (per-page lists and dicts grow with the window):
-#: on a 100k-request streamed replay an 8192 cap raised peak RSS by
-#: ~6 MB over a 1024 cap at no measurable time gain.
-_PLAN_WINDOW_MIN = 256
-_PLAN_WINDOW_MAX = 1024
+#: Run window bounds (requests), bulk or inline.  A window edge is one
+#: more place a run may end, so the window adapts to the observed run
+#: length (:func:`next_window`): big windows amortize the per-run cost
+#: and the inline plan's vectorized probe, small ones bound the wasted
+#: inline lookahead when GC triggers every few dozen writes.  The cap
+#: also bounds the inline plan's transient memory (per-page lists and
+#: dicts grow with the window): on a 100k-request streamed replay an
+#: 8192 cap raised peak RSS by ~6 MB over a 1024 cap at no measurable
+#: time gain.
+_WINDOW_MIN = 256
+_WINDOW_MAX = 1024
+
+
+def next_window(window: int, run_len: int) -> int:
+    """The run window after a committed run of ``run_len`` requests.
+
+    A run that filled its window doubles it; a shorter one (a boundary
+    cut it) sets it to twice the run, both within the bounds.
+    """
+    if run_len >= window:
+        return min(_WINDOW_MAX, 2 * window)
+    return min(_WINDOW_MAX, max(_WINDOW_MIN, 2 * run_len))
 
 
 def write_prefix(wpages: np.ndarray) -> np.ndarray:
@@ -132,107 +150,67 @@ def write_fps(
     )
 
 
-def kernel_eligible(ssd: SSD, trace) -> bool:
-    """Can this (device, trace) pair take the vectorized path?
-
-    The batched kernels model the default replay configuration:
-    blocking foreground GC, no DRAM write buffer, and either a
-    bulk-write scheme or the inline-dedupe scheme (whose foreground
-    hash/lookup path has its own plan/apply kernel).  Post-GC hooks,
-    tracers, metrics and heartbeats are supported — metrics fold
-    per-batch with exact histogram counts, series samples clock at
-    batch boundaries.  Anything else
-    silently takes the reference event loop under the same
-    ``FTLScheme`` interface.
-    """
-    scheme = ssd.scheme
-    return (
-        scheme.config.kernel == "vectorized"
-        and scheme.config.gc_mode == "blocking"
-        and ssd.buffer is None
-        and (scheme.bulk_user_writes or type(scheme) is InlineDedupeScheme)
-        and hasattr(trace, "iter_chunks")
-    )
+# ------------------------------------------------------------- run step
 
 
-def replay_vectorized(ssd: SSD, trace) -> RunResult:
-    """Replay ``trace`` through the batched kernels; see module docs."""
-    scheme = ssd.scheme
+def kernel_views(scheme) -> ColumnViews:
+    """The scheme's column views, with its batched GC collect installed."""
     views = ColumnViews(scheme)
     install_fast_gc(scheme, views) or install_fast_cagc(scheme, views)
-    timing = scheme.timing
-    channels = scheme.flash.geometry.channels
-    allocator = scheme.allocator
-    ppb = scheme.flash.pages_per_block
-    trigger_blocks = scheme._gc_trigger_blocks
-    latency = ssd.latency
-    tracer = ssd.tracer
-    metrics = ssd.metrics
-    heartbeat = ssd.heartbeat
-    hot = Region.HOT
-    inline = not scheme.bulk_user_writes  # eligibility: inline-dedupe
+    return views
 
-    try:
-        chunks = trace.iter_chunks(scheme.config.kernel_chunk_requests)
-    except TypeError:
-        chunks = trace.iter_chunks()  # streaming traces fix their own size
 
-    t = 0.0  # completion time of the previous request
-    served = False  # at least one request completed (sim clock moved)
-    last_time = 0.0
-    fallback_requests = 0
-    window = 1024  # current inline plan window (requests)
+class RunColumns:
+    """One chunk's request columns and what every run derives from them.
 
-    for chunk in chunks:
-        n = len(chunk)
-        if n == 0:
-            continue
-        times = chunk.times_us
+    Built once per chunk (a whole sub-trace for an array lane): the
+    arrival-order and opcode checks, write page counts (fingerprint
+    spans are authoritative), the elementwise service durations and the
+    write page prefix sum.  Write durations are state-independent for
+    bulk schemes; for inline-dedupe they depend on the per-request dedup
+    miss count, so :func:`plan_run` scatters them in per run.
+    """
+
+    __slots__ = (
+        "n", "times", "ops", "lpns", "npages", "offsets", "fps_flat",
+        "is_read", "is_trim", "is_row", "wn_all", "contiguous",
+        "durations", "write_positions", "wprefix",
+    )
+
+    def __init__(self, chunk, timing, channels: int, last_time: float = 0.0):
+        times = np.ascontiguousarray(chunk.times_us, dtype=np.float64)
         ops = chunk.ops
-        lpns = chunk.lpns
         npages = chunk.npages
         offsets = chunk.fp_offsets
-        fps_flat = chunk.fps_flat
-        if float(times[0]) < last_time or bool((np.diff(times) < 0).any()):
+        n = len(times)
+        if n and (float(times[0]) < last_time or bool((np.diff(times) < 0).any())):
             raise SimulationError(
                 "cannot schedule into the past (trace arrivals not monotone)"
             )
-        last_time = float(times[-1])
         if bool((ops > _OP_TRIM).any()):
             bad = int(ops[ops > _OP_TRIM][0])
             raise ValueError(f"unknown opcode {bad}")
-
+        self.n = n
+        self.times = times
+        self.ops = ops
+        self.lpns = chunk.lpns
+        self.npages = npages
+        self.offsets = offsets
+        self.fps_flat = chunk.fps_flat
         is_write = ops == _OP_WRITE
         is_trim = ops == _OP_TRIM
+        self.is_read = ops == _OP_READ
+        self.is_trim = is_trim
+        #: state-changing rows: writes and trims.
+        self.is_row = is_write | is_trim
         lengths = offsets[1:] - offsets[:-1]
-        # Fingerprint spans are the authoritative write page counts.
         wn_all = np.where(is_write, lengths, 0).astype(np.int64)
-        # Slow-path chunk: negative fingerprints (never produced by
-        # traces; exactness over speed when hand-built rows carry them).
-        if fps_flat.size and bool((fps_flat < 0).any()):
-            for i in range(n):
-                fview = (
-                    fps_flat[offsets[i] : offsets[i + 1]]
-                    if is_write[i]
-                    else None
-                )
-                t = _slow_request(
-                    ssd, float(times[i]), int(ops[i]), int(lpns[i]),
-                    int(npages[i]), fview, t, tracer, "negative-fp",
-                )
-                fallback_requests += 1
-                served = True
-            continue
+        self.wn_all = wn_all
         # Non-write rows with nonzero fingerprint spans would break the
         # contiguous-slice fast path; gather the writes' spans instead.
-        contiguous = int(np.where(~is_write, lengths, 0).sum()) == 0
-
-        # Elementwise service durations.  Write durations are
-        # state-independent for bulk schemes; for inline-dedupe they
-        # depend on the per-request dedup miss count, so the plan
-        # scatters them in per run below.
+        self.contiguous = int(np.where(~is_write, lengths, 0).sum()) == 0
         slots = (npages.astype(np.int64) + (channels - 1)) // channels
-        durations = np.where(
+        self.durations = np.where(
             is_write,
             np.where(
                 wn_all > 0,
@@ -249,116 +227,280 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
                     timing.overhead_us,
                 ),
             ),
-        )
+        ).astype(np.float64, copy=False)
+        self.write_positions = np.nonzero(is_write)[0]
+        self.wprefix = write_prefix(wn_all[self.write_positions])
 
-        # State-changing rows: writes and trims.
-        is_row = is_write | is_trim
-        if not inline:
-            write_positions = np.nonzero(is_write)[0]
-            wprefix = write_prefix(wn_all[write_positions])
+
+class RunPlan:
+    """One planned run ``[i, e)``: its state-changing rows ``w`` with
+    their page counts ``wn`` (a write's fingerprint span, a trim's
+    extent), trim mask ``wt``, fingerprints ``wfps`` and flash program
+    counts ``progs``; the inline-dedupe ``plan``; and the allocator
+    state it was planned from.  ``boundary`` marks request ``e`` as the
+    write whose pre-write GC check fires."""
+
+    __slots__ = (
+        "e", "boundary", "w", "wn", "wt", "wfps", "progs", "plan",
+        "af0", "free0", "budget",
+    )
+
+    def truncate(self, e: int, keep: int) -> None:
+        """End the run at request ``e``, keeping its first ``keep`` rows."""
+        self.e = e
+        self.w = self.w[:keep]
+        self.wn = self.wn[:keep]
+        self.wt = self.wt[:keep]
+        self.progs = self.progs[:keep]
+        self.wfps = self.wfps[: int(self.wn[~self.wt].sum())]
+
+
+def plan_run(
+    scheme, views: ColumnViews, cols: RunColumns, i: int, window: int,
+    floor_blocks: int,
+) -> RunPlan:
+    """Plan the run starting at request ``i``, read-only.
+
+    The run ends at the window edge, the chunk end, or the first write
+    whose pre-write check finds the free blocks it would leave below
+    ``floor_blocks`` — the exact integer prediction of
+    :func:`gc_trigger_ordinal` for bulk schemes, the inline plan's fused
+    watermark check for inline-dedupe.  A window edge is just another
+    place a run may split, so the window bounds wasted lookahead, not
+    correctness.
+    """
+    allocator = scheme.allocator
+    ppb = scheme.flash.pages_per_block
+    hot = Region.HOT
+    run = RunPlan()
+    run.af0 = af0 = (
+        allocator._active_free[hot] if allocator._active[hot] is not None else 0
+    )
+    run.free0 = allocator.free_blocks
+    run.budget = budget = run.free0 - floor_blocks
+    run.e = e = min(i + window, cols.n)
+    run.w = w = i + np.flatnonzero(cols.is_row[i:e])
+    run.wt = wt = cols.is_trim[w]
+    run.wn = wn = np.where(wt, cols.npages[w], cols.wn_all[w])
+    run.wfps = write_fps(cols.fps_flat, cols.offsets, cols.contiguous, i, e, w[~wt])
+    run.plan = None
+    inline = not scheme.bulk_user_writes
+    if inline:
+        jw = 0
+        run.progs = wn[:0]
+        if w.size:
+            jw, run.plan = plan_inline_run(
+                scheme, views, cols.lpns[w], wn, wt, run.wfps, af0, budget, ppb
+            )
+            run.progs = run.plan.programs
+    else:
+        positions = cols.write_positions
+        k = gc_trigger_ordinal(
+            cols.wprefix, int(np.searchsorted(positions, i)), af0, ppb, budget
+        )
+        jw = int(np.searchsorted(w, positions[k])) if k < positions.size else w.size
+        run.progs = np.where(wt, 0, wn)
+    run.boundary = jw < w.size
+    if run.boundary:
+        run.truncate(int(w[jw]), jw)
+    if inline and run.w.size:
+        wm = ~run.wt
+        cols.durations[run.w[wm]] = inline_write_durations(
+            scheme.timing, scheme.flash.geometry.channels,
+            run.progs[wm], run.wn[wm],
+        )
+    return run
+
+
+def commit_run(
+    ssd: SSD, views: ColumnViews, cols: RunColumns, run: RunPlan, i: int,
+    completions: np.ndarray, t_end: float, observer, tracer, wall0: float,
+) -> np.ndarray:
+    """Land the planned run ``[i, run.e)`` whose ``completions`` (ending
+    at ``t_end``) the caller computed; returns the service start of each
+    of its rows ``run.w``.
+
+    ``observer`` is the device's metrics bundle or an array lane's fold
+    (both follow the ``DeviceMetrics`` observer protocol).
+    """
+    scheme = ssd.scheme
+    e = run.e
+    lat_batch = completions - cols.times[i:e]
+    ssd.latency.record_many(lat_batch)
+    ssd.requests_completed += e - i
+    if observer is not None:
+        observer.on_batch(lat_batch, t_end, ssd)
+    if ssd.heartbeat is not None:
+        ssd.heartbeat.tick(
+            t_end,
+            ssd.requests_completed,
+            ssd.requests_completed,
+            gc_collects=scheme.gc_counters.gc_invocations,
+        )
+    # Reads: counter-only effects.
+    is_read = cols.is_read[i:e]
+    seg_reads = int(np.count_nonzero(is_read))
+    if seg_reads:
+        io = scheme.io_counters
+        io.read_requests += seg_reads
+        io.pages_read += int(cols.npages[i:e][is_read].sum())
+    w = run.w
+    starts = completions[w - i] - cols.durations[w]
+    if run.plan is not None:
+        apply_inline_run(
+            scheme, views, cols.lpns[w], run.wn, run.wt, run.wfps, starts,
+            run.plan,
+        )
+    elif w.size:
+        apply_write_run(
+            scheme, views, cols.lpns[w], run.wn, run.wt, run.wfps, starts
+        )
+    if tracer is not None:
+        ts = float(completions[0] - cols.durations[i])
+        tracer.span(
+            TRACK_KERNEL, "batch", ts, float(t_end - ts),
+            requests=e - i, pages=len(run.wfps),
+            wall_us=(time.perf_counter() - wall0) * 1e6,
+        )
+        tracer.counter(TRACK_KERNEL, "batch_requests", ts, e - i)
+    return starts
+
+
+def commit_scalar(
+    ssd: SSD, observer, tracer, arrival: float, start: float,
+    duration: float, reason: str, wall0: float,
+) -> float:
+    """Account one request the reference scheme calls served from
+    ``start`` for ``duration``; ``reason`` tags its fallback span for
+    the attribution report.  Returns the completion time."""
+    completion = start + duration
+    ssd.latency.record(completion - arrival)
+    ssd.requests_completed += 1
+    if observer is not None:
+        # The reference completion event fires with the sim clock at
+        # the completion time; the histogram/series view matches.
+        observer.on_complete(completion, completion - arrival, ssd)
+        observer.on_fallback(reason)
+    if ssd.heartbeat is not None:
+        ssd.heartbeat.tick(
+            completion,
+            ssd.requests_completed,
+            ssd.requests_completed,
+            gc_collects=ssd.scheme.gc_counters.gc_invocations,
+        )
+    if tracer is not None:
+        tracer.span(
+            TRACK_KERNEL, "fallback", start, duration,
+            requests=1, wall_us=(time.perf_counter() - wall0) * 1e6,
+            reason=reason,
+        )
+    return completion
+
+
+# --------------------------------------------------------------- driver
+
+
+def device_eligible(ssd: SSD) -> bool:
+    """Does the device run the configuration the batched kernels model?
+
+    Blocking foreground GC, no DRAM write buffer, and either a
+    bulk-write scheme or the inline-dedupe scheme (whose foreground
+    hash/lookup path has its own plan/apply kernel).
+    """
+    scheme = ssd.scheme
+    return (
+        scheme.config.kernel == "vectorized"
+        and scheme.config.gc_mode == "blocking"
+        and ssd.buffer is None
+        and (scheme.bulk_user_writes or type(scheme) is InlineDedupeScheme)
+    )
+
+
+def kernel_eligible(ssd: SSD, trace) -> bool:
+    """Can this (device, trace) pair take the vectorized path?
+
+    The device must pass :func:`device_eligible` and the trace must
+    slice into chunks.  Post-GC hooks, tracers, metrics and heartbeats
+    are supported — metrics fold per-batch with exact histogram counts,
+    series samples clock at batch boundaries.  Anything else silently
+    takes the reference event loop under the same ``FTLScheme``
+    interface.
+    """
+    return device_eligible(ssd) and hasattr(trace, "iter_chunks")
+
+
+def replay_vectorized(ssd: SSD, trace) -> RunResult:
+    """Replay ``trace`` through the batched kernels; see module docs."""
+    scheme = ssd.scheme
+    views = kernel_views(scheme)
+    timing = scheme.timing
+    channels = scheme.flash.geometry.channels
+    trigger_blocks = scheme._gc_trigger_blocks
+    tracer = ssd.tracer
+    metrics = ssd.metrics
+    heartbeat = ssd.heartbeat
+
+    try:
+        chunks = trace.iter_chunks(scheme.config.kernel_chunk_requests)
+    except TypeError:
+        chunks = trace.iter_chunks()  # streaming traces fix their own size
+
+    t = 0.0  # completion time of the previous request
+    served = False  # at least one request completed (sim clock moved)
+    last_time = 0.0
+    fallback_requests = 0
+    window = _WINDOW_MAX
+
+    for chunk in chunks:
+        if len(chunk) == 0:
+            continue
+        cols = RunColumns(chunk, timing, channels, last_time)
+        n = cols.n
+        times = cols.times
+        lpns = cols.lpns
+        offsets = cols.offsets
+        fps_flat = cols.fps_flat
+        last_time = float(times[-1])
+        # Slow-path chunk: negative fingerprints (never produced by
+        # traces; exactness over speed when hand-built rows carry them).
+        if fps_flat.size and bool((fps_flat < 0).any()):
+            for i in range(n):
+                op = int(cols.ops[i])
+                fview = (
+                    fps_flat[offsets[i] : offsets[i + 1]]
+                    if op == _OP_WRITE
+                    else None
+                )
+                t = _slow_request(
+                    ssd, float(times[i]), op, int(lpns[i]),
+                    int(cols.npages[i]), fview, t, tracer, "negative-fp",
+                )
+                fallback_requests += 1
+                served = True
+            continue
 
         i = 0
         while i < n:
-            reason: Optional[str] = None
-            plan = None
-            af0 = (
-                allocator._active_free[hot]
-                if allocator._active[hot] is not None
-                else 0
-            )
-            budget = allocator.free_blocks - trigger_blocks
-            if inline:
-                # Inline plan window: resolve at most `window` requests
-                # ahead (the plan restarts after every boundary, so the
-                # lookahead bounds wasted work, not correctness — a
-                # window edge is just another place a run may split).
-                e = n if n - i <= window else i + window
-            else:
-                # Bulk: the first GC-triggering write is an exact
-                # integer prediction from the allocator state.
-                e = n
-                k = gc_trigger_ordinal(
-                    wprefix, int(np.searchsorted(write_positions, i)),
-                    af0, ppb, budget,
-                )
-                if k < write_positions.size:
-                    e = int(write_positions[k])
-                    reason = "gc-trigger"
-            # The run's rows with their page counts: a write's
-            # fingerprint span, a trim's extent.
-            w = i + np.flatnonzero(is_row[i:e])
-            wt = is_trim[w]
-            wn = np.where(wt, npages[w], wn_all[w])
-            wfps = write_fps(fps_flat, offsets, contiguous, i, e, w[~wt])
-            if inline and w.size:
-                jw, plan = plan_inline_run(
-                    scheme, views, lpns[w], wn, wt, wfps, af0, budget, ppb
-                )
-                if jw < w.size:
-                    e = int(w[jw])
-                    reason = "gc-trigger"
-                    w = w[:jw]
-                    wn = wn[:jw]
-                    wt = wt[:jw]
-                    wfps = wfps[: int(wn[~wt].sum())]
-                wm = ~wt
-                durations[w[wm]] = inline_write_durations(
-                    timing, channels, plan.programs[: w.size][wm], wn[wm]
-                )
+            wall0 = time.perf_counter()
+            run = plan_run(scheme, views, cols, i, window, trigger_blocks)
+            e = run.e
             if e > i:
-                wall0 = time.perf_counter()
-                seg_times = times[i:e]
                 completions, t = completion_recurrence(
-                    np.ascontiguousarray(seg_times, dtype=np.float64),
-                    np.ascontiguousarray(durations[i:e]),
-                    t,
+                    times[i:e], cols.durations[i:e], t
                 )
-                lat_batch = completions - seg_times
-                latency.record_many(lat_batch)
-                ssd.requests_completed += e - i
+                commit_run(
+                    ssd, views, cols, run, i, completions, t, metrics,
+                    tracer, wall0,
+                )
                 served = True
-                if metrics is not None:
-                    metrics.on_batch(lat_batch, t, ssd)
-                if heartbeat is not None:
-                    heartbeat.tick(
-                        t,
-                        ssd.requests_completed,
-                        ssd.requests_completed,
-                        gc_collects=scheme.gc_counters.gc_invocations,
-                    )
-                # Reads: counter-only effects.
-                is_read = ops[i:e] == _OP_READ
-                seg_reads = int(np.count_nonzero(is_read))
-                if seg_reads:
-                    io = scheme.io_counters
-                    io.read_requests += seg_reads
-                    io.pages_read += int(npages[i:e][is_read].sum())
-                pages = 0
-                if w.size:
-                    starts = completions[w - i] - durations[w]
-                    if inline:
-                        apply_inline_run(
-                            scheme, views, lpns[w], wn, wt, wfps, starts, plan
-                        )
-                    else:
-                        apply_write_run(
-                            scheme, views, lpns[w], wn, wt, wfps, starts
-                        )
-                    pages = len(wfps)
-                if tracer is not None:
-                    ts = float(completions[0] - durations[i])
-                    tracer.span(
-                        TRACK_KERNEL, "batch", ts, float(t - ts),
-                        requests=e - i, pages=pages,
-                        wall_us=(time.perf_counter() - wall0) * 1e6,
-                    )
-                    tracer.counter(TRACK_KERNEL, "batch_requests", ts, e - i)
-            if reason is not None:
+                window = next_window(window, e - i)
+            i = e
+            if run.boundary:
                 # The GC-triggering write: reference scheme calls.
                 t = _slow_request(
                     ssd, float(times[e]), _OP_WRITE, int(lpns[e]),
-                    int(npages[e]), fps_flat[offsets[e] : offsets[e + 1]],
-                    t, tracer, reason,
+                    int(cols.npages[e]), fps_flat[offsets[e] : offsets[e + 1]],
+                    t, tracer, "gc-trigger",
                 )
                 fallback_requests += 1
                 served = True
@@ -367,17 +509,6 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
                         TRACK_KERNEL, "fallback_requests", t, fallback_requests
                     )
                 i = e + 1
-            else:
-                i = e
-            if inline:
-                # Adapt the plan window to the observed run length.
-                if reason == "gc-trigger":
-                    runlen = max(int(e) - i + 1, 1)  # i already advanced
-                    window = min(
-                        _PLAN_WINDOW_MAX, max(_PLAN_WINDOW_MIN, 2 * runlen)
-                    )
-                elif window < _PLAN_WINDOW_MAX:
-                    window = min(_PLAN_WINDOW_MAX, window * 2)
 
     ssd.sim.now = t if served else ssd.sim.now
     if metrics is not None:
@@ -392,8 +523,8 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
     return RunResult(
         scheme=scheme.name,
         trace=trace.name,
-        latency=latency.summary(),
-        response_times_us=latency.samples().copy(),
+        latency=ssd.latency.summary(),
+        response_times_us=ssd.latency.samples().copy(),
         gc=scheme.gc_counters,
         io=scheme.io_counters,
         wear=scheme.wear(),
@@ -414,56 +545,13 @@ def _slow_request(
     tracer,
     reason: str,
 ) -> float:
-    """One request through the reference scheme calls.
-
-    Exactly :meth:`SSD._service` under blocking GC with no write
-    buffer: the GC-triggering writes and any request the batched
-    kernels do not model.  ``reason`` tags the fallback span
-    for the attribution report.  Returns the completion time.
-    """
+    """One request through :meth:`SSD._service` — the GC-triggering
+    writes and any request the batched kernels do not model — accounted
+    by :func:`commit_scalar`.  Returns the completion time."""
     wall0 = time.perf_counter()
-    scheme = ssd.scheme
-    timing = scheme.timing
     now = arrival if arrival > t_prev else t_prev
-    ssd.sim.now = now  # post-GC hooks read the service-start clock
-    if op == _OP_WRITE:
-        gc_us = scheme.run_gc(now) if scheme.needs_gc() else 0.0
-        if gc_us > 0.0 and ssd.gc_hook is not None:
-            ssd.gc_hook(ssd)
-        outcome = scheme.write_request(lpn, fps, now + gc_us)
-        service = timing.write_request_us(
-            outcome.programs, scheme.flash.geometry.channels
-        )
-        if outcome.hashed_pages:
-            service += timing.inline_dedup_us(outcome.hashed_pages)
-        if outcome.programs == 0:
-            service += timing.lookup_us
-        duration = gc_us + service
-    elif op == _OP_READ:
-        scheme.read_request(lpn, npages)
-        duration = timing.read_request_us(npages, scheme.flash.geometry.channels)
-    else:
-        scheme.trim_request(lpn, npages, now)
-        duration = timing.overhead_us + timing.lookup_us * npages
-    completion = now + duration
-    ssd.latency.record(completion - arrival)
-    ssd.requests_completed += 1
-    if ssd.metrics is not None:
-        # The reference completion event fires with the sim clock at
-        # the completion time; the histogram/series view matches.
-        ssd.metrics.on_complete(completion, completion - arrival, ssd)
-        ssd.metrics.on_fallback(reason)
-    if ssd.heartbeat is not None:
-        ssd.heartbeat.tick(
-            completion,
-            ssd.requests_completed,
-            ssd.requests_completed,
-            gc_collects=scheme.gc_counters.gc_invocations,
-        )
-    if tracer is not None:
-        tracer.span(
-            TRACK_KERNEL, "fallback", now, duration,
-            requests=1, wall_us=(time.perf_counter() - wall0) * 1e6,
-            reason=reason,
-        )
-    return completion
+    ssd.sim.now = now  # _service and post-GC hooks read the start clock
+    duration = ssd._service((arrival, op, lpn, npages, fps))
+    return commit_scalar(
+        ssd, ssd.metrics, tracer, arrival, now, duration, reason, wall0
+    )

@@ -276,6 +276,36 @@ class TestEpochDigestIdentity:
         assert any(any(stats.values()) for stats in vec.kernel_gc)
 
 
+class TestBadInput:
+    """Every driver rejects an unknown opcode the same way: the
+    coordinated epoch lanes build their columns through the same
+    checks as the single-device kernel."""
+
+    @pytest.mark.parametrize("kernel", ("reference", "vectorized"))
+    @pytest.mark.parametrize(
+        "coordination", ("independent", "staggered", "global-token")
+    )
+    def test_unknown_opcode_raises(self, kernel, coordination):
+        cfg = small_config(
+            blocks=64, pages_per_block=16, gc_mode="blocking", kernel=kernel
+        )
+        tenant_traces = [
+            build_fiu_trace(
+                "mail", cfg, n_requests=300, fill_factor=3.0, seed=700 + t
+            )
+            for t in range(4)
+        ]
+        merged = multiplex_traces(
+            tenant_traces, devices=4, pages_per_device=cfg.logical_pages
+        )
+        assert len(merged) == 1200
+        merged.ops[600] = 7
+        schemes = [build_scheme("cagc", "greedy", cfg) for _ in range(4)]
+        array = SSDArray(schemes, coordination=coordination, ncq_depth=4)
+        with pytest.raises(ValueError, match="unknown opcode 7"):
+            array.replay(merged)
+
+
 # ------------------------------------------------------------ metrics
 
 
