@@ -71,9 +71,9 @@ class ArrayResult:
     #: present when the array ran with an ArrayMetrics registry
     #: attached (global + per-device/per-tenant labeled families).
     metrics: Optional[object] = None
-    #: per-device ``kernel_gc_stats`` dicts (batched-vs-scalar collect
-    #: outcomes) when the epoch kernel replayed the array; empty on the
-    #: reference loop.
+    #: per-device ``kernel_gc_stats`` dicts (GC collects per fast path or
+    #: fallback reason) when the epoch kernel replayed the array; empty
+    #: on the reference loop.
     kernel_gc: Tuple[Dict[str, int], ...] = ()
 
     def __len__(self) -> int:

@@ -784,8 +784,8 @@ def _array_report_rows(result) -> List[tuple]:
                     f"{hist.percentile(99.9):.0f}us",
                 )
             )
-    # Per-device batched-vs-scalar CAGC collect outcomes, present only
-    # when the epoch kernel replayed the array.
+    # Per-device GC collect outcomes (fast path or fallback reason),
+    # present only when the epoch kernel replayed the array.
     for device, stats in enumerate(getattr(result, "kernel_gc", ()) or ()):
         if stats and any(stats.values()):
             rows.append(

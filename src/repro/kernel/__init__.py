@@ -20,12 +20,12 @@ The kernel/orchestrator split behind ``config.kernel = "vectorized"``:
   open-addressed fingerprint table;
 * :mod:`repro.kernel.gcmig` — the GC-migration kernel for plain-copy
   victim collection (baseline and inline-dedupe metadata moves);
-* :mod:`repro.kernel.cagcmig` — the batched CAGC victim collection
-  (dedup/promotion walk replayed as phases over the pipeline model);
+* :mod:`repro.kernel.cagcmig` — the lean CAGC victim collection (the
+  reference dedup/promotion walk with the no-op work stripped);
 * :mod:`repro.kernel.views` — cached zero-copy NumPy views over the
   columnar FTL/dedup stores the kernels scatter into;
 * :mod:`repro.kernel._njit` — optional numba tier for the irreducibly
-  sequential scalar recurrences.
+  sequential completion recurrence.
 
 Every path is bit-identical to ``kernel = "reference"`` — the
 differential oracle diffs the two continuously (the

@@ -1,81 +1,32 @@
-"""Batched GC-collection kernel for CAGC victim collection.
+"""Fast CAGC victim collection for the vectorized kernel.
 
-CAGC's :meth:`collect_block` *looks* sequential — a page's fingerprint
-lookup can hit an entry an earlier page of the same pass inserted, and
-a merge can push a canonical page over the promotion threshold
-mid-pass.  But both feedback loops are resolvable up front from the
-victim's fingerprint columns alone:
-
-* an in-pass index hit can only come from an **earlier victim page with
-  the same fingerprint**, so one ``np.unique`` over the victim's
-  fingerprints plus one batch probe of the pre-pass table
-  (:func:`repro.kernel.probe.probe_many`) classifies every page as
-  migrate-and-insert (first occurrence of an absent fingerprint),
-  migrate-and-move (the canonical itself sits in the victim) or merge;
-* the canonical's refcount after each merge is the pre-pass refcount
-  plus a segmented prefix sum of the merged pages' refcounts (a merge
-  remaps *all* referrers, so each one adds the full count), which
-  yields the exact cold/hot classification of every migration and a
-  **promotion mask** over the merges.  Promotions consume pages
-  mid-victim and re-enter the allocator, so any merge that *would*
-  promote trips a gate and the pass takes the scalar path instead —
-  promotion passes are rare by construction (a canonical crosses the
-  threshold once in its lifetime).
-
-With the pass plan known, the mutations collapse into ``allocate_run``
-stretches, column scatters (forward map, refcounts, fingerprints,
-peaks) and per-group referrer-set unions; the Fig 5 pipeline timing
-becomes one ``cumsum`` (reads), the ``_njit`` hash-lane recurrence and
-one completion recurrence (writes).  The same elisions as the scalar
-path apply: victim-page invalidations are skipped (the erase resets
-that state; only ``valid_count`` needs zeroing first) and the
-per-page ``index.lookup`` statistics are settled in one shot.
-
-:func:`_collect_block_lean` keeps the scalar reference semantics for
-the passes the batched plan declines (promotion candidates, placement
-subclasses, negative fingerprints); traced runs keep the full
-reference loop — the pipeline spans are per-page by contract.  Every
-path is bit-identical in trajectories, counters, index statistics and
-open-addressing table layout; per-reason pass counts accumulate in
-``scheme.kernel_gc_stats`` and, when traced, as ``gc_fallback``
-instants on the kernel track (``report kernel_attribution``).
+:func:`_collect_block_lean` is the reference :meth:`CAGCScheme.collect_block`
+walk with the no-op work stripped: victim-page invalidations are
+skipped (the erase resets that state; only ``valid_count`` needs
+zeroing first), the Fig 5 pipeline timing is inlined, and the
+per-page ``index.lookup`` statistics are settled in one shot.  Traced
+runs keep the full reference loop — the pipeline spans are per-page by
+contract.  Both paths are bit-identical in trajectories, counters,
+index statistics and open-addressing table layout; per-path pass
+counts accumulate in ``scheme.kernel_gc_stats`` and, when traced, as
+``gc_fallback`` instants on the kernel track.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.cagc import CAGCScheme
 from repro.core.placement import NeverColdPlacement, PlacementPolicy
 from repro.ftl.allocator import Region
 from repro.flash.chip import PageState
-from repro.kernel._njit import completion_recurrence, hash_lane_recurrence
-from repro.kernel.probe import probe_many
 from repro.obs.trace import TRACK_KERNEL
 from repro.schemes.base import FTLScheme, GCBlockOutcome
 
-_FP_ABSENT = -1
-_NO_LPN = -1
-
-#: Victims below this many valid pages take the lean scalar pass: the
-#: batched plan costs a fixed ~30 NumPy calls per victim, which only
-#: amortizes once the column scatters carry enough pages.  Measured
-#: crossover on the bench geometry is ~50 pages; 64 keeps a margin.
-BATCH_MIN_PAGES = 64
-
-#: ``scheme.kernel_gc_stats`` keys: collection passes per path/reason.
-GC_STAT_KEYS = (
-    "batched",
-    "lean",
-    "fallback[traced-pipeline]",
-    "fallback[placement-subclass]",
-    "fallback[negative-fp]",
-    "fallback[promotion-candidate]",
-)
+#: ``scheme.kernel_gc_stats`` keys: collection passes per path.
+GC_STAT_KEYS = ("lean", "fallback[traced-pipeline]")
 
 
-def install_fast_cagc(scheme: FTLScheme, views=None) -> bool:
-    """Swap in the batched collect_block for the exact CAGC scheme.
+def install_fast_cagc(scheme: FTLScheme) -> bool:
+    """Swap in the lean collect_block for the exact CAGC scheme.
 
     Subclasses (ablations overriding the write path or the migration
     decisions) keep the reference loop.  Returns True when installed.
@@ -94,315 +45,11 @@ def install_fast_cagc(scheme: FTLScheme, views=None) -> bool:
                 TRACK_KERNEL, "gc_fallback", now_us, reason="traced-pipeline"
             )
             return reference(victim, now_us)
-        if views is not None:
-            outcome = _collect_block_batched(scheme, views, victim, now_us, stats)
-            if outcome is not None:
-                stats["batched"] += 1
-                return outcome
         stats["lean"] += 1
         return _collect_block_lean(scheme, victim, now_us)
 
     scheme.collect_block = collect_block  # type: ignore[method-assign]
     return True
-
-
-def _collect_block_batched(scheme, views, victim, now_us, stats):
-    """One CAGC victim collection as column scatters.
-
-    Returns ``None`` (after bumping the matching ``stats`` reason) when
-    the pass needs the scalar path: a placement subclass whose
-    region/promotion decisions the plan cannot reproduce, a negative
-    fingerprint (dict-spill canonical resolution), or a merge that
-    would promote its canonical mid-pass.
-    """
-    flash = scheme.flash
-    if int(flash.valid_count[victim]) < BATCH_MIN_PAGES:
-        return None  # lean scalar wins below this size (caller counts it)
-
-    placement = scheme.placement
-    placement_type = type(placement)
-    if placement_type is PlacementPolicy:
-        never_cold = False
-    elif placement_type is NeverColdPlacement:
-        never_cold = True
-    else:
-        stats["fallback[placement-subclass]"] += 1
-        return None
-
-    index = scheme.index
-    mapping = scheme.mapping
-    allocator = scheme.allocator
-    t = scheme.timing
-    ppb = flash.pages_per_block
-
-    valid = flash.valid_ppns_array(victim)  # ascending == examination order
-    n = int(valid.size)
-    fps = scheme.page_fp.gather(valid)
-    if n and int(fps.min()) < 0:
-        stats["fallback[negative-fp]"] += 1
-        return None
-
-    # -- pass plan: duplicate groups, per-page classification ----------------
-    canon0 = probe_many(index, fps)
-    uniq, inv, counts = np.unique(fps, return_inverse=True, return_counts=True)
-    ngroups = int(uniq.size)
-    order = np.argsort(inv, kind="stable")  # group-major, victim order within
-    group_start = np.cumsum(counts) - counts
-    occ = np.empty(n, dtype=np.int64)  # occurrence ordinal within the group
-    occ[order] = np.arange(n, dtype=np.int64) - np.repeat(group_start, counts)
-
-    self_canon = canon0 == valid
-    absent = canon0 == -1
-    migrate = (absent & (occ == 0)) | self_canon
-    merge = ~migrate
-    ref0 = views.ref[valid].astype(np.int64)
-
-    # Refcount of each group's canonical before the pass: the pre-pass
-    # canonical's count, or (absent fingerprint) the first occurrence's.
-    group_c0 = np.empty(ngroups, dtype=np.int64)
-    group_c0[inv] = canon0
-    canon_occ = np.full(ngroups, -1, dtype=np.int64)
-    canon_occ[inv[self_canon]] = occ[self_canon]
-    outside = (group_c0 >= 0) & (canon_occ < 0)
-    base = np.empty(ngroups, dtype=np.int64)
-    if outside.any():
-        base[outside] = views.ref[group_c0[outside]]
-    base[inv[self_canon]] = ref0[self_canon]
-    first_new = absent & (occ == 0)
-    base[inv[first_new]] = ref0[first_new]
-
-    # Canonical refcount after each page's step (segmented prefix sum:
-    # a merge remaps all its referrers, adding its full count).  For
-    # migrations this is the refcount *at* migration — merges add 0.
-    add_sorted = np.where(merge[order], ref0[order], 0)
-    cum = np.cumsum(add_sorted)
-    prior = cum[group_start] - add_sorted[group_start]
-    rc_state = np.empty(n, dtype=np.int64)
-    rc_state[order] = base[inv[order]] + (cum - np.repeat(prior, counts))
-
-    # -- migration regions: exact replay of region_for's budget checks -------
-    mig_idx = np.nonzero(migrate)[0]
-    nmig = int(mig_idx.size)
-    merge_idx = np.nonzero(merge)[0]
-    nmerge = int(merge_idx.size)
-    cold = Region.COLD
-    regions = [Region.HOT] * nmig
-    if not never_cold:
-        cold_threshold = placement.cold_threshold
-        max_cold = placement._max_cold_blocks
-        rc_mig = rc_state[mig_idx]
-        cold_mask = rc_mig >= cold_threshold
-        if bool(cold_mask.any()):
-            cold_blocks = allocator.region_blocks[cold]
-            cold_free = (
-                allocator._active_free[cold]
-                if allocator._active[cold] is not None
-                else 0
-            )
-            for k in np.nonzero(cold_mask)[0].tolist():
-                if cold_blocks >= max_cold:
-                    continue  # budget full: region_for falls back to HOT
-                regions[k] = cold
-                if cold_free == 0:
-                    cold_blocks += 1  # this allocation pulls a cold block
-                    cold_free = ppb
-                cold_free -= 1
-
-        # Promotion gate: a merge promotes when the canonical's region at
-        # merge time is not COLD, its refcount crossed the threshold and
-        # the cold budget is open.  The budget can only close mid-pass
-        # (the victim's block is released after the pass), so checking it
-        # at pass start is exact-or-conservative.
-        if nmerge and allocator.region_blocks[cold] < max_cold:
-            risky = rc_state[merge_idx] >= cold_threshold
-            if bool(risky.any()):
-                block_region = allocator.block_region
-                g = inv[merge_idx]
-                group_mig_region = np.full(ngroups, Region.HOT, dtype=np.int64)
-                if nmig:
-                    group_mig_region[inv[mig_idx]] = np.asarray(
-                        regions, dtype=np.int64
-                    )
-                in_victim = canon_occ[g] >= 0
-                pre = in_victim & (occ[merge_idx] < canon_occ[g])
-                outside_m = ~in_victim & (group_c0[g] >= 0)
-                tgt = np.where(
-                    pre,
-                    int(block_region[victim]),
-                    np.where(
-                        outside_m,
-                        block_region[group_c0[g] // ppb].astype(np.int64),
-                        group_mig_region[g],
-                    ),
-                )
-                if bool((risky & (tgt != cold)).any()):
-                    stats["fallback[promotion-candidate]"] += 1
-                    return None
-
-    # -- mutate: allocation stretches + column scatters ----------------------
-    new_ppns = np.empty(nmig, dtype=np.int64)
-    pos = 0
-    while pos < nmig:
-        region = regions[pos]
-        end = pos + 1
-        while end < nmig and regions[end] == region:
-            end += 1
-        filled = pos
-        while filled < end:
-            first, got = allocator.allocate_run(region, end - filled, now_us)
-            new_ppns[filled : filled + got] = np.arange(
-                first, first + got, dtype=np.int64
-            )
-            filled += got
-        pos = end
-
-    # Final home of every victim page's referrers: its own destination
-    # for migrations, the group canonical's final PPN for merges (pre-
-    # migration merges land on the old canonical and move with it — the
-    # net forward-map target is the same).
-    group_final = np.empty(ngroups, dtype=np.int64)
-    group_final[outside] = group_c0[outside]
-    if nmig:
-        group_final[inv[mig_idx]] = new_ppns
-    final_home = group_final[inv]
-
-    solo0 = views.solo[valid]  # fancy gather: a copy
-    solo_mask = ref0 == 1
-    fwd_view = views.fwd()
-    solo_idx = np.nonzero(solo_mask)[0]
-    if solo_idx.size:
-        fwd_view[solo0[solo_idx]] = final_home[solo_idx]
-    shared = mapping._shared
-    shared_sets = {}
-    for p in np.nonzero(~solo_mask)[0].tolist():
-        moving = shared.pop(int(valid[p]))
-        shared_sets[p] = moving
-        fwd_view[np.fromiter(moving, dtype=np.int64, count=len(moving))] = int(
-            final_home[p]
-        )
-    del fwd_view
-    views.ref[valid] = 0
-    views.solo[valid] = _NO_LPN
-
-    # Referrer structures at the final homes.  Fast path: singleton
-    # solo-referenced migrations (the overwhelmingly common case).
-    if nmig:
-        g_of_mig = inv[mig_idx]
-        fast = (counts[g_of_mig] == 1) & solo_mask[mig_idx]
-        if bool(fast.any()):
-            fast_new = new_ppns[fast]
-            views.ref[fast_new] = 1
-            views.solo[fast_new] = solo0[mig_idx[fast]]
-    need_loop = (counts > 1) | outside
-    if nmig:
-        need_loop[g_of_mig[~solo_mask[mig_idx]]] = True
-    for g in np.nonzero(need_loop)[0].tolist():
-        gs = int(group_start[g])
-        members = order[gs : gs + int(counts[g])]
-        home = int(group_final[g])
-        total = 0
-        lpn_singles = []
-        sets_here = []
-        for p in members.tolist():
-            r = int(ref0[p])
-            total += r
-            if r == 1:
-                lpn_singles.append(int(solo0[p]))
-            else:
-                sets_here.append(shared_sets[p])
-        r0 = 0
-        if outside[g]:
-            r0 = int(views.ref[home])
-            total += r0
-        if r0 >= 2:
-            union = shared[home]  # grow the existing set in place
-        else:
-            union = max(sets_here, key=len) if sets_here else set()
-            if r0 == 1:
-                union.add(int(views.solo[home]))
-            shared[home] = union
-        for extra in sets_here:
-            if extra is not union:
-                union |= extra
-        union.update(lpn_singles)
-        views.ref[home] = total
-        views.solo[home] = _NO_LPN
-
-    # Fingerprints and peaks follow the pages; merged pages vacate both.
-    if nmerge:
-        merged_ppns = valid[merge_idx]
-        views.fp[merged_ppns] = _FP_ABSENT
-        views.peak[merged_ppns] = 0
-    if nmig:
-        mig_old = valid[mig_idx]
-        views.fp[new_ppns] = fps[mig_idx]
-        views.fp[mig_old] = _FP_ABSENT
-        views.peak[new_ppns] = views.peak[mig_old]
-        views.peak[mig_old] = 0
-        # Index maintenance in examination order: same insert sequence
-        # as the reference, so the table layout stays bit-identical.
-        sc_list = self_canon[mig_idx].tolist()
-        fps_mig = fps[mig_idx].tolist()
-        for old, new, fp, is_move in zip(
-            mig_old.tolist(), new_ppns.tolist(), fps_mig, sc_list
-        ):
-            if is_move:
-                index.move(old, new)
-            else:
-                index.insert(fp, new)
-
-    # Peak observations: the canonical's refcount grows monotonically
-    # across its merges, so the final observation dominates — one max
-    # per group with merges (tracker.observe keeps the running max, and
-    # rekey carried the migrated canonical's old peak to its new PPN).
-    tot_adds = cum[group_start + counts - 1] - prior
-    grew = np.nonzero(tot_adds > 0)[0]
-    if grew.size:
-        finals = group_final[grew]
-        views.peak[finals] = np.maximum(
-            views.peak[finals], base[grew] + tot_adds[grew]
-        )
-
-    # One index.lookup per examined page in the reference: every page
-    # hits except the first occurrence of each absent fingerprint.
-    hits = int((canon0 >= 0).sum()) + int((absent & (occ > 0)).sum())
-    index.hits += hits
-    index.misses += n - hits
-
-    # -- pipeline timing (Fig 5), fully vectorized ---------------------------
-    makespan = 0.0
-    if n:
-        read_done = np.cumsum(np.full(n, t.read_us))
-        hash_done = hash_lane_recurrence(read_done, t.hash_us, t.lookup_us, t.hash_lanes)
-        makespan = float(read_done[-1])
-        hash_max = float(hash_done.max())
-        if hash_max > makespan:
-            makespan = hash_max
-        if nmig:
-            _, write_last = completion_recurrence(
-                np.ascontiguousarray(hash_done[mig_idx]),
-                np.full(nmig, t.write_us),
-                0.0,
-            )
-            if write_last > makespan:
-                makespan = write_last
-
-    flash.valid_count[victim] = 0
-    scheme._erase_victim(victim)
-    outcome = GCBlockOutcome(
-        victim=victim,
-        duration_us=makespan + t.erase_us,
-        pages_examined=n,
-        pages_migrated=nmig,
-        dedup_skipped=nmerge,
-        promotions=0,
-        read_us=n * t.read_us,
-        hash_us=n * (t.hash_us + t.lookup_us),
-        write_us=nmig * t.write_us,
-        erase_us=t.erase_us,
-    )
-    scheme._account_gc(outcome)
-    return outcome
 
 
 def _collect_block_lean(

@@ -23,9 +23,9 @@ scatters:
   zeroing first (the victim's index membership ends the same way — the
   erase hook removes it).
 
-CAGC's batched collection lives in :mod:`repro.kernel.cagcmig` (its
-mid-pass index inserts, promotions and cold-capacity feedback need a
-replayed pipeline, not plain scatters).  Per-victim path counts land in
+CAGC's collection lives in :mod:`repro.kernel.cagcmig` (its mid-pass
+index inserts, promotions and cold-capacity feedback keep it a scalar
+walk, not plain scatters).  Per-victim path counts land in
 ``scheme.kernel_gc_stats`` for the attribution report.
 """
 

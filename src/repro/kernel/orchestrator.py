@@ -154,9 +154,9 @@ def write_fps(
 
 
 def kernel_views(scheme) -> ColumnViews:
-    """The scheme's column views, with its batched GC collect installed."""
+    """The scheme's column views, with its fast GC collect installed."""
     views = ColumnViews(scheme)
-    install_fast_gc(scheme, views) or install_fast_cagc(scheme, views)
+    install_fast_gc(scheme, views) or install_fast_cagc(scheme)
     return views
 
 

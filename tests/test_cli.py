@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -227,6 +229,12 @@ class TestSimulateCommand:
         table = capsys.readouterr().out
         assert "kernel batches" in table
         assert "kernel fallback rate" in table
+        # A traced run collects every CAGC victim on the reference loop.
+        assert re.search(
+            r"^kernel GC collects\s+fallback\[traced-pipeline\]=\d+\s*$",
+            table,
+            re.MULTILINE,
+        )
 
     def test_simulate_writes_jsonl_trace(self, tmp_path):
         import json

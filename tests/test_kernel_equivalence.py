@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import small_config
-from repro.device.ssd import SSD
+from repro.device.ssd import SSD, run_trace
 from repro.kernel import kernel_eligible
 from repro.oracle.diff import build_scheme, diff_kernels
 from repro.oracle.fuzz import (
@@ -183,25 +183,15 @@ class TestTelemetryParity:
         assert one.max_us == many.max_us
 
 
-class TestCagcBatchedCollect:
-    """Chunk/victim-boundary properties of the batched CAGC collection
-    (it only engages above ``BATCH_MIN_PAGES`` valid pages, so these
-    run on a large-block geometry)."""
+class TestCagcLargeBlockCollect:
+    """Chunk/victim-boundary properties of the lean CAGC collection on a
+    128-page-block geometry, where victims can be fully valid."""
 
     def _config(self, **overrides):
         from repro.config import GeometryConfig
 
         geometry = GeometryConfig(channels=2, pages_per_block=128, blocks=12)
         return fuzz_config(geometry=geometry, **overrides)
-
-    def test_batched_path_engages(self):
-        from dataclasses import replace
-
-        cfg = replace(self._config(), kernel="vectorized")
-        scheme = build_scheme("cagc", "greedy", cfg)
-        trace = fuzz_trace(1, config=cfg, n_requests=500, profile="gc-fill")
-        SSD(scheme).replay(trace)
-        assert scheme.kernel_gc_stats["batched"] > 0
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -220,6 +210,29 @@ class TestCagcBatchedCollect:
         cfg = self._config()
         trace = fuzz_trace(seed, config=cfg, n_requests=400, profile=profile)
         assert diff_kernels(trace, scheme="cagc", config=cfg) is None
+
+
+class TestCagcCollectOutcomes:
+    """Every CAGC victim on the vectorized kernel takes the lean collect,
+    unless a tracer wants the reference loop's per-page pipeline spans."""
+
+    def _replay(self, tracer):
+        cfg = small_config(blocks=64, pages_per_block=16, kernel="vectorized")
+        trace = build_fiu_trace("mail", cfg, n_requests=0, fill_factor=2.0)
+        scheme = build_scheme("cagc", "greedy", cfg)
+        result = run_trace(scheme, trace, tracer=tracer)
+        assert result.gc.blocks_erased > 0
+        return scheme.kernel_gc_stats, result.gc.blocks_erased
+
+    def test_untraced_collects_are_lean(self):
+        stats, erased = self._replay(None)
+        assert stats == {"lean": erased, "fallback[traced-pipeline]": 0}
+
+    def test_traced_collects_take_reference_pipeline(self):
+        from repro.obs import Tracer
+
+        stats, erased = self._replay(Tracer())
+        assert stats == {"lean": 0, "fallback[traced-pipeline]": erased}
 
 
 class TestFallbackSeams:
