@@ -39,7 +39,7 @@ import numpy as np
 from repro.array.coord import GCCoordinator, make_coordinator
 from repro.array.router import RangeRouter
 from repro.array.telemetry import ArrayTelemetry
-from repro.device.ssd import SSD, RunResult
+from repro.device.ssd import SSD, RunResult, make_run_result
 from repro.obs.trace import TRACK_ARRAY
 from repro.schemes.base import FTLScheme
 from repro.sim.engine import Simulator
@@ -71,13 +71,15 @@ class ArrayResult:
     #: present when the array ran with an ArrayMetrics registry
     #: attached (global + per-device/per-tenant labeled families).
     metrics: Optional[object] = None
-    #: per-device ``kernel_gc_stats`` dicts (GC collects per fast path or
-    #: fallback reason) when the epoch kernel replayed the array; empty
-    #: on the reference loop.
-    kernel_gc: Tuple[Dict[str, int], ...] = ()
 
     def __len__(self) -> int:
         return len(self.devices)
+
+    @property
+    def kernel_gc(self) -> Tuple[Dict[str, int], ...]:
+        """Per-device :attr:`RunResult.kernel_gc` (empty dicts on the
+        reference loop)."""
+        return tuple(device.kernel_gc for device in self.devices)
 
     @property
     def requests_completed(self) -> int:
@@ -249,15 +251,8 @@ class _ArrayLane(SSD):
         self._schedule_next_arrival()
 
     def finish(self) -> RunResult:
-        return RunResult(
-            scheme=self.scheme.name,
-            trace=self._trace_name,
-            latency=self.latency.summary(),
-            response_times_us=self.latency.samples().copy(),
-            gc=self.scheme.gc_counters,
-            io=self.scheme.io_counters,
-            wear=self.scheme.wear(),
-            simulated_us=self.last_event_us,
+        return make_run_result(
+            self.scheme, self._trace_name, self.latency, self.last_event_us
         )
 
     def pending(self) -> bool:
@@ -376,9 +371,6 @@ class SSDArray:
         if isinstance(self.coordinator, StaggeredCoordinator):
             self._schedule_window(self.coordinator.window_us)
         self.sim.run()
-        coord_stats = (
-            self.coordinator.stats() if self.coordinator is not None else {}
-        )
         if self.metrics is not None:
             self.metrics.finish(self.sim.now, self)
         if self.heartbeat is not None:
@@ -388,19 +380,28 @@ class SSDArray:
                 self.telemetry.hist.total,
                 gc_collects=self._gc_collects(),
             )
+        return self.result(trace.name, tenants)
+
+    def simulated_us(self) -> float:
+        """Shared-clock end time: the latest lane's last activity."""
+        return max([lane.last_event_us for lane in self.lanes] + [0.0])
+
+    def result(self, trace_name: str, tenants: int) -> ArrayResult:
+        """The one :class:`ArrayResult` assembly both replay drivers
+        end with, once the lanes are drained and the observers finished."""
         return ArrayResult(
             coordination=self.coordination,
-            trace=trace.name,
+            trace=trace_name,
             devices=tuple(lane.finish() for lane in self.lanes),
             tenants=tenants,
             telemetry=self.telemetry,
-            simulated_us=max(
-                [lane.last_event_us for lane in self.lanes] + [0.0]
-            ),
+            simulated_us=self.simulated_us(),
             ncq_depth=self.ncq_depth,
             ncq_peaks=tuple(lane.ncq_peak for lane in self.lanes),
             ncq_held=tuple(lane.ncq_held for lane in self.lanes),
-            coord_stats=coord_stats,
+            coord_stats=(
+                self.coordinator.stats() if self.coordinator is not None else {}
+            ),
             kernel_fallback_reason=self.kernel_fallback_reason,
             metrics=(
                 self.metrics.snapshot() if self.metrics is not None else None

@@ -21,7 +21,10 @@ Examples::
 Experiment runs are cached persistently (``results/cache`` or
 ``$CAGC_CACHE_DIR``), so repeated invocations are nearly instant;
 ``--no-cache`` forces fresh simulations and ``--jobs N`` fans
-cache-misses out over N worker processes.
+cache-misses out over N worker processes.  ``simulate`` and ``compare``
+build bench-scale ``RunSpec`` objects from their flags and run them
+uncached; ``simulate`` prints the same rows as ``report``, kernel rows
+included, read from the run's metrics snapshot.
 
 Observability: ``--trace FILE`` records a span trace of any ``simulate``
 or ``run`` invocation (``--trace-format chrome`` opens in Perfetto /
@@ -48,16 +51,15 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.config import GeometryConfig, SSDConfig
-from repro.device.ssd import run_trace
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.common import SCALES, reset_result_caches
 from repro.experiments.registry import warm_experiments
-from repro.ftl.gc import POLICIES, make_policy
+from repro.ftl.gc import POLICIES
 from repro.metrics.report import format_table
 from repro.obs import log
-from repro.runner import RunCache, RunSpec, cache_enabled, run_specs, sweep_specs
+from repro.runner import RunCache, RunSpec, cache_enabled, freeze_overrides
+from repro.runner import run_specs, sweep_specs
 from repro.runner.cache import ENV_NO_CACHE
-from repro.schemes import make_scheme
 from repro.workloads.analysis import profile_trace, refcount_histogram
 from repro.workloads.fiu import FIU_PRESETS, build_fiu_trace
 from repro.workloads.fiu_format import dump_fiu_trace, load_fiu_trace
@@ -298,11 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sim_p = sub.add_parser("simulate", help="replay a workload under one scheme")
-    sim_p.add_argument(
-        "--scheme",
-        default="cagc",
-        choices=("baseline", "inline-dedupe", "cagc", "lba-hotcold"),
-    )
+    sim_p.add_argument("--scheme", default="cagc", choices=SCHEME_NAMES)
     sim_p.add_argument("--preset", default="mail", choices=sorted(FIU_PRESETS))
     sim_p.add_argument(
         "--replay", default=None, metavar="FILE",
@@ -785,9 +783,9 @@ def _array_report_rows(result) -> List[tuple]:
                 )
             )
     # Per-device GC collect outcomes (fast path or fallback reason),
-    # present only when the epoch kernel replayed the array.
-    for device, stats in enumerate(getattr(result, "kernel_gc", ()) or ()):
-        if stats and any(stats.values()):
+    # empty when the reference loop replayed the array.
+    for device, stats in enumerate(result.kernel_gc):
+        if any(stats.values()):
             rows.append(
                 (
                     f"device {device} kernel GC",
@@ -799,201 +797,78 @@ def _array_report_rows(result) -> List[tuple]:
     return rows
 
 
-def _simulate_array(args, config) -> int:
-    """``simulate --array-devices N``: multi-tenant array replay."""
-    from repro.array import SSDArray
-    from repro.workloads.multiplex import multiplex_traces
-
-    if args.replay is not None:
-        log.error("error: --array-devices does not support --replay")
-        return 2
-    if args.device == "parallel":
-        log.error("error: --array-devices requires --device serial")
-        return 2
-    slots = (args.tenants + args.array_devices - 1) // args.array_devices
-    tenant_traces = [
-        build_fiu_trace(
-            args.preset,
-            config,
-            n_requests=0,
-            fill_factor=args.fill_factor / slots,
-            lpn_utilization=0.84 / slots,
-            seed=10_000 + t,
-        )
-        for t in range(args.tenants)
-    ]
-    merged = multiplex_traces(
-        tenant_traces,
-        args.array_devices,
-        config.logical_pages,
-        name=f"{args.preset}x{args.tenants}",
+def _flag_spec(args, scheme: str, config=None, **fields) -> RunSpec:
+    """A bench-scale :class:`RunSpec` resized by the ``simulate`` /
+    ``compare`` geometry and trace flags; ``config`` adds SSDConfig
+    overrides, ``fields`` other spec fields."""
+    overrides = {
+        "geometry.blocks": args.blocks,
+        "geometry.pages_per_block": args.pages_per_block,
+        **(config or {}),
+    }
+    return RunSpec(
+        workload=args.preset,
+        scheme=scheme,
+        policy=args.policy,
+        scale="bench",
+        config_overrides=freeze_overrides(overrides),
+        trace_overrides=freeze_overrides(fill_factor=args.fill_factor),
+        **fields,
     )
-    schemes = [
-        make_scheme(args.scheme, config, policy=make_policy(args.policy))
-        for _ in range(args.array_devices)
-    ]
-    tracer, heartbeat = _make_observers(args)
-    array = SSDArray(
-        schemes,
-        coordination=args.gc_coord,
-        ncq_depth=args.ncq_depth,
-        tracer=tracer,
-        heartbeat=heartbeat,
-    )
-    start = time.time()
-    result = array.replay(merged)
-    wall = time.time() - start
-    if tracer is not None:
-        _write_trace(tracer, None, args)
-    rows = _array_report_rows(result)
-    if config.kernel == "vectorized":
-        reason = result.kernel_fallback_reason
-        if reason is not None:
-            rows.append(("kernel fallback", reason))
-        if tracer is not None:
-            attr = tracer.kernel_attribution()
-            rows.append(
-                (
-                    "kernel batches",
-                    f"{attr['batches']:.0f} "
-                    f"(mean {attr['mean_batch_requests']:.0f} reqs)",
-                )
-            )
-            rows.append(("kernel fallback rate", f"{attr['fallback_rate']:.2%}"))
-            for key in sorted(attr):
-                if key.startswith("fallback_requests["):
-                    rows.append((f"kernel {key}", f"{attr[key]:.0f}"))
-            if reason is not None or (
-                attr["fallback_requests"] and attr["fallback_rate"] >= 1.0
-            ):
-                log.warning(
-                    "100%% of requests fell back to the reference array "
-                    "loop (%s)",
-                    reason or "per-request fallback",
-                )
-        elif reason is not None:
-            log.warning(
-                "100%% of requests fell back to the reference array loop (%s)",
-                reason,
-            )
-    rows.append(("wall time", f"{wall:.2f}s"))
-    print(
-        format_table(
-            ("Metric", "Value"),
-            rows,
-            title=f"array {args.scheme} / {merged.name} / {args.gc_coord}",
-        )
-    )
-    return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    geometry = GeometryConfig(
-        blocks=args.blocks,
-        pages_per_block=args.pages_per_block,
-        channels=args.channels,
-    )
-    config = SSDConfig(
-        geometry=geometry,
-        gc_mode=args.gc_mode,
-        wear_aware_allocation=args.wear_aware,
-        write_buffer_pages=args.write_buffer,
-        **({"kernel": args.kernel} if args.kernel is not None else {}),
-    )
-    config.validate()
-    if args.array_devices:
-        return _simulate_array(args, config)
-    if args.replay is not None:
-        trace = _load_trace(
-            args.replay, None, stream=args.stream, chunk_size=args.chunk_size
-        )
-    else:
-        trace = build_fiu_trace(
-            args.preset, config, n_requests=0, fill_factor=args.fill_factor
-        )
-    scheme = make_scheme(args.scheme, config, policy=make_policy(args.policy))
+    """Replay one spec built from the flags (or a ``--replay`` trace file
+    on that spec's device) and print ``report``'s rows for it."""
+    from repro.metrics.report import summary_rows
+
+    config = {
+        "geometry.channels": args.channels,
+        "gc_mode": args.gc_mode,
+        "wear_aware_allocation": args.wear_aware,
+        "write_buffer_pages": args.write_buffer,
+    }
+    if args.kernel is not None:
+        config["kernel"] = args.kernel
     tracer, heartbeat = _make_observers(args)
+    observers = dict(tracer=tracer, heartbeat=heartbeat, keep_samples=not args.stream)
     start = time.time()
-    if args.device == "parallel":
-        from repro.device.parallel import ParallelSSD
-
-        device = ParallelSSD(scheme, tracer=tracer, heartbeat=heartbeat)
-    else:
-        from repro.device.ssd import SSD
-        from repro.obs import DeviceMetrics
-
-        device = SSD(
-            scheme,
-            tracer=tracer,
-            heartbeat=heartbeat,
-            # --trace folds the metrics series into a counter track.
-            metrics=DeviceMetrics() if tracer is not None else None,
-            # Streaming replays drop per-request samples for the fixed
-            # histogram so memory stays flat over arbitrarily long traces.
-            keep_samples=not args.stream,
+    try:
+        spec = _flag_spec(
+            args,
+            args.scheme,
+            config,
+            device="parallel" if args.device == "parallel" else "single",
+            array_devices=args.array_devices,
+            tenants=args.tenants,
+            gc_coord=args.gc_coord,
+            ncq_depth=args.ncq_depth,
         )
-    result = device.replay(trace)
+        if args.replay is None:
+            result = spec.execute(**observers)
+        else:
+            trace = _load_trace(
+                args.replay, None, stream=args.stream, chunk_size=args.chunk_size
+            )
+            result = spec.replay(trace, **observers)
+    except ValueError as exc:
+        log.error("error: %s", exc)
+        return 2
     wall = time.time() - start
+    if args.array_devices:
+        # Arrays fold no timeline series into the trace.
+        snapshot = None
+        rows = _array_report_rows(result)
+        title = f"array {args.scheme} / {result.trace} / {args.gc_coord}"
+    else:
+        snapshot = result.metrics
+        rows = summary_rows(result)
+        title = f"{args.scheme} / {result.trace} / {args.policy} / {args.gc_mode}"
     if tracer is not None:
-        _write_trace(tracer, result.metrics, args)
-    lat = result.latency
-    rows = [
-        ("requests", lat.count),
-        ("mean response", f"{lat.mean_us:.1f}us"),
-        ("p50 / p95 / p99", f"{lat.median_us:.0f} / {lat.p95_us:.0f} / {lat.p99_us:.0f}us"),
-        ("blocks erased", result.blocks_erased),
-        ("pages migrated", result.pages_migrated),
-        ("GC dedup hits", result.gc.dedup_skipped),
-        ("write amplification", f"{result.write_amplification():.2f}"),
-        ("max block wear", result.wear.max_erase),
-        ("simulated time", f"{result.simulated_us / 1e6:.2f}s"),
-        ("wall time", f"{wall:.2f}s"),
-    ]
-    if result.buffer is not None:
-        rows.append(("buffer absorption", f"{result.buffer.absorption_ratio:.1%}"))
-    if tracer is not None and config.kernel == "vectorized":
-        attr = tracer.kernel_attribution()
-        rows.append(
-            (
-                "kernel batches",
-                f"{attr['batches']:.0f} "
-                f"(mean {attr['mean_batch_requests']:.0f} reqs)",
-            )
-        )
-        rows.append(("kernel fallback rate", f"{attr['fallback_rate']:.2%}"))
-        rows.append(
-            (
-                "kernel wall (vec/fallback)",
-                f"{attr['vectorized_wall_us'] / 1e3:.1f} / "
-                f"{attr['fallback_wall_us'] / 1e3:.1f}ms",
-            )
-        )
-        # Per-reason fallback attribution (only reasons that occurred).
-        for key in sorted(attr):
-            if key.startswith("fallback_requests[") or key.startswith(
-                "gc_fallbacks["
-            ):
-                rows.append((f"kernel {key}", f"{attr[key]:.0f}"))
-        gc_stats = getattr(scheme, "kernel_gc_stats", None)
-        if gc_stats:
-            rows.append(
-                (
-                    "kernel GC collects",
-                    ", ".join(
-                        f"{key}={count}"
-                        for key, count in gc_stats.items()
-                        if count
-                    )
-                    or "none",
-                )
-            )
-    print(
-        format_table(
-            ("Metric", "Value"),
-            rows,
-            title=f"{args.scheme} / {trace.name} / {args.policy} / {args.gc_mode}",
-        )
-    )
+        _write_trace(tracer, snapshot, args)
+    rows += _kernel_rows(_kernel_doc(result))
+    rows.append(("wall time", f"{wall:.2f}s"))
+    print(format_table(("Metric", "Value"), rows, title=title))
     return 0
 
 
@@ -1019,28 +894,30 @@ def _fallback_reason(sample: str) -> str:
 
 
 def _kernel_doc(result) -> Optional[dict]:
-    """Kernel attribution from the metrics snapshot (or array result)."""
-    fallback_reason = getattr(result, "kernel_fallback_reason", None)
+    """Kernel attribution from the metrics snapshot, the array's
+    fallback reason and a single device's kernel GC collects."""
+    doc: dict = {}
     snapshot = result.metrics
-    if snapshot is None:
-        if fallback_reason is None:
-            return None
-        return {"fallback_reason": fallback_reason}
-    family = "cagc_kernel_fallback_requests_total"
-    doc = {
-        "batches": snapshot.values.get("cagc_kernel_batches_total", 0.0),
-        "batched_requests": snapshot.values.get(
+    if snapshot is not None:
+        family = "cagc_kernel_fallback_requests_total"
+        doc["batches"] = snapshot.values.get("cagc_kernel_batches_total", 0.0)
+        doc["batched_requests"] = snapshot.values.get(
             "cagc_kernel_batched_requests_total", 0.0
-        ),
-        "fallback_requests": {
+        )
+        doc["fallback_requests"] = {
             _fallback_reason(sample): value
             for sample, value in snapshot.values.items()
             if sample.startswith(family + "{")
-        },
-    }
+        }
+    fallback_reason = getattr(result, "kernel_fallback_reason", None)
     if fallback_reason is not None:
         doc["fallback_reason"] = fallback_reason
-    return doc
+    # Arrays list their collects per device (_array_report_rows).
+    if not hasattr(result, "devices"):
+        collects = {key: count for key, count in result.kernel_gc.items() if count}
+        if collects:
+            doc["gc_collects"] = collects
+    return doc or None
 
 
 def _kernel_rows(kernel: Optional[dict]) -> List[tuple]:
@@ -1056,15 +933,25 @@ def _kernel_rows(kernel: Optional[dict]) -> List[tuple]:
                 f"({kernel['batched_requests']:.0f} reqs)",
             )
         )
-    for reason in sorted(kernel.get("fallback_requests", ())):
+    fallbacks = kernel.get("fallback_requests", {})
+    served = kernel.get("batched_requests", 0.0) + sum(fallbacks.values())
+    if served:
         rows.append(
-            (
-                f"kernel fallback[{reason}]",
-                f"{kernel['fallback_requests'][reason]:.0f}",
-            )
+            ("kernel fallback rate", f"{sum(fallbacks.values()) / served:.2%}")
         )
+    for reason in sorted(fallbacks):
+        rows.append((f"kernel fallback[{reason}]", f"{fallbacks[reason]:.0f}"))
     if kernel.get("fallback_reason"):
         rows.append(("kernel fallback reason", kernel["fallback_reason"]))
+    if kernel.get("gc_collects"):
+        rows.append(
+            (
+                "kernel GC collects",
+                ", ".join(
+                    f"{key}={count}" for key, count in kernel["gc_collects"].items()
+                ),
+            )
+        )
     return rows
 
 
@@ -1106,10 +993,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
         _disable_cache()
     if args.compare is not None:
         return _cmd_report_compare(args)
-    spec = _spec_from_args(args)
     cache = RunCache.from_env() if cache_enabled() else None
     start = time.time()
-    result = run_specs([spec], jobs=args.jobs, cache=cache)[0]
+    try:
+        spec = _spec_from_args(args)
+        result = run_specs([spec], jobs=args.jobs, cache=cache)[0]
+    except ValueError as exc:
+        log.error("error: %s", exc)
+        return 2
     wall = time.time() - start
     kernel = _kernel_doc(result)
     if args.array_devices:
@@ -1217,9 +1108,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     if args.no_cache:
         _disable_cache()
-    spec = _spec_from_args(args)
     cache = RunCache.from_env() if cache_enabled() else None
-    result = run_specs([spec], jobs=args.jobs, cache=cache)[0]
+    try:
+        spec = _spec_from_args(args)
+        result = run_specs([spec], jobs=args.jobs, cache=cache)[0]
+    except ValueError as exc:
+        log.error("error: %s", exc)
+        return 2
     snapshot = result.metrics
     if snapshot is None:
         log.error(
@@ -1308,24 +1203,24 @@ def _cmd_bench_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    geometry = GeometryConfig(blocks=args.blocks, pages_per_block=args.pages_per_block)
-    config = SSDConfig(geometry=geometry)
-    config.validate()
-    trace = build_fiu_trace(
-        args.preset, config, n_requests=0, fill_factor=args.fill_factor
-    )
+    """Replay one trace under every scheme's spec and tabulate."""
+    try:
+        specs = [_flag_spec(args, name) for name in SCHEME_NAMES]
+        trace = specs[0].build_trace()
+    except ValueError as exc:
+        log.error("error: %s", exc)
+        return 2
     stats = trace.stats()
     print(
         f"workload {args.preset}: {stats.requests:,} requests, "
         f"dedup {stats.dedup_ratio:.1%}, write ratio {stats.write_ratio:.1%}\n"
     )
     rows = []
-    for name in ("baseline", "inline-dedupe", "cagc", "lba-hotcold"):
-        scheme = make_scheme(name, config, policy=make_policy(args.policy))
-        result = run_trace(scheme, trace)
+    for spec in specs:
+        result = spec.replay(trace, metrics=None)
         rows.append(
             (
-                name,
+                spec.scheme,
                 result.blocks_erased,
                 result.pages_migrated,
                 f"{result.latency.mean_us:.0f}us",

@@ -28,7 +28,7 @@ from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
-from repro.device.ssd import RunResult
+from repro.device.ssd import RunResult, make_run_result
 from repro.metrics.latency import LatencyRecorder
 from repro.schemes.base import FTLScheme
 from repro.sim.engine import Simulator
@@ -78,16 +78,7 @@ class ParallelSSD:
             self.heartbeat.finish(
                 self.sim.now, self.sim.events_processed, self.requests_completed
             )
-        return RunResult(
-            scheme=self.scheme.name,
-            trace=trace.name,
-            latency=self.latency.summary(),
-            response_times_us=self.latency.samples().copy(),
-            gc=self.scheme.gc_counters,
-            io=self.scheme.io_counters,
-            wear=self.scheme.wear(),
-            simulated_us=self.sim.now,
-        )
+        return make_run_result(self.scheme, trace.name, self.latency, self.sim.now)
 
     # ------------------------------------------------------------------ events
 

@@ -25,8 +25,8 @@ Replays a trace against an FTL scheme under the discrete-event engine:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -64,6 +64,9 @@ class RunResult:
     #: present when the device ran with a metrics registry attached
     #: (final values + columnar time series; see repro.obs.metrics).
     metrics: Optional["MetricsSnapshot"] = None
+    #: the scheme's ``kernel_gc_stats`` (GC collects per fast path or
+    #: fallback reason); empty when no vectorized kernel ran.
+    kernel_gc: Dict[str, int] = field(default_factory=dict)
 
     @property
     def blocks_erased(self) -> int:
@@ -188,17 +191,9 @@ class SSD:
                 self.requests_completed,
                 gc_collects=self.scheme.gc_counters.gc_invocations,
             )
-        return RunResult(
-            scheme=self.scheme.name,
-            trace=trace.name,
-            latency=self.latency.summary(),
-            response_times_us=self.latency.samples().copy(),
-            gc=self.scheme.gc_counters,
-            io=self.scheme.io_counters,
-            wear=self.scheme.wear(),
-            simulated_us=self.sim.now,
-            buffer=self.buffer.stats if self.buffer is not None else None,
-            metrics=self.metrics.snapshot() if self.metrics is not None else None,
+        return make_run_result(
+            self.scheme, trace.name, self.latency, self.sim.now,
+            buffer=self.buffer, metrics=self.metrics,
         )
 
     def state_snapshot(self):
@@ -411,6 +406,30 @@ class SSD:
                 break
             duration += chunk
         return duration
+
+
+def make_run_result(
+    scheme: FTLScheme,
+    trace_name: str,
+    latency: LatencyRecorder,
+    simulated_us: float,
+    buffer: Optional[WriteBuffer] = None,
+    metrics=None,
+) -> RunResult:
+    """The one :class:`RunResult` assembly every replay driver ends with."""
+    return RunResult(
+        scheme=scheme.name,
+        trace=trace_name,
+        latency=latency.summary(),
+        response_times_us=latency.samples().copy(),
+        gc=scheme.gc_counters,
+        io=scheme.io_counters,
+        wear=scheme.wear(),
+        simulated_us=simulated_us,
+        buffer=buffer.stats if buffer is not None else None,
+        metrics=metrics.snapshot() if metrics is not None else None,
+        kernel_gc=dict(getattr(scheme, "kernel_gc_stats", {})),
+    )
 
 
 def run_trace(

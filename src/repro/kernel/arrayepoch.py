@@ -788,7 +788,6 @@ def replay_array_vectorized(array, trace, tenants: int):
     .ArrayResult` with ``kernel_fallback_reason=None``.
     """
     from repro.array.coord import StaggeredCoordinator
-    from repro.array.device import ArrayResult
 
     subs = split_epoch_streams(array.router, trace)
     if array.coordinator is None:
@@ -800,33 +799,9 @@ def replay_array_vectorized(array, trace, tenants: int):
         runner.run()
         for lane, state in zip(array.lanes, runner.states):
             _ncq_counters(array, lane, state.sub, state.fold.latencies())
-    coord_stats = (
-        array.coordinator.stats() if array.coordinator is not None else {}
-    )
-    kernel_gc = tuple(
-        dict(getattr(lane.scheme, "kernel_gc_stats", {}) or {})
-        for lane in array.lanes
-    )
-    simulated_us = max([lane.last_event_us for lane in array.lanes] + [0.0])
     if array.metrics is not None:
-        array.metrics.finish(simulated_us, array)
-    return ArrayResult(
-        coordination=array.coordination,
-        trace=trace.name,
-        devices=tuple(lane.finish() for lane in array.lanes),
-        tenants=tenants,
-        telemetry=array.telemetry,
-        simulated_us=simulated_us,
-        ncq_depth=array.ncq_depth,
-        ncq_peaks=tuple(lane.ncq_peak for lane in array.lanes),
-        ncq_held=tuple(lane.ncq_held for lane in array.lanes),
-        coord_stats=coord_stats,
-        kernel_fallback_reason=None,
-        kernel_gc=kernel_gc,
-        metrics=(
-            array.metrics.snapshot() if array.metrics is not None else None
-        ),
-    )
+        array.metrics.finish(array.simulated_us(), array)
+    return array.result(trace.name, tenants)
 
 
 __all__ = [

@@ -44,8 +44,9 @@ chunk) drop to the same per-request reference path, so the fallback is
 row-granular, never a mid-run abort.  The ``kernel`` tracer track
 records one ``batch`` span per run and one ``fallback`` span per
 slow-path request (with host ``wall_us`` attribution and a ``reason``
-tag — ``gc-trigger`` or ``negative-fp``), which
-``repro.obs.kernel_attribution`` folds into per-reason report rows.
+tag — ``gc-trigger`` or ``negative-fp``); the attached metrics count
+the same batches and per-reason fallbacks, and those counters feed the
+report rows.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.device.ssd import RunResult, SSD
+from repro.device.ssd import RunResult, SSD, make_run_result
 from repro.ftl.allocator import Region
 from repro.kernel._njit import completion_recurrence
 from repro.kernel.cagcmig import install_fast_cagc
@@ -520,17 +521,8 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
             ssd.requests_completed,
             gc_collects=scheme.gc_counters.gc_invocations,
         )
-    return RunResult(
-        scheme=scheme.name,
-        trace=trace.name,
-        latency=ssd.latency.summary(),
-        response_times_us=ssd.latency.samples().copy(),
-        gc=scheme.gc_counters,
-        io=scheme.io_counters,
-        wear=scheme.wear(),
-        simulated_us=ssd.sim.now,
-        buffer=None,
-        metrics=metrics.snapshot() if metrics is not None else None,
+    return make_run_result(
+        scheme, trace.name, ssd.latency, ssd.sim.now, metrics=metrics
     )
 
 

@@ -99,12 +99,15 @@ def summary_rows(result) -> List[Tuple[str, str]]:
         (
             "p99 (histogram)",
             f"{hist.percentile(99.0):.0f}us ({hist.total:,} samples, "
-            f"{int(np.count_nonzero(hist.counts))} buckets)",
+            f"{int(np.count_nonzero(hist.counts))} buckets)"
+            if hist.total
+            else "n/a (samples not kept)",
         ),
         ("write amplification", f"{result.write_amplification():.3f}"),
         (
             "GC dedup ratio",
-            f"{gc.dedup_skipped / gc.pages_examined:.1%}"
+            f"{gc.dedup_skipped / gc.pages_examined:.1%} "
+            f"({gc.dedup_skipped:,} hits)"
             if gc.pages_examined
             else "n/a",
         ),
@@ -116,6 +119,7 @@ def summary_rows(result) -> List[Tuple[str, str]]:
         ),
         ("blocks erased", f"{gc.blocks_erased:,}"),
         ("pages migrated", f"{gc.pages_migrated:,}"),
+        ("max block wear", f"{result.wear.max_erase:,}"),
         ("promotions", f"{gc.promotions:,}"),
         ("GC invocations", f"{gc.gc_invocations:,}"),
         ("GC busy (makespan)", f"{gc.gc_busy_us / 1e3:.1f}ms"),

@@ -51,7 +51,6 @@ from repro.obs.trace import (
     TraceEvent,
     Tracer,
     hash_lane_track,
-    kernel_attribution,
     validate_chrome_trace,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "TRACK_GC_WRITE",
     "TRACK_IO",
     "TRACK_KERNEL",
-    "kernel_attribution",
     "TraceEvent",
     "Tracer",
     "hash_lane_track",

@@ -161,10 +161,6 @@ class Tracer:
 
     # ------------------------------------------------------------------ read
 
-    def kernel_attribution(self) -> Dict[str, float]:
-        """Summarize the ``kernel`` track (see :func:`kernel_attribution`)."""
-        return kernel_attribution(self)
-
     def events(self) -> Iterator[TraceEvent]:
         return iter(self._events)
 
@@ -256,70 +252,6 @@ class Tracer:
                 self.write_chrome(fp)
             else:
                 self.write_jsonl(fp)
-
-
-def kernel_attribution(tracer: "Tracer") -> Dict[str, float]:
-    """Attribute replay work between the vectorized and fallback paths.
-
-    Folds the ``kernel`` track — ``batch`` spans from the vectorized
-    kernels, ``fallback`` spans for every request the orchestrator
-    routed through the reference slow path — into one summary dict:
-    request counts per path, the host wall time each path consumed
-    (from the spans' ``wall_us`` arg), the mean batch size, and the
-    fallback rate.  Fallback spans carry a ``reason`` tag
-    (``gc-trigger``, ``negative-fp``, ``array-coord-grant``) folded into
-    ``fallback_requests[<reason>]`` keys, and the GC kernels' own
-    ``gc_fallback`` instants fold into ``gc_fallbacks[<reason>]`` —
-    the per-reason attribution the ``report`` command surfaces.
-    Empty track -> all-zero dict, so report surfaces can render it
-    unconditionally.
-    """
-    batches = 0
-    batched_requests = 0
-    batched_pages = 0
-    fallback_requests = 0
-    vectorized_wall_us = 0.0
-    fallback_wall_us = 0.0
-    by_reason: Dict[str, int] = {}
-    gc_by_reason: Dict[str, int] = {}
-    for event in tracer.events():
-        if event.track != TRACK_KERNEL:
-            continue
-        args = event.args or {}
-        if event.kind == "instant":
-            if event.name == "gc_fallback":
-                reason = str(args.get("reason", "unspecified"))
-                gc_by_reason[reason] = gc_by_reason.get(reason, 0) + 1
-            continue
-        if event.kind != "span":
-            continue
-        if event.name == "batch":
-            batches += 1
-            batched_requests += int(args.get("requests", 0))
-            batched_pages += int(args.get("pages", 0))
-            vectorized_wall_us += float(args.get("wall_us", 0.0))
-        elif event.name == "fallback":
-            count = int(args.get("requests", 1))
-            fallback_requests += count
-            fallback_wall_us += float(args.get("wall_us", 0.0))
-            reason = str(args.get("reason", "unspecified"))
-            by_reason[reason] = by_reason.get(reason, 0) + count
-    total = batched_requests + fallback_requests
-    out = {
-        "batches": float(batches),
-        "batched_requests": float(batched_requests),
-        "batched_pages": float(batched_pages),
-        "fallback_requests": float(fallback_requests),
-        "fallback_rate": (fallback_requests / total) if total else 0.0,
-        "mean_batch_requests": (batched_requests / batches) if batches else 0.0,
-        "vectorized_wall_us": vectorized_wall_us,
-        "fallback_wall_us": fallback_wall_us,
-    }
-    for reason in sorted(by_reason):
-        out[f"fallback_requests[{reason}]"] = float(by_reason[reason])
-    for reason in sorted(gc_by_reason):
-        out[f"gc_fallbacks[{reason}]"] = float(gc_by_reason[reason])
-    return out
 
 
 def validate_chrome_trace(doc: dict) -> List[str]:

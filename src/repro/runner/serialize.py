@@ -35,7 +35,8 @@ from repro.ftl.wear import WearStats
 #: v5: per-device kernel GC stats on array results.
 #: v6: independent-array metrics count the lanes' kernel fallbacks.
 #: v7: TRIMs ride kernel runs (no "trim" fallback reason; fewer batches).
-SCHEMA_VERSION = 7
+#: v8: kernel GC stats move from array results onto every run result.
+SCHEMA_VERSION = 8
 
 
 class SchemaMismatchError(RuntimeError):
@@ -57,6 +58,7 @@ def _run_result_meta(result) -> dict:
         },
         "simulated_us": result.simulated_us,
         "buffer": vars(result.buffer).copy() if result.buffer is not None else None,
+        "kernel_gc": dict(result.kernel_gc),
     }
 
 
@@ -76,6 +78,7 @@ def _run_result_from(meta: dict, samples: np.ndarray):
         wear=WearStats(**meta["wear"]),
         simulated_us=meta["simulated_us"],
         buffer=buffer,
+        kernel_gc=meta["kernel_gc"],
     )
 
 
@@ -149,7 +152,6 @@ def _array_result_to_bytes(result) -> bytes:
         "ncq_held": list(result.ncq_held),
         "coord_stats": result.coord_stats,
         "kernel_fallback_reason": result.kernel_fallback_reason,
-        "kernel_gc": [dict(stats) for stats in result.kernel_gc],
         "devices": [_run_result_meta(r) for r in result.devices],
         "metrics": _metrics_meta(result.metrics),
     }
@@ -223,8 +225,5 @@ def _array_result_from_archive(meta: dict, archive):
         ncq_held=tuple(meta["ncq_held"]),
         coord_stats=meta["coord_stats"],
         kernel_fallback_reason=meta["kernel_fallback_reason"],
-        kernel_gc=tuple(
-            dict(stats) for stats in meta.get("kernel_gc", ())
-        ),
         metrics=_metrics_from_archive(meta.get("metrics"), archive),
     )

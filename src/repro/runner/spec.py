@@ -84,6 +84,18 @@ class RunSpec:
         for name in ("config_overrides", "trace_overrides", "scheme_options"):
             value = tuple(sorted(tuple(item) for item in getattr(self, name)))
             object.__setattr__(self, name, value)
+        if self.array_devices < 0:
+            raise ValueError(f"array_devices must be >= 0, got {self.array_devices}")
+        if self.array_devices:
+            for name in ("tenants", "ncq_depth"):
+                if getattr(self, name) < 1:
+                    raise ValueError(
+                        f"{name} must be >= 1 for array runs, got {getattr(self, name)}"
+                    )
+            if self.device != "single":
+                raise ValueError(
+                    f"array runs require device='single', got {self.device!r}"
+                )
 
     def key(self) -> str:
         """Stable content-hash key for cache file naming."""
@@ -158,10 +170,16 @@ class RunSpec:
 
     # ------------------------------------------------------------ execution
 
-    def _build_config(self, sc):
+    def build_config(self):
+        """The scale's :class:`~repro.config.SSDConfig` with this spec's
+        ``config_overrides`` applied (validated)."""
         import dataclasses as dc
 
         from repro.config import TimingConfig
+
+        # Imported lazily: repro.experiments.common itself builds on the
+        # runner, so a module-level import would be circular.
+        from repro.experiments.common import get_scale
 
         timing_kwargs: Dict[str, Any] = {}
         geometry_kwargs: Dict[str, Any] = {}
@@ -175,7 +193,7 @@ class RunSpec:
                 flat[key] = value
         if timing_kwargs:
             flat["timing"] = TimingConfig(**timing_kwargs)
-        config = sc.config(**flat)
+        config = get_scale(self.scale).config(**flat)
         if geometry_kwargs:
             config = dc.replace(
                 config, geometry=dc.replace(config.geometry, **geometry_kwargs)
@@ -206,96 +224,30 @@ class RunSpec:
             placement = NeverColdPlacement(config)
         return CAGCScheme(config, policy=policy, placement=placement, **options)
 
-    def execute(
-        self,
-        tracer=None,
-        heartbeat=None,
-        metrics="auto",
-        keep_samples=True,
-    ):
-        """Run the simulation described by this spec (no caching).
+    def build_trace(self):
+        """The trace this spec replays, sized to :meth:`build_config`.
 
-        Mirrors the historical ``gc_efficiency_result`` construction
-        exactly: ``seed=0`` replays the preset's canonical trace, other
-        seeds draw an independent trace with the same characteristics.
-
-        ``tracer``/``heartbeat``/``metrics`` attach
-        :mod:`repro.obs` observers to the replay (observers never enter
-        the cache key: they must not — and by construction cannot —
-        change the simulated outcome, only record it).  ``metrics``
-        defaults to ``"auto"``: a stock
-        :class:`~repro.obs.metrics.DeviceMetrics` (or ``ArrayMetrics``
-        for array specs) is attached, so every cached result carries a
-        metrics snapshot for the ``metrics``/``report --compare`` CLI
-        surfaces; pass ``None`` to run bare or a pre-built bundle to
-        control the registry/interval.  ``keep_samples=False`` switches
-        latency capture to the constant-memory histogram
-        (``response_times_us`` comes back empty); use it for
-        large-scale runs where O(requests) sample storage dominates RSS.
+        ``seed=0`` replays the preset's canonical trace, other seeds
+        draw an independent trace with the same characteristics.  Array
+        specs get one trace per tenant, each scaled down by the number
+        of tenant slots per device so every *device* sees the same LPN
+        utilization and write pressure as a single-device run of this
+        spec — coordination policies are then compared under identical
+        per-device GC stress — multiplexed into one tenant-tagged trace.
         """
-        # Imported lazily: repro.experiments.common itself builds on the
-        # runner, so a module-level import would be circular.
         from repro.experiments.common import get_scale
-        from repro.device.ssd import run_trace
 
         sc = get_scale(self.scale)
-        config = self._build_config(sc)
-        if self.array_devices:
-            if metrics == "auto":
-                from repro.obs.metrics import ArrayMetrics
-
-                metrics = ArrayMetrics()
-            return self._execute_array(
-                sc, config, tracer=tracer, heartbeat=heartbeat,
-                metrics=metrics, keep_samples=keep_samples,
+        config = self.build_config()
+        if not self.array_devices:
+            return sc.trace(
+                self.workload,
+                config,
+                seed=(10_000 + self.seed) if self.seed else None,
+                **dict(self.trace_overrides),
             )
-        if metrics == "auto":
-            if self.device == "single":
-                from repro.obs.metrics import DeviceMetrics
-
-                metrics = DeviceMetrics()
-            else:
-                metrics = None  # ParallelSSD does not take observers
-        trace = sc.trace(
-            self.workload,
-            config,
-            seed=(10_000 + self.seed) if self.seed else None,
-            **dict(self.trace_overrides),
-        )
-        ftl = self._build_scheme(config)
-        if self.device == "parallel":
-            from repro.device.parallel import ParallelSSD
-
-            return ParallelSSD(ftl, tracer=tracer, heartbeat=heartbeat).replay(trace)
-        if self.device != "single":
-            raise ValueError(f"unknown device {self.device!r}")
-        return run_trace(
-            ftl,
-            trace,
-            tracer=tracer,
-            heartbeat=heartbeat,
-            metrics=metrics,
-            keep_samples=keep_samples,
-        )
-
-    def _execute_array(
-        self, sc, config, tracer, heartbeat, metrics, keep_samples
-    ):
-        """Array branch of :meth:`execute`: returns an ``ArrayResult``.
-
-        Each tenant draws an independent trace of the same workload
-        preset, scaled down by the number of tenant slots per device so
-        every *device* sees the same LPN utilization and write pressure
-        as a single-device run of this spec — coordination policies are
-        then compared under identical per-device GC stress.
-        """
-        from repro.array import SSDArray
         from repro.workloads.multiplex import multiplex_traces
 
-        if self.device != "single":
-            raise ValueError(
-                f"array runs require device='single', got {self.device!r}"
-            )
         slots = (self.tenants + self.array_devices - 1) // self.array_devices
         overrides = dict(self.trace_overrides)
         utilization = overrides.pop("lpn_utilization", sc.lpn_utilization)
@@ -311,22 +263,95 @@ class RunSpec:
             )
             for t in range(self.tenants)
         ]
-        merged = multiplex_traces(
+        return multiplex_traces(
             tenant_traces,
             self.array_devices,
             config.logical_pages,
             name=f"{self.workload}x{self.tenants}",
         )
-        ftls = [self._build_scheme(config) for _ in range(self.array_devices)]
-        return SSDArray(
-            ftls,
-            coordination=self.gc_coord,
-            ncq_depth=self.ncq_depth,
+
+    def execute(
+        self,
+        tracer=None,
+        heartbeat=None,
+        metrics="auto",
+        keep_samples=True,
+    ):
+        """Run the simulation described by this spec (no caching):
+        :meth:`build_trace`, then :meth:`replay` it."""
+        return self.replay(
+            self.build_trace(),
             tracer=tracer,
             heartbeat=heartbeat,
             metrics=metrics,
             keep_samples=keep_samples,
-        ).replay(merged)
+        )
+
+    def replay(
+        self,
+        trace,
+        tracer=None,
+        heartbeat=None,
+        metrics="auto",
+        keep_samples=True,
+    ):
+        """Replay ``trace`` on this spec's device(s): config -> scheme ->
+        device -> replay.  Returns a ``RunResult``, or an ``ArrayResult``
+        for array specs (which need a multiplexed tenant trace).
+
+        ``tracer``/``heartbeat``/``metrics`` attach
+        :mod:`repro.obs` observers to the replay (observers never enter
+        the cache key: they must not — and by construction cannot —
+        change the simulated outcome, only record it).  ``metrics``
+        defaults to ``"auto"``: a stock
+        :class:`~repro.obs.metrics.DeviceMetrics` (or ``ArrayMetrics``
+        for array specs) is attached, so every cached result carries a
+        metrics snapshot for the ``metrics``/``report --compare`` CLI
+        surfaces; pass ``None`` to run bare or a pre-built bundle to
+        control the registry/interval.  ``keep_samples=False`` switches
+        latency capture to the constant-memory histogram
+        (``response_times_us`` comes back empty); use it for
+        large-scale runs where O(requests) sample storage dominates RSS.
+        """
+        config = self.build_config()
+        if self.array_devices:
+            from repro.array import SSDArray
+            from repro.obs.metrics import ArrayMetrics
+
+            if getattr(trace, "placements", None) is None:
+                raise ValueError(
+                    "array runs replay a multiplexed tenant trace, not "
+                    f"{trace.name!r}"
+                )
+            ftls = [self._build_scheme(config) for _ in range(self.array_devices)]
+            return SSDArray(
+                ftls,
+                coordination=self.gc_coord,
+                ncq_depth=self.ncq_depth,
+                tracer=tracer,
+                heartbeat=heartbeat,
+                metrics=ArrayMetrics() if metrics == "auto" else metrics,
+                keep_samples=keep_samples,
+            ).replay(trace)
+        ftl = self._build_scheme(config)
+        if self.device == "parallel":
+            from repro.device.parallel import ParallelSSD
+
+            # ParallelSSD takes no metrics observer.
+            return ParallelSSD(ftl, tracer=tracer, heartbeat=heartbeat).replay(trace)
+        if self.device != "single":
+            raise ValueError(f"unknown device {self.device!r}")
+        from repro.device.ssd import run_trace
+        from repro.obs.metrics import DeviceMetrics
+
+        return run_trace(
+            ftl,
+            trace,
+            tracer=tracer,
+            heartbeat=heartbeat,
+            metrics=DeviceMetrics() if metrics == "auto" else metrics,
+            keep_samples=keep_samples,
+        )
 
 
 def sweep_specs(

@@ -352,3 +352,136 @@ class TestReportCommand:
         doc = json.loads(out.read_text())
         assert doc["run"].startswith("homes/baseline/")
         assert "blocks erased" in doc["metrics"]
+
+
+def _table(text):
+    """``{metric: value}`` from a two-column ``format_table`` print."""
+    rows = {}
+    for line in text.splitlines():
+        match = re.match(r"^(\S.*?)\s{2,}(\S.*?)\s*$", line)
+        if match:
+            rows[match.group(1)] = match.group(2)
+    return rows
+
+
+_SMALL = ["--preset", "homes", "--blocks", "64", "--pages-per-block", "16",
+          "--fill-factor", "2.0"]
+
+
+def _small_spec(scheme="cagc", config=(), **fields):
+    from repro.runner import RunSpec, freeze_overrides
+
+    overrides = {"geometry.blocks": 64, "geometry.pages_per_block": 16}
+    overrides.update(config)
+    return RunSpec(
+        workload="homes",
+        scheme=scheme,
+        scale="bench",
+        config_overrides=freeze_overrides(overrides),
+        trace_overrides=freeze_overrides(fill_factor=2.0),
+        **fields,
+    )
+
+
+class TestSimulateRunsASpec:
+    @pytest.mark.parametrize(
+        "flags, config, fields",
+        [
+            ([], {}, {}),
+            (
+                ["--gc-mode", "preemptive", "--wear-aware", "--policy", "cost-benefit"],
+                {"gc_mode": "preemptive", "wear_aware_allocation": True},
+                {"policy": "cost-benefit"},
+            ),
+            (
+                ["--write-buffer", "64", "--policy", "random", "--channels", "2"],
+                {"write_buffer_pages": 64, "geometry.channels": 2},
+                {"policy": "random"},
+            ),
+            (["--device", "parallel"], {}, {"device": "parallel"}),
+            (
+                ["--array-devices", "4", "--tenants", "2", "--gc-coord", "staggered"],
+                {},
+                {"array_devices": 4, "tenants": 2, "gc_coord": "staggered"},
+            ),
+        ],
+        ids=["cagc", "preemptive-wear-cb", "buffer-random-2ch", "parallel", "array"],
+    )
+    def test_simulate_matches_spec(self, flags, config, fields, capsys):
+        assert main(["simulate", "--scheme", "cagc", *_SMALL, *flags, "-q"]) == 0
+        rows = _table(capsys.readouterr().out)
+        result = _small_spec(config=config, **fields).execute(metrics=None)
+        if fields.get("array_devices"):
+            expected = {
+                "requests": result.requests_completed,
+                "blocks erased": sum(r.blocks_erased for r in result.devices),
+                "pages migrated": sum(r.pages_migrated for r in result.devices),
+            }
+        else:
+            expected = {
+                "requests": result.latency.count,
+                "blocks erased": result.blocks_erased,
+                "pages migrated": result.pages_migrated,
+                "write amplification": f"{result.write_amplification():.3f}",
+            }
+        assert expected["blocks erased"] > 0
+        for metric, value in expected.items():
+            assert rows[metric].replace(",", "") == str(value), metric
+
+    def test_replay_streamed_npz(self, tmp_path, capsys):
+        from repro.workloads.stream import open_trace
+
+        path = tmp_path / "t.npz"
+        assert main(
+            ["trace-gen", "--preset", "homes", "--requests", "600", "--blocks",
+             "64", "--pages-per-block", "16", "--format", "npz", "--out",
+             str(path), "-q"]
+        ) == 0
+        capsys.readouterr()
+        flags = ["--replay", str(path), "--blocks", "64", "--pages-per-block", "16"]
+        assert main(["simulate", *flags, "--stream", "-q"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("cagc / t / greedy / blocking")
+        rows = _table(out)
+        result = _small_spec().replay(
+            open_trace(str(path), stream=True), metrics=None, keep_samples=False
+        )
+        assert rows["requests"] == "600"
+        assert rows["blocks erased"] == str(result.blocks_erased)
+        assert rows["pages migrated"] == str(result.pages_migrated)
+        # An array replays its own multiplexed tenant traces, not a file.
+        assert main(["simulate", *flags, "--array-devices", "2", "-q"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_compare_runs_every_scheme(self, capsys):
+        assert main(["compare", *_SMALL]) == 0
+        out = capsys.readouterr().out
+        erases = {}
+        for line in out.splitlines():
+            cells = line.split()
+            if cells and cells[0] in ("baseline", "inline-dedupe", "cagc", "lba-hotcold"):
+                erases[cells[0]] = int(cells[1])
+        assert len(erases) == 4
+        for scheme, erased in erases.items():
+            spec = _small_spec(scheme=scheme)
+            assert erased == spec.execute(metrics=None).blocks_erased, scheme
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--array-devices", "2", "--tenants", "0"], "tenants"),
+        (["--array-devices", "-1"], "array_devices"),
+        (["--array-devices", "2", "--ncq-depth", "0"], "ncq_depth"),
+    ],
+    ids=["no-tenants", "negative-devices", "zero-ncq-depth"],
+)
+def test_bad_array_shape_is_an_error_not_a_traceback(flags, field, capsys):
+    for argv in (
+        ["simulate", *_SMALL],
+        ["report", "--scale", "quick"],
+        ["metrics", "--scale", "quick"],
+    ):
+        assert main([*argv, *flags]) == 2, argv
+        err = capsys.readouterr().err
+        assert "error:" in err and field in err, argv
