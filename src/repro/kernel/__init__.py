@@ -14,10 +14,9 @@ The kernel/orchestrator split behind ``config.kernel = "vectorized"``:
 * :mod:`repro.kernel.write` — the write-service kernel: one run of
   bulk-scheme writes as column scatters;
 * :mod:`repro.kernel.inline` — the inline-dedupe foreground kernel:
-  plan/apply split over a window of hashed writes (vectorized index
-  probe, integer-handle resolution loop, net-final state scatters);
-* :mod:`repro.kernel.probe` — vectorized batch ``peek`` over the
-  open-addressed fingerprint table;
+  plan/apply split over a window of hashed writes (bulk index probe,
+  integer-handle resolution loop, net-final state scatters and bulk
+  index updates);
 * :mod:`repro.kernel.gcmig` — the GC-migration kernel for plain-copy
   victim collection (baseline and inline-dedupe metadata moves);
 * :mod:`repro.kernel.cagcmig` — the lean CAGC victim collection (the

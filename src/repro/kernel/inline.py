@@ -8,30 +8,37 @@ What still factors out of the per-request reference chain:
 
 * **plan** (:func:`plan_inline_run`) — resolve the whole run's dedup
   outcomes against a read-only view of the current state: one
-  vectorized :func:`~repro.kernel.probe.probe_many` over the run's
-  fingerprint stream plus one tight Python loop over plain ints and
-  dicts (no index/mapping/flash mutations, no NumPy scalar boxing).
-  The loop carries exactly the state the reference carries implicitly:
-  the current canonical page per fingerprint, per-page refcounts, the
-  forward-map overlay, and which pages died.  Trims ride in the same
-  loop in request order: a trimmed LPN unmaps in the overlay and its
-  page loses one referrer, dying (and leaving the canonical map) at
-  zero like any rebound-away page.  Because flash programs
-  happen only on dedup misses, the GC watermark check is a running
-  miss-count comparison, fused into the same loop — the plan stops at
-  the first write request whose check would fire;
+  vectorized :meth:`~repro.dedup.index.FingerprintIndex.peek_many`
+  over the run's fingerprint stream plus one tight Python loop over
+  plain ints and dicts (no index/mapping/flash mutations, no NumPy
+  scalar boxing) — the run step's only per-page Python pass.  The loop
+  carries exactly the state the reference carries implicitly: the
+  current canonical page per fingerprint, per-page refcounts, the
+  forward-map overlay, and which pages died.  Its overlays start empty
+  and read through to the forward map, the refcount column and the
+  index's reverse column, which the plan never writes, so it builds no
+  per-window state up front.  Trims ride in the same loop in request
+  order: a trimmed LPN unmaps in the overlay and its page loses one
+  referrer, dying (and leaving the canonical map) at zero like any
+  rebound-away page.  Because flash programs happen only on dedup
+  misses, the GC watermark check is a running miss-count comparison,
+  fused into the same loop — the plan stops at the first write request
+  whose check would fire, and its arrays cover that resolved prefix;
 * **timing** — per-request service durations follow from the plan's
   per-request program counts; the orchestrator runs the shared
   completion recurrence and batch latency fold;
-* **apply** (:func:`apply_inline_run`) — net-final state application:
-  programs land in ``allocate_run`` stretches, deaths/births scatter
-  into the refcount/fingerprint/peak columns, the fingerprint index is
-  updated once per net canonical change (removals before inserts), and
-  every touched block reconciles through ``VictimIndex.sync_block``.
-  Intermediate states the reference walks through (a page shared then
-  solo then dead within one run) collapse to their final values — the
-  index *table layout* can differ from the reference's (tombstone
-  churn), which no query or invariant observes.
+* **apply** (:func:`apply_inline_run`) — net-final state application
+  as array ops: programs land in ``allocate_run`` stretches,
+  deaths/births scatter into the refcount/fingerprint/peak columns, the
+  forward map takes one scatter, and every touched block reconciles
+  through ``VictimIndex.sync_block``.  The fingerprint index changes
+  once per net canonical change, removals before inserts, through
+  ``remove_many`` / ``insert_many`` — table layout identical to per-item
+  ``remove_ppn`` / ``insert`` calls in the same order.  Intermediate
+  states the reference walks through (a page shared then solo then dead
+  within one run) collapse to their final values, so the index *table
+  layout* can still differ from the reference's (tombstone churn),
+  which no query or invariant observes.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ import numpy as np
 
 from repro.flash.chip import PageState
 from repro.ftl.allocator import Region
-from repro.kernel.probe import probe_many
 from repro.kernel.views import ColumnViews
 from repro.kernel.write import _bucket_invalidations
 from repro.schemes.base import FTLScheme
@@ -58,12 +64,17 @@ class InlinePlan:
 
     Handles are integers: a value below ``nb`` (the physical page
     count) is a live pre-run page; ``nb + k`` is the page born by the
-    run's ``k``-th dedup miss.
+    run's ``k``-th dedup miss.  The plan's overlays hold in-run changes
+    only and read through to the mapping and index columns for the rest.
+    ``uniq`` / ``old0`` / ``final`` cover just the resolved prefix: the
+    LPNs the run rebound or unmapped (ascending), with their pre-run and
+    final handles.  Applying the plan updates the index in bulk with the
+    table layout per-item calls would leave.
     """
 
     __slots__ = (
-        "nb", "programs", "hits", "misses", "uniq", "old0", "overlay",
-        "rc", "obs", "miss_fp", "miss_req", "dead_real", "dead_new",
+        "nb", "programs", "hits", "misses", "uniq", "old0", "final", "obs",
+        "miss_fp", "dead_real", "dead_new",
     )
 
     def __init__(self, nb: int, nreq: int) -> None:
@@ -72,15 +83,12 @@ class InlinePlan:
         self.hits = 0
         self.misses = 0
         self.uniq = np.empty(0, dtype=np.int64)
-        self.old0 = np.empty(0, dtype=np.int64)
-        #: lpn -> current handle (initialized to the pre-run mapping).
-        self.overlay: Dict[int, int] = {}
-        #: handle -> current refcount (every handle the run touched).
-        self.rc: Dict[int, int] = {}
-        #: handle -> max refcount observed in-run (tracker.observe calls).
+        self.old0 = self.uniq
+        self.final = self.uniq
+        #: handle -> max refcount observed in-run (tracker.observe); a
+        #: page born in-run that no later write hit peaked at 1.
         self.obs: Dict[int, int] = {}
         self.miss_fp: List[int] = []
-        self.miss_req: List[int] = []
         self.dead_real: List[int] = []
         self.dead_new: List[int] = []
 
@@ -116,10 +124,11 @@ def plan_inline_run(
     within = np.arange(P_all, dtype=np.int64) - np.repeat(ends - rpages, rpages)
     lpn_p = np.repeat(rlpns, rpages) + within
 
-    # Pre-grow the forward map before the gather (and before apply's
-    # transient scatter view): array.array cannot extend while exported.
-    # Only writes grow it; trims of LPNs beyond it are no-ops.
+    # Pre-grow the forward map before the loop reads it (and before
+    # apply's transient scatter view): array.array cannot extend while
+    # exported.  Only writes grow it; trims of LPNs beyond it are no-ops.
     mapping = scheme.mapping
+    index = scheme.index
     wsel = None  # write pages of the stream (None: all of them)
     if trims.any():
         wsel = ~np.repeat(trims, rpages)
@@ -128,37 +137,32 @@ def plan_inline_run(
         if max_lpn >= len(mapping._fwd):
             mapping._grow_lpn(max_lpn)
 
-    canon0 = probe_many(scheme.index, fps)
-    in_map = None  # stream pages whose LPN the forward map covers
+    canon0 = index.peek_many(fps)
     if wsel is None:
         fps_p = fps
         canon_p = canon0
-        uniq = np.unique(lpn_p)
     else:
         # Page-aligned fingerprint/canonical columns (trim slots unused).
         fps_p = np.zeros(P_all, dtype=np.int64)
         fps_p[wsel] = fps
         canon_p = np.full(P_all, _NO_PPN, dtype=np.int64)
         canon_p[wsel] = canon0
-        in_map = lpn_p < len(mapping._fwd)
-        uniq = np.unique(lpn_p[in_map])
-    fwd_view = views.fwd()
-    old0 = fwd_view[uniq]
-    del fwd_view
-    # Refcounts/reverse entries for every real page the loop can touch:
-    # pre-run mapping targets (they lose referrers) and pre-run
-    # canonicals (they gain them, and can lose them to later rebinds).
-    cands = np.unique(np.concatenate([old0[old0 >= 0], canon0[canon0 >= 0]]))
-    cands_l = cands.tolist()
-    rc = dict(zip(cands_l, views.ref[cands].tolist()))
-    fpof = dict(zip(cands_l, views.rev[cands].tolist()))
-    overlay = dict(zip(uniq.tolist(), old0.tolist()))
 
+    # Pre-run state is read straight from the columns, which the plan
+    # never writes: forward map, refcounts, and the index's reverse
+    # (ppn -> fp) column.
+    fwd = mapping._fwd
+    nfwd = len(fwd)
+    ref = mapping._ref
+    rev = index._ppn_fp
     nb = plan.nb
+    overlay: Dict[int, int] = {}  # lpn -> handle, in-run rebinds only
+    rc: Dict[int, int] = {}  # handle -> refcount, in-run changes only
     obs = plan.obs
     canon: Dict[int, int] = {}  # in-run overrides of the canonical map
+    canon_get = canon.get
+    overlay_get = overlay.get
     miss_fp = plan.miss_fp
-    miss_req = plan.miss_req
     dead_real = plan.dead_real
     dead_new = plan.dead_new
     programs = plan.programs
@@ -184,39 +188,48 @@ def plan_inline_run(
             lpn = lpnl[k]
             if trim:  # unmap: the old page just loses a referrer
                 k += 1
-                old = overlay.get(lpn, _NO_PPN)  # absent: beyond the map
+                old = overlay_get(lpn)
+                if old is None:
+                    if lpn >= nfwd:
+                        continue  # beyond the map: nothing to unmap
+                    old = fwd[lpn]
                 if old < 0:
                     continue
                 overlay[lpn] = _NO_PPN
             else:
                 fp = fpl[k]
-                cur = canon[fp] if fp in canon else c0l[k]
-                old = overlay[lpn]
+                cur = canon_get(fp)
+                if cur is None:
+                    cur = c0l[k]
                 k += 1
+                old = overlay_get(lpn)
+                if old is None:
+                    old = fwd[lpn]
                 if cur >= 0:  # dedup hit: rebind lpn to the canonical page
                     hits += 1
-                    if old == cur:
-                        r = rc[cur]  # drop + re-add: refcount unchanged
-                        if r > obs.get(cur, 0):
-                            obs[cur] = r
-                        continue
-                    r = rc[cur] + 1
-                    rc[cur] = r
+                    r = rc.get(cur)
+                    if r is None:
+                        r = ref[cur]
+                    if old != cur:
+                        r += 1
+                        rc[cur] = r
+                        overlay[lpn] = cur
+                    # else drop + re-add: refcount unchanged
                     if r > obs.get(cur, 0):
                         obs[cur] = r
-                    overlay[lpn] = cur
+                    if old == cur:
+                        continue
                 else:  # miss: program a fresh page, insert as canonical
                     h = nb + len(miss_fp)
                     canon[fp] = h
                     miss_fp.append(fp)
-                    miss_req.append(j)
                     rc[h] = 1
-                    obs[h] = 1
                     overlay[lpn] = h
                     if old < 0:
                         continue
             if old >= 0:
-                ro = rc[old] - 1
+                ro = rc.get(old)
+                ro = (ref[old] if ro is None else ro) - 1
                 rc[old] = ro
                 if ro == 0:
                     # The page died mid-run: if it was canonical its
@@ -227,7 +240,7 @@ def plan_inline_run(
                         canon[miss_fp[old - nb]] = -1
                     else:
                         dead_real.append(old)
-                        f = fpof[old]
+                        f = rev[old]
                         if f != _IDX_EMPTY:
                             canon[f] = -1
         programs[j] = len(miss_fp) - m0
@@ -235,14 +248,15 @@ def plan_inline_run(
 
     plan.hits = hits
     plan.misses = len(miss_fp)
-    plan.rc = rc
-    plan.overlay = overlay
-    if k < P_all:  # stopped early: restrict to the pages actually resolved
-        uniq_r = np.unique(lpn_p[:k] if in_map is None else lpn_p[:k][in_map[:k]])
-        old0 = old0[np.searchsorted(uniq, uniq_r)]
-        uniq = uniq_r
-    plan.uniq = uniq
-    plan.old0 = old0
+    if overlay:
+        n = len(overlay)
+        lpns = np.fromiter(overlay, dtype=np.int64, count=n)
+        order = np.argsort(lpns)
+        plan.uniq = lpns[order]
+        plan.final = np.fromiter(overlay.values(), dtype=np.int64, count=n)[order]
+        fwd_view = views.fwd()
+        plan.old0 = fwd_view[plan.uniq]
+        del fwd_view
     return j, plan
 
 
@@ -306,23 +320,39 @@ def apply_inline_run(
     io.inline_dedup_hits += plan.hits
     index.hits += plan.hits
     index.misses += plan.misses
-    if not plan.uniq.size:
-        return
 
     nb = plan.nb
-    overlay = plan.overlay
-    rc = plan.rc
-    obs = plan.obs
+    M = plan.misses
     uniq = plan.uniq
     old0 = plan.old0
+    final_h = plan.final
+    ref_view = views.ref
+    solo_view = views.solo
+    fp_view = views.fp
+    peak_view = views.peak
+    hist = scheme.tracker.histogram
+    shared = mapping._shared
+
+    # Peaks raised by in-run observations: pre-run pages fold theirs in
+    # now (a page that died reads its raised peak into the histogram
+    # below); pages born in-run start from 1.
+    miss_peak = np.ones(M, dtype=np.int64)
+    if plan.obs:
+        n = len(plan.obs)
+        op = np.fromiter(plan.obs, dtype=np.int64, count=n)
+        ov = np.fromiter(plan.obs.values(), dtype=np.int64, count=n)
+        new = op >= nb
+        miss_peak[op[new] - nb] = ov[new]
+        op = op[~new]
+        peak_view[op] = np.maximum(peak_view[op], ov[~new])
+    if not uniq.size:
+        return
 
     # ---- placement: misses program in allocate_run stretches -------------
-    M = plan.misses
     new_ppns = np.empty(M, dtype=np.int64)
     touched_blocks = set()
     if M:
-        miss_req = np.asarray(plan.miss_req, dtype=np.int64)
-        page_now = rstarts[miss_req]
+        page_now = np.repeat(rstarts, plan.programs[:nreq])
         hot = Region.HOT
         active = allocator._active
         active_free = allocator._active_free
@@ -339,59 +369,37 @@ def apply_inline_run(
             touched_blocks.add(base // ppb)
             pos += count
 
-    ref_view = views.ref
-    solo_view = views.solo
-    fp_view = views.fp
-    peak_view = views.peak
-    hist = scheme.tracker.histogram
-    shared = mapping._shared
-
     # ---- deaths ----------------------------------------------------------
-    # Pre-run pages whose last referrer rebound away or was trimmed:
-    # peak at death is the stored pre-run peak raised by any in-run
-    # observations.
-    dead_real = np.asarray(plan.dead_real, dtype=np.int64)
-    dead_set = set(plan.dead_real)
+    # Pre-run pages whose last referrer rebound away or was trimmed.
     inval = new_ppns[:0]
-    if dead_real.size:
-        obs_d = np.fromiter(
-            (obs.get(p, 0) for p in plan.dead_real),
-            dtype=np.int64, count=dead_real.size,
-        )
-        _bucket_invalidations(
-            hist, np.maximum(np.maximum(peak_view[dead_real], obs_d), 1)
-        )
+    if plan.dead_real:
+        dead_real = np.asarray(plan.dead_real, dtype=np.int64)
+        _bucket_invalidations(hist, np.maximum(peak_view[dead_real], 1))
+        for p in dead_real[ref_view[dead_real] >= 2].tolist():
+            del shared[p]
         ref_view[dead_real] = 0
         solo_view[dead_real] = -1
         peak_view[dead_real] = 0
-        if shared:
-            for p in plan.dead_real:
-                shared.pop(p, None)
         negative = scheme.page_fp._negative
         if negative:  # hand-built negative fps: exact spill handling
             fpd = fp_view[dead_real]
             for ppn in dead_real[fpd == _FP_NEGATIVE].tolist():
                 negative.pop(ppn, None)
         fp_view[dead_real] = _FP_ABSENT
-        for p in plan.dead_real:  # no-op for non-canonical pages
-            index.remove_ppn(p)
+        index.remove_many(dead_real)  # no-op for non-canonical pages
         flash.page_state[dead_real] = PageState.INVALID
         inval = dead_real
 
     # Pages born and dead inside the run: programmed, then every
-    # referrer rebound away or trimmed.  Their fingerprint/peak/refcount columns
-    # were never written, so only the flash invalidation and the
+    # referrer rebound away or trimmed.  Their fingerprint/peak/refcount
+    # columns were never written, so only the flash invalidation and the
     # histogram event (peak = max refcount the page ever reached) land.
     alive = np.ones(M, dtype=bool)
     if plan.dead_new:
         dn_idx = np.asarray(plan.dead_new, dtype=np.int64)
         alive[dn_idx] = False
         dn = new_ppns[dn_idx]
-        obs_dn = np.fromiter(
-            (obs[nb + k] for k in plan.dead_new),
-            dtype=np.int64, count=dn_idx.size,
-        )
-        _bucket_invalidations(hist, obs_dn)
+        _bucket_invalidations(hist, miss_peak[dn_idx])
         flash.page_state[dn] = PageState.INVALID
         inval = np.concatenate([inval, dn])
 
@@ -403,21 +411,16 @@ def apply_inline_run(
         touched_blocks.update(inval_blocks.tolist())
 
     # ---- final mapping and referrer structure ----------------------------
-    final_h = np.fromiter(
-        (overlay[l] for l in uniq.tolist()), dtype=np.int64, count=uniq.size
-    )
     final_p = final_h.copy()
     born = final_h >= nb
-    if born.any():
-        final_p[born] = new_ppns[final_h[born] - nb]
+    final_p[born] = new_ppns[final_h[born] - nb]
 
     # Surviving new pages: group their referrers by handle.  Almost all
     # have exactly one (the missing write's own LPN) — one scatter;
     # pages other LPNs dedup-hit in-run take the set path.
     if M:
-        new_sel = born
-        h_new = final_h[new_sel] - nb
-        l_new = uniq[new_sel]
+        h_new = final_h[born] - nb
+        l_new = uniq[born]
         order = np.argsort(h_new, kind="stable")
         h_sorted = h_new[order]
         l_sorted = l_new[order]
@@ -438,63 +441,49 @@ def apply_inline_run(
                 ppn = int(new_ppns[hh])
                 shared[ppn] = set(l_sorted[st : st + ct].tolist())
                 ref_view[ppn] = ct
-        live_idx = np.nonzero(alive)[0]
-        if live_idx.size:
-            live_p = new_ppns[live_idx]
-            fp_view[live_p] = np.asarray(plan.miss_fp, dtype=np.int64)[live_idx]
-            peak_view[live_p] = np.fromiter(
-                (obs[nb + int(k)] for k in live_idx),
-                dtype=np.int64, count=live_idx.size,
-            )
+        live_idx = np.flatnonzero(alive)
+        live_p = new_ppns[live_idx]
+        live_fp = np.asarray(plan.miss_fp, dtype=np.int64)[live_idx]
+        fp_view[live_p] = live_fp
+        peak_view[live_p] = miss_peak[live_idx]
 
-    # Surviving pre-run pages whose referrer set changed: rebuild each
-    # from its initial representation plus the net removed/added LPNs
-    # (intermediate churn cancels; the refcount the plan tracked must
-    # match the final set size).
-    rem_sel = (old0 >= 0) & (final_h != old0)
-    add_sel = (final_h >= 0) & ~born & (final_h != old0)
-    touched_real: Dict[int, List[List[int]]] = {}
-    for p, lpn in zip(old0[rem_sel].tolist(), uniq[rem_sel].tolist()):
-        if p in dead_set:
-            continue
-        entry = touched_real.get(p)
-        if entry is None:
-            touched_real[p] = [[lpn], []]
-        else:
-            entry[0].append(lpn)
-    for p, lpn in zip(final_p[add_sel].tolist(), uniq[add_sel].tolist()):
-        entry = touched_real.get(p)
-        if entry is None:
-            touched_real[p] = [[], [lpn]]
-        else:
-            entry[1].append(lpn)
-    for p, (removed, added) in touched_real.items():
-        r0 = int(ref_view[p])
-        r1 = rc[p]
-        refs = {int(solo_view[p])} if r0 == 1 else shared[p]
-        if removed:
-            refs.difference_update(removed)
-        if added:
-            refs.update(added)
-        if r1 == 1:
-            solo_view[p] = next(iter(refs))
-            ref_view[p] = 1
-            if r0 >= 2:
-                del shared[p]
-        else:
-            if r0 == 1:
-                solo_view[p] = -1
+    # Surviving pre-run pages whose referrer set changed (dead ones were
+    # zeroed above): each loses its net removed LPNs and gains its net
+    # added ones (intermediate churn cancels), so its final refcount is
+    # the pre-run one minus removals plus additions.  Only the referrer
+    # sets themselves are Python objects to update page by page.
+    moved = final_h != old0
+    rem_sel = moved & (old0 >= 0)
+    rem_sel[rem_sel] = ref_view[old0[rem_sel]] > 0
+    add_sel = moved & (final_h >= 0) & ~born
+    tp = np.concatenate([old0[rem_sel], final_p[add_sel]])
+    if tp.size:
+        order = np.argsort(tp, kind="stable")  # per page: removals first
+        tp = tp[order]
+        lpns = np.concatenate([uniq[rem_sel], uniq[add_sel]])[order].tolist()
+        pages, start, count = np.unique(tp, return_index=True, return_counts=True)
+        adds = np.add.reduceat(order >= tp.size - int(add_sel.sum()), start)
+        r0 = ref_view[pages].astype(np.int64)
+        r1 = r0 - (count - adds) + adds
+        split = start + count - adds
+        solo0 = solo_view[pages].tolist()
+        for p, a, m, b, was, now, solo in zip(
+            pages.tolist(), start.tolist(), split.tolist(),
+            (start + count).tolist(), r0.tolist(), r1.tolist(), solo0,
+        ):
+            refs = shared[p] if was >= 2 else {solo}
+            if m > a:
+                refs.difference_update(lpns[a:m])
+            if b > m:
+                refs.update(lpns[m:b])
+            if now == 1:
+                solo_view[p] = next(iter(refs))
+                if was >= 2:
+                    del shared[p]
+            elif was == 1:
                 shared[p] = refs
-            ref_view[p] = r1
-
-    # Peaks of surviving pre-run pages raised by in-run observations.
-    obs_real = [
-        (p, v) for p, v in obs.items() if p < nb and p not in dead_set
-    ]
-    if obs_real:
-        op = np.asarray([p for p, _ in obs_real], dtype=np.int64)
-        ov = np.asarray([v for _, v in obs_real], dtype=np.int64)
-        peak_view[op] = np.maximum(peak_view[op], ov)
+        solo_view[pages[(r0 == 1) & (r1 >= 2)]] = -1
+        ref_view[pages] = r1
 
     # Forward map: one scatter (view taken after all growth happened).
     fwd_view = views.fwd()
@@ -508,9 +497,7 @@ def apply_inline_run(
     # fingerprint whose pre-run canonical died in-run re-keys to the
     # run's replacement page).  Every surviving born page is canonical.
     if M:
-        mfp = plan.miss_fp
-        for k in live_idx.tolist():
-            index.insert(mfp[k], int(new_ppns[k]))
+        index.insert_many(live_fp, live_p)
 
     # ---- victim-index reconciliation -------------------------------------
     sync = scheme.victim_index.sync_block

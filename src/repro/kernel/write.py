@@ -49,7 +49,6 @@ from repro.schemes.base import FTLScheme
 _NO_PPN = -1
 _FP_ABSENT = -1
 _FP_NEGATIVE = -2
-_IDX_EMPTY = -1
 
 
 def apply_write_run(
@@ -228,7 +227,7 @@ def apply_write_run(
             for ppn in dying[fpd == _FP_NEGATIVE].tolist():
                 negative.pop(ppn, None)
         fp_view[dying] = _FP_ABSENT
-        _remove_canonical(index, views, dying)
+        index.remove_many(dying)
         flash.page_state[dying] = PageState.INVALID
         inval = np.concatenate([born_dead, dying])
 
@@ -238,7 +237,7 @@ def apply_write_run(
     if born_dead.size:
         _bucket_invalidations(hist, np.maximum(peak_view[born_dead], 1))
         peak_view[born_dead] = 0
-        _remove_canonical(index, views, born_dead)
+        index.remove_many(born_dead)
         flash.page_state[born_dead] = PageState.INVALID
 
     # Per-block valid/invalid counter deltas in one bincount.
@@ -273,23 +272,3 @@ def _bucket_invalidations(hist, peaks: np.ndarray) -> None:
     hist.ref2 += int(np.count_nonzero(peaks == 2))
     hist.ref3 += int(np.count_nonzero(peaks == 3))
     hist.ref_gt3 += int(np.count_nonzero(peaks > 3))
-
-
-def _remove_canonical(index, views: ColumnViews, ppns: np.ndarray) -> None:
-    """Drop index entries for any of ``ppns`` that are canonical.
-
-    Bulk foreground writes never make pages canonical, so the common
-    case (empty index) is two O(1) checks and no work; pages a GC pass
-    promoted to canonical go through the reference removal (tombstone
-    handling).
-    """
-    if len(index) == 0:
-        return
-    if index._fallback_ppn:
-        for ppn in ppns.tolist():
-            index.remove_ppn(ppn)
-        return
-    hits = ppns[views.rev[ppns] != _IDX_EMPTY]
-    if hits.size:
-        for ppn in hits.tolist():
-            index.remove_ppn(ppn)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 from typing import Optional, Union
 
@@ -77,8 +78,10 @@ class RunCache:
             return None
         try:
             result = result_from_bytes(payload)
-        except (SchemaMismatchError, ValueError, KeyError, OSError):
-            # Stale schema or corrupt file: drop it and recompute.
+        except (
+            SchemaMismatchError, ValueError, KeyError, OSError, zipfile.BadZipFile,
+        ):
+            # Stale schema, corrupt or truncated file: drop it and recompute.
             try:
                 path.unlink()
             except OSError:

@@ -13,11 +13,15 @@ GC-trigger fallbacks unchanged, and the batch count exact.
 """
 
 from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.array import COORDINATIONS, SSDArray
 from repro.config import small_config
+from repro.dedup import index as index_mod
+from repro.dedup.index import FingerprintIndex
 from repro.device.ssd import SSD
 from repro.obs.metrics import ArrayMetrics, DeviceMetrics
 from repro.oracle import array_pages_per_device
@@ -252,3 +256,50 @@ class TestTrimWorkGate:
         assert got[:2] == (batches, {"gc-trigger": gc_triggers})
         assert got[2].trim_requests == 143
         assert diff_kernels(trace, scheme=scheme, config=cfg) is None
+
+
+class TestBulkIndexUpdatesInKernel:
+    """The inline-dedupe apply lands index changes through
+    ``insert_many`` / ``remove_many``.  With the bulk path forced on
+    every batch, the replay must leave the index byte-identical to one
+    whose bulk ops are per-item ``insert`` / ``remove_ppn`` loops."""
+
+    @staticmethod
+    def replay(per_item):
+        trace, cfg = _trim_fixture()
+        scheme = build_scheme("inline-dedupe", "greedy", cfg)
+        sizes = []
+        bulk_insert = FingerprintIndex.insert_many
+
+        def insert_many(self, fps, ppns):
+            sizes.append(len(fps))
+            if not per_item:
+                return bulk_insert(self, fps, ppns)
+            for fp, ppn in zip(np.asarray(fps).tolist(), np.asarray(ppns).tolist()):
+                self.insert(fp, ppn)
+
+        def remove_loop(self, ppns):
+            for ppn in np.asarray(ppns).tolist():
+                self.remove_ppn(ppn)
+
+        with mock.patch.object(index_mod, "_BULK_MIN", 1), mock.patch.object(
+            FingerprintIndex, "insert_many", insert_many
+        ):
+            if per_item:
+                with mock.patch.object(FingerprintIndex, "remove_many", remove_loop):
+                    SSD(scheme).replay(trace)
+            else:
+                SSD(scheme).replay(trace)
+        ix = scheme.index
+        table = (
+            bytes(ix._keys), bytes(ix._vals), bytes(ix._ppn_fp), ix._mask,
+            ix._used, ix._filled, ix.hits, ix.misses,
+        )
+        return table, scheme.state_snapshot(), sizes
+
+    def test_matches_per_item_loops(self):
+        bulk_table, bulk_state, sizes = self.replay(per_item=False)
+        loop_table, loop_state, _ = self.replay(per_item=True)
+        assert max(sizes) > 8  # the fixture's runs do reach the bulk path
+        assert bulk_table == loop_table
+        assert bulk_state == loop_state

@@ -187,6 +187,22 @@ class TestRunCache:
         assert cache.misses == 1
         assert not path.exists()
 
+    def test_truncated_entry_is_a_miss_and_recomputed(self, tmp_path):
+        spec = self.spec()
+        fresh = run_specs([spec], jobs=1)[0]
+        for cut in ("5", "100", "half", "len-10"):
+            cache = RunCache(tmp_path / cut)
+            path = cache.put(spec, fresh)
+            payload = path.read_bytes()
+            keep = {"half": len(payload) // 2, "len-10": len(payload) - 10}
+            path.write_bytes(payload[: keep.get(cut) or int(cut)])
+            assert cache.get(spec) is None, cut
+            assert not path.exists()
+            assert cache.misses == 1 and cache.hits == 0
+            again = run_specs([spec], jobs=1, cache=cache)[0]
+            assert_identical(fresh, again)
+            assert path.exists()
+
     def test_atomic_put_leaves_no_temp_files(self, tmp_path):
         cache = RunCache(tmp_path)
         cache.put(self.spec(), tiny_result())
