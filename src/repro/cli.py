@@ -343,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sim_p.add_argument(
         "--write-buffer", type=int, default=0, metavar="PAGES",
-        help="DRAM write-back buffer size in pages (serial device only)",
+        help="DRAM write-back buffer size in pages",
     )
     _add_array_args(sim_p)
     _add_obs_args(sim_p)
@@ -978,8 +978,6 @@ def _slo_doc(result, array: bool) -> List[dict]:
                 }
             )
         return doc
-    if result.metrics is None:
-        return []
     from repro.obs import evaluate_slos
 
     return evaluate_slos(result.metrics)
@@ -1051,15 +1049,6 @@ def _cmd_report_compare(args: argparse.Namespace) -> int:
     threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
     cache = RunCache.from_env() if cache_enabled() else None
     results = run_specs([spec_a, spec_b], jobs=args.jobs, cache=cache)
-    for spec, result in zip((spec_a, spec_b), results):
-        if result.metrics is None:
-            log.error(
-                "error: %s carries no metrics snapshot (parallel-device "
-                "runs are unmetered); re-run with --no-cache or a "
-                "metered device model",
-                spec.label(),
-            )
-            return 2
     rows = compare_snapshots(
         results[0].metrics, results[1].metrics, threshold=threshold
     )
@@ -1116,13 +1105,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         log.error("error: %s", exc)
         return 2
     snapshot = result.metrics
-    if snapshot is None:
-        log.error(
-            "error: %s carries no metrics snapshot (parallel-device runs "
-            "are unmetered)",
-            spec.label(),
-        )
-        return 2
     render = {"prom": prometheus_text, "jsonl": series_jsonl, "csv": series_csv}
     text = render[args.format](snapshot)
     if args.out:

@@ -161,7 +161,8 @@ class SSD:
         the batched kernels in :mod:`repro.kernel` instead of the event
         engine — bit-identical results, one pass per chunk.  Features
         the kernels do not model (preemptive GC, write buffers,
-        per-page-hashing schemes) fall back to the reference loop below.
+        per-page-hashing schemes, per-channel queues) fall back to the
+        reference loop below.
         """
         if self.heartbeat is not None:
             try:
@@ -236,24 +237,28 @@ class SSD:
         )
 
     def _on_complete(self, event: Event) -> None:
-        arrival_us = event.payload
-        latency_us = self.sim.now - arrival_us
-        self.latency.record(latency_us)
-        self.requests_completed += 1
-        if self.metrics is not None:
-            self.metrics.on_complete(self.sim.now, latency_us, self)
-        if self.heartbeat is not None:
-            self.heartbeat.tick(
-                self.sim.now,
-                self.sim.events_processed,
-                self.requests_completed,
-                gc_collects=self.scheme.gc_counters.gc_invocations,
-            )
+        self._record_completion(event.payload)
         if self._queue:
             self._start_service()
         else:
             self._busy = False
             self._maybe_background_gc()
+
+    def _record_completion(self, arrival_us: float) -> None:
+        """Account one completed request: latency, progress, metrics."""
+        now = self.sim.now
+        latency_us = now - arrival_us
+        self.latency.record(latency_us)
+        self.requests_completed += 1
+        if self.metrics is not None:
+            self.metrics.on_complete(now, latency_us, self)
+        if self.heartbeat is not None:
+            self.heartbeat.tick(
+                now,
+                self.sim.events_processed,
+                self.requests_completed,
+                gc_collects=self.scheme.gc_counters.gc_invocations,
+            )
 
     # ------------------------------------------------------------------ idle GC
 

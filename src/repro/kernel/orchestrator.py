@@ -56,6 +56,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.device.parallel import ParallelSSD
 from repro.device.ssd import RunResult, SSD, make_run_result
 from repro.ftl.allocator import Region
 from repro.kernel._njit import completion_recurrence
@@ -404,13 +405,15 @@ def commit_scalar(
 def device_eligible(ssd: SSD) -> bool:
     """Does the device run the configuration the batched kernels model?
 
-    Blocking foreground GC, no DRAM write buffer, and either a
+    One FIFO server (not the per-channel :class:`ParallelSSD`),
+    blocking foreground GC, no DRAM write buffer, and either a
     bulk-write scheme or the inline-dedupe scheme (whose foreground
     hash/lookup path has its own plan/apply kernel).
     """
     scheme = ssd.scheme
     return (
         scheme.config.kernel == "vectorized"
+        and not isinstance(ssd, ParallelSSD)
         and scheme.config.gc_mode == "blocking"
         and ssd.buffer is None
         and (scheme.bulk_user_writes or type(scheme) is InlineDedupeScheme)

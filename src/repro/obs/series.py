@@ -24,34 +24,16 @@ an arbitrarily long replay yields a compact, uniformly-spaced series.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.telemetry import LatencyHistogram
+from repro.obs.telemetry import LatencyHistogram, percentile_from_counts
 
 from repro.obs.metrics import DEFAULT_INTERVAL_US
 
 #: decimation bound: the series never holds more rows than this.
 MAX_SAMPLES = 4096
-
-
-def percentile_from_counts(
-    counts: np.ndarray, total: int, max_us: float, p: float
-) -> float:
-    """Percentile of an arbitrary bucket-count vector over the shared
-    log-bucket geometry (the windowed-delta variant of
-    :meth:`LatencyHistogram.percentile`)."""
-    if total <= 0:
-        return 0.0
-    rank = max(math.ceil(total * p / 100.0), 1)
-    cum = np.cumsum(counts)
-    idx = int(np.searchsorted(cum, rank, side="left"))
-    edges = LatencyHistogram._EDGES
-    if idx >= edges.size:
-        return max_us
-    return float(min(edges[idx], max_us)) if max_us > 0.0 else float(edges[idx])
 
 
 class TimeSeriesRecorder:

@@ -27,10 +27,29 @@ def _bucket_edges() -> np.ndarray:
     return _FIRST_US * np.power(_GROWTH, np.arange(1, _BUCKETS + 1))
 
 
+_EDGES = _bucket_edges()
+
+
+def percentile_from_counts(
+    counts: np.ndarray, total: int, max_us: float, p: float
+) -> float:
+    """Value at percentile ``p`` of a bucket-count vector over the
+    shared log-bucket geometry: the upper edge of the bucket holding
+    the p-th sample, capped at ``max_us`` (the overflow bucket reports
+    ``max_us`` itself); 0.0 for an empty vector.  ``counts`` may be a
+    window delta between two snapshots of one histogram, with
+    ``max_us`` that histogram's running max."""
+    if total <= 0:
+        return 0.0
+    rank = max(math.ceil(total * p / 100.0), 1)
+    idx = int(np.searchsorted(np.cumsum(counts), rank, side="left"))
+    if idx >= _BUCKETS:
+        return max_us
+    return float(min(_EDGES[idx], max_us))
+
+
 class LatencyHistogram:
     """Fixed-bucket latency histogram with percentile queries."""
-
-    _EDGES = _bucket_edges()
 
     __slots__ = ("counts", "total", "max_us", "sum_us")
 
@@ -42,7 +61,7 @@ class LatencyHistogram:
 
     def record(self, latency_us: float) -> None:
         """Add one sample (O(log buckets))."""
-        idx = int(np.searchsorted(self._EDGES, latency_us, side="left"))
+        idx = int(np.searchsorted(_EDGES, latency_us, side="left"))
         self.counts[idx] += 1
         self.total += 1
         self.sum_us += latency_us
@@ -61,7 +80,7 @@ class LatencyHistogram:
         arr = np.ascontiguousarray(latencies_us, dtype=np.float64)
         if arr.size == 0:
             return
-        idx = np.searchsorted(self._EDGES, arr, side="left")
+        idx = np.searchsorted(_EDGES, arr, side="left")
         self.counts += np.bincount(idx, minlength=self.counts.size)
         self.total += int(arr.size)
         self.sum_us = float(
@@ -73,16 +92,10 @@ class LatencyHistogram:
 
     @classmethod
     def from_samples(cls, samples: Sequence[float]) -> "LatencyHistogram":
-        """Bulk-build from an array (one vectorized pass)."""
+        """Bulk-build from an array: :meth:`record_many` on a fresh
+        histogram (so ``sum_us`` matches the recording path exactly)."""
         hist = cls()
-        arr = np.asarray(samples, dtype=np.float64)
-        if arr.size == 0:
-            return hist
-        idx = np.searchsorted(cls._EDGES, arr, side="left")
-        np.add.at(hist.counts, idx, 1)
-        hist.total = int(arr.size)
-        hist.sum_us = float(arr.sum())
-        hist.max_us = float(arr.max())
+        hist.record_many(samples)
         return hist
 
     def merge(self, other: "LatencyHistogram") -> None:
@@ -105,15 +118,7 @@ class LatencyHistogram:
         """
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile {p} out of range")
-        if self.total == 0:
-            return 0.0
-        rank = math.ceil(self.total * p / 100.0)
-        rank = max(rank, 1)
-        cum = np.cumsum(self.counts)
-        idx = int(np.searchsorted(cum, rank, side="left"))
-        if idx >= _BUCKETS:
-            return self.max_us
-        return float(min(self._EDGES[idx], self.max_us))
+        return percentile_from_counts(self.counts, self.total, self.max_us, p)
 
     def quantiles(self, ps: Sequence[float]) -> List[float]:
         return [self.percentile(p) for p in ps]

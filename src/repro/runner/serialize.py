@@ -36,7 +36,8 @@ from repro.ftl.wear import WearStats
 #: v6: independent-array metrics count the lanes' kernel fallbacks.
 #: v7: TRIMs ride kernel runs (no "trim" fallback reason; fewer batches).
 #: v8: kernel GC stats move from array results onto every run result.
-SCHEMA_VERSION = 8
+#: v9: channel-parallel runs carry a metrics snapshot too.
+SCHEMA_VERSION = 9
 
 
 class SchemaMismatchError(RuntimeError):

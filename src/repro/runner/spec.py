@@ -333,25 +333,20 @@ class RunSpec:
                 metrics=ArrayMetrics() if metrics == "auto" else metrics,
                 keep_samples=keep_samples,
             ).replay(trace)
-        ftl = self._build_scheme(config)
-        if self.device == "parallel":
-            from repro.device.parallel import ParallelSSD
-
-            # ParallelSSD takes no metrics observer.
-            return ParallelSSD(ftl, tracer=tracer, heartbeat=heartbeat).replay(trace)
-        if self.device != "single":
-            raise ValueError(f"unknown device {self.device!r}")
-        from repro.device.ssd import run_trace
+        from repro.device.parallel import ParallelSSD
+        from repro.device.ssd import SSD
         from repro.obs.metrics import DeviceMetrics
 
-        return run_trace(
-            ftl,
-            trace,
+        devices = {"single": SSD, "parallel": ParallelSSD}
+        if self.device not in devices:
+            raise ValueError(f"unknown device {self.device!r}")
+        return devices[self.device](
+            self._build_scheme(config),
             tracer=tracer,
             heartbeat=heartbeat,
             metrics=DeviceMetrics() if metrics == "auto" else metrics,
             keep_samples=keep_samples,
-        )
+        ).replay(trace)
 
 
 def sweep_specs(

@@ -400,12 +400,24 @@ class TestSimulateRunsASpec:
             ),
             (["--device", "parallel"], {}, {"device": "parallel"}),
             (
+                ["--device", "parallel", "--write-buffer", "64"],
+                {"write_buffer_pages": 64},
+                {"device": "parallel"},
+            ),
+            (
                 ["--array-devices", "4", "--tenants", "2", "--gc-coord", "staggered"],
                 {},
                 {"array_devices": 4, "tenants": 2, "gc_coord": "staggered"},
             ),
         ],
-        ids=["cagc", "preemptive-wear-cb", "buffer-random-2ch", "parallel", "array"],
+        ids=[
+            "cagc",
+            "preemptive-wear-cb",
+            "buffer-random-2ch",
+            "parallel",
+            "parallel-buffer",
+            "array",
+        ],
     )
     def test_simulate_matches_spec(self, flags, config, fields, capsys):
         assert main(["simulate", "--scheme", "cagc", *_SMALL, *flags, "-q"]) == 0
@@ -427,6 +439,21 @@ class TestSimulateRunsASpec:
         assert expected["blocks erased"] > 0
         for metric, value in expected.items():
             assert rows[metric].replace(",", "") == str(value), metric
+
+    def test_parallel_preemptive_is_an_error(self, capsys):
+        argv = ["simulate", *_SMALL, "--device", "parallel", "--gc-mode", "preemptive"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "preemptive" in err
+
+    def test_parallel_run_is_metered(self, capsys, monkeypatch, tmp_path):
+        from repro.runner.cache import ENV_CACHE_DIR
+
+        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
+        argv = ["metrics", "--workload", "homes", "--scale", "quick",
+                "--device", "parallel", "-q"]
+        assert main(argv) == 0
+        assert "cagc_requests_total" in capsys.readouterr().out
 
     def test_replay_streamed_npz(self, tmp_path, capsys):
         from repro.workloads.stream import open_trace

@@ -37,6 +37,58 @@ class TestSerialParallelEquivalence:
         assert serial.pages_migrated == parallel.pages_migrated
         assert serial_scheme.logical_content() == parallel_scheme.logical_content()
 
+    @pytest.mark.parametrize("scheme_name", ["inline-dedupe", "cagc"])
+    @pytest.mark.parametrize(
+        "option", ["metrics", "histogram-latency", "write-buffer"]
+    )
+    def test_single_channel_identical_with_device_options(
+        self, option, scheme_name
+    ):
+        """The options the controller inherits from ``SSD`` behave the
+        same on both: metrics, histogram latency capture, the buffer."""
+        from dataclasses import replace
+
+        from repro.obs.metrics import DeviceMetrics
+
+        # Both on the event loop, so the serial device's metrics carry
+        # no vectorized-kernel batch counters.
+        cfg = replace(one_channel_cfg(), kernel="reference")
+        if option == "write-buffer":
+            cfg = replace(cfg, write_buffer_pages=64)
+        trace = build_fiu_trace("homes", cfg, n_requests=3000)
+        results = []
+        for device in (SSD, ParallelSSD):
+            kwargs = {}
+            if option == "metrics":
+                kwargs["metrics"] = DeviceMetrics()
+            if option == "histogram-latency":
+                kwargs["keep_samples"] = False
+            results.append(
+                device(make_scheme(scheme_name, cfg), **kwargs).replay(trace)
+            )
+        serial, parallel = results
+        assert serial.latency == parallel.latency
+        assert np.array_equal(serial.response_times_us, parallel.response_times_us)
+        assert (serial.gc, serial.io, serial.wear) == (
+            parallel.gc, parallel.io, parallel.wear
+        )
+        assert serial.blocks_erased > 0
+        if option == "metrics":
+            a, b = serial.metrics, parallel.metrics
+            assert a.samples > 1
+            assert a.values == b.values
+            assert np.array_equal(a.times_us, b.times_us)
+            assert a.series.keys() == b.series.keys()
+            for name in a.series:
+                assert np.array_equal(a.series[name], b.series[name]), name
+        if option == "histogram-latency":
+            assert parallel.response_times_us.size == 0
+            assert parallel.latency.count == len(trace)
+        if option == "write-buffer":
+            assert parallel.buffer is not None
+            assert serial.buffer == parallel.buffer
+            assert parallel.buffer.pages_destaged > 0
+
 
 class _LRUOracle:
     """Reference LRU write-back buffer, the slow-but-obvious way."""

@@ -1,5 +1,8 @@
 """Tests for the channel-parallel SSD controller."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.config import GeometryConfig, SSDConfig, TimingConfig
@@ -117,8 +120,6 @@ class TestConsistencyAndComparison:
     def test_parallel_preserves_logical_content_disjoint_extents(self):
         """With non-overlapping write extents (no cross-channel ordering
         hazards) the parallel device must agree with the serial one."""
-        import numpy as np
-
         rng = np.random.default_rng(5)
         config = cfg(channels=4)
         reqs = []
@@ -157,3 +158,59 @@ class TestConsistencyAndComparison:
             result = ParallelSSD(make_scheme("baseline", config)).replay(trace)
             means[channels] = result.latency.mean_us
         assert means[4] < means[1]
+
+
+class TestInheritedDeviceSurface:
+    """Everything but dispatch is the inherited ``SSD`` code: the GC
+    hook, the kernel fallback, metrics — and the one mode the
+    per-channel model does not define is refused."""
+
+    def test_gc_hook_runs_the_invariant_checker(self):
+        from repro.oracle.invariants import check_all
+
+        config = cfg(channels=4)
+        trace = build_fiu_trace("homes", config, n_requests=2000)
+        device = ParallelSSD(make_scheme("cagc", config))
+        episodes = []
+
+        def hook(ssd):
+            episodes.append(ssd.sim.now)
+            check_all(ssd)
+
+        device.gc_hook = hook
+        device.replay(trace)
+        assert episodes
+
+    def test_vectorized_config_replays_on_the_event_loop(self):
+        results = {}
+        for kernel in ("reference", "vectorized"):
+            config = replace(cfg(channels=4), kernel=kernel)
+            trace = build_fiu_trace("homes", config, n_requests=2000)
+            results[kernel] = ParallelSSD(make_scheme("cagc", config)).replay(trace)
+        ref, vec = results["reference"], results["vectorized"]
+        assert np.array_equal(ref.response_times_us, vec.response_times_us)
+        assert (ref.latency, ref.gc, ref.io, ref.wear, ref.simulated_us) == (
+            vec.latency, vec.gc, vec.io, vec.wear, vec.simulated_us
+        )
+        assert ref.blocks_erased > 0
+        assert vec.kernel_gc == {}
+
+    def test_runspec_result_carries_metrics(self):
+        from repro.runner import RunSpec, freeze_overrides
+
+        spec = RunSpec(
+            workload="homes",
+            scheme="cagc",
+            scale="quick",
+            config_overrides=freeze_overrides({"geometry.channels": 4}),
+            device="parallel",
+        )
+        trace = spec.build_trace()
+        result = spec.replay(trace)
+        assert result.metrics is not None
+        assert result.metrics.values["cagc_requests_total"] == len(trace)
+
+    def test_preemptive_gc_is_rejected(self):
+        config = replace(cfg(), gc_mode="preemptive")
+        with pytest.raises(ValueError, match="preemptive"):
+            ParallelSSD(make_scheme("baseline", config))

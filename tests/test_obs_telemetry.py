@@ -52,6 +52,23 @@ class TestLatencyHistogram:
         assert live.max_us == bulk.max_us
         assert live.sum_us == pytest.approx(bulk.sum_us)
 
+    def test_from_samples_equals_record_many_exactly(self):
+        samples = np.random.default_rng(3).lognormal(3.0, 1.2, size=10_000)
+        bulk = LatencyHistogram.from_samples(samples)
+        live = LatencyHistogram()
+        live.record_many(samples)
+        assert np.array_equal(bulk.counts, live.counts)
+        assert (bulk.total, bulk.max_us, bulk.sum_us) == (
+            live.total, live.max_us, live.sum_us
+        )
+
+    def test_all_zero_samples_report_zero(self):
+        from repro.obs.series import percentile_from_counts
+
+        hist = LatencyHistogram.from_samples([0.0, 0.0])
+        assert hist.percentile(99) == 0.0
+        assert percentile_from_counts(hist.counts, hist.total, 0.0, 99) == 0.0
+
     def test_merge(self):
         a = LatencyHistogram.from_samples([1.0, 2.0])
         b = LatencyHistogram.from_samples([100.0])
