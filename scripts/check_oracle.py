@@ -9,7 +9,9 @@ the refactor safety net: run it before and after any change to the
 mapping/GC/dedup layers.
 
 Exit status: 0 = all combinations agree on all seeds, 1 = at least one
-divergence (each is printed with scheme/policy/seed context).
+divergence (each is printed with scheme/policy/seed context), 2 = a
+flag combination the sweep does not run (``--array --profiles``,
+``--metrics`` without ``--kernel-equivalence``).
 
 Usage::
 
@@ -27,6 +29,7 @@ Also wired into pytest as the opt-in ``oracle`` marker::
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -44,13 +47,31 @@ from repro.oracle import (  # noqa: E402
     diff_trace,
     fuzz_config,
     fuzz_trace,
-    make_array_divergence_predicate,
-    make_divergence_predicate,
     shrink_trace,
 )
 from repro.obs import log  # noqa: E402
 from repro.oracle.fuzz import PROFILES, profile_for_seed  # noqa: E402
 from repro.oracle.shrink import save_regression  # noqa: E402
+
+
+def _check(trace, diff, where: str, shrink_name, regress_dir) -> int:
+    """Run one differential case; returns 1 on divergence, else 0.
+
+    With ``shrink_name`` a diverging trace is delta-debugged under the
+    very ``diff`` call that reported it (same harness, same arguments)
+    and saved under ``regress_dir``.
+    """
+    divergence = diff(trace)
+    if divergence is None:
+        return 0
+    log.error("%s: %s", where, divergence)
+    if shrink_name is not None:
+        minimal = shrink_trace(
+            trace, lambda tr: diff(tr) is not None, name=shrink_name
+        )
+        path = save_regression(minimal, regress_dir, shrink_name)
+        log.error("  shrunk %d -> %d requests: %s", len(trace), len(minimal), path)
+    return 1
 
 
 def main(argv=None) -> int:
@@ -88,7 +109,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="attach a DeviceMetrics (or ArrayMetrics, with --array) bundle "
         "to both replay paths and diff the request counter and latency "
-        "histogram aggregates too (kernel-equivalence mode only)",
+        "histogram aggregates too (requires --kernel-equivalence)",
     )
     parser.add_argument(
         "--array",
@@ -106,6 +127,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.array and args.profiles:
         parser.error("--profiles: the array sweep always uses the 'array' profile")
+    if args.metrics and not args.kernel_equivalence:
+        parser.error("--metrics: requires --kernel-equivalence")
     log.setup_from_args(args)
 
     config = fuzz_config()
@@ -134,57 +157,30 @@ def main(argv=None) -> int:
                 for policy in args.policies:
                     for coordination in COORDINATIONS:
                         runs += 1
+                        case = dict(
+                            devices=devices,
+                            scheme=scheme,
+                            policy=policy,
+                            config=config,
+                            coordination=coordination,
+                        )
                         if args.kernel_equivalence:
-                            divergence = diff_array_kernels(
-                                trace,
-                                devices=devices,
-                                scheme=scheme,
-                                policy=policy,
-                                config=config,
-                                coordination=coordination,
+                            diff = functools.partial(
+                                diff_array_kernels,
                                 ncq_depth=ncq_depth,
                                 metrics=args.metrics,
+                                **case,
                             )
                         else:
-                            divergence = diff_array(
-                                trace,
-                                devices=devices,
-                                scheme=scheme,
-                                policy=policy,
-                                config=config,
-                                coordination=coordination,
-                            )
-                        if divergence is None:
-                            continue
-                        failures += 1
-                        log.error(
-                            "seed %d (array, %d devices): %s",
-                            seed,
-                            devices,
-                            divergence,
+                            diff = functools.partial(diff_array, **case)
+                        name = (
+                            f"array-s{seed}-d{devices}-{scheme}-"
+                            f"{policy}-{coordination}"
                         )
-                        if args.shrink:
-                            predicate = make_array_divergence_predicate(
-                                devices=devices,
-                                scheme=scheme,
-                                policy=policy,
-                                config=config,
-                                coordination=coordination,
-                            )
-                            name = (
-                                f"array-s{seed}-d{devices}-{scheme}-"
-                                f"{policy}-{coordination}"
-                            )
-                            minimal = shrink_trace(trace, predicate, name=name)
-                            path = save_regression(
-                                minimal, args.regress_dir, name
-                            )
-                            log.error(
-                                "  shrunk %d -> %d requests: %s",
-                                len(trace),
-                                len(minimal),
-                                path,
-                            )
+                        failures += _check(
+                            trace, diff, f"seed {seed} (array, {devices} devices)",
+                            name if args.shrink else None, args.regress_dir,
+                        )
             continue
         for profile in args.profiles or [profile_for_seed(seed)]:
             trace = fuzz_trace(
@@ -194,51 +190,20 @@ def main(argv=None) -> int:
             for scheme in args.schemes:
                 for policy in args.policies:
                     runs += 1
+                    case = dict(scheme=scheme, policy=policy, config=config)
                     if args.kernel_equivalence:
-                        divergence = diff_kernels(
-                            trace,
-                            scheme=scheme,
-                            policy=policy,
-                            config=config,
-                            metrics=args.metrics,
+                        diff = functools.partial(
+                            diff_kernels, metrics=args.metrics, **case
                         )
                     else:
-                        divergence = diff_trace(
-                            trace,
-                            scheme=scheme,
-                            policy=policy,
-                            config=config,
-                            check_every=args.check_every,
+                        diff = functools.partial(
+                            diff_trace, check_every=args.check_every, **case
                         )
-                    if divergence is None:
-                        continue
-                    failures += 1
-                    log.error("seed %d (%s): %s", seed, profile, divergence)
-                    if args.shrink:
-                        if args.kernel_equivalence:
-                            predicate = (
-                                lambda tr, s=scheme, p=policy: diff_kernels(
-                                    tr,
-                                    scheme=s,
-                                    policy=p,
-                                    config=config,
-                                    metrics=args.metrics,
-                                )
-                                is not None
-                            )
-                        else:
-                            predicate = make_divergence_predicate(
-                                scheme, policy, config
-                            )
-                        name = f"fuzz-s{seed}-{profile}-{scheme}-{policy}"
-                        minimal = shrink_trace(trace, predicate, name=name)
-                        path = save_regression(minimal, args.regress_dir, name)
-                        log.error(
-                            "  shrunk %d -> %d requests: %s",
-                            len(trace),
-                            len(minimal),
-                            path,
-                        )
+                    name = f"fuzz-s{seed}-{profile}-{scheme}-{policy}"
+                    failures += _check(
+                        trace, diff, f"seed {seed} ({profile})",
+                        name if args.shrink else None, args.regress_dir,
+                    )
     wall = time.time() - start
     combos = len(args.schemes) * len(args.policies)
     if args.array:

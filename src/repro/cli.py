@@ -6,7 +6,6 @@ Examples::
     cagc-repro run fig9
     cagc-repro run all --scale full --jobs 4
     cagc-repro sweep --schemes baseline cagc --seeds 0 1 2 --jobs 4
-    cagc-repro fuzz --seeds 20 --shrink
     cagc-repro trace-gen --preset mail --requests 20000 --out mail.csv
     cagc-repro trace-info mail.csv
     cagc-repro simulate --scheme cagc --preset mail --blocks 256
@@ -229,50 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="FILE", help="also write results as JSON"
     )
     _add_parallel_args(sweep_p)
-
-    fuzz_p = sub.add_parser(
-        "fuzz",
-        help="differential fuzzing: replay adversarial traces through the "
-        "real FTL and the reference oracle, reporting divergences",
-    )
-    fuzz_p.add_argument(
-        "--seeds", type=int, default=20, metavar="N", help="fuzz seeds 0..N-1 (default: 20)"
-    )
-    fuzz_p.add_argument(
-        "--schemes",
-        nargs="+",
-        default=list(SCHEME_NAMES),
-        choices=SCHEME_NAMES,
-        help="FTL schemes to fuzz (default: all)",
-    )
-    fuzz_p.add_argument(
-        "--policies",
-        nargs="+",
-        default=None,
-        metavar="POLICY",
-        help="victim policies (default: greedy cost-benefit random region-aware)",
-    )
-    fuzz_p.add_argument(
-        "--requests", type=int, default=220, help="requests per fuzz trace"
-    )
-    fuzz_p.add_argument(
-        "--check-every",
-        type=int,
-        default=1,
-        metavar="K",
-        help="compare state snapshots every K requests (default: 1)",
-    )
-    fuzz_p.add_argument(
-        "--shrink",
-        action="store_true",
-        help="on divergence, delta-debug the trace to a minimal reproducer "
-        "and write it under --regress-dir",
-    )
-    fuzz_p.add_argument(
-        "--regress-dir",
-        default="tests/regress",
-        help="where shrunk reproducers are written (default: tests/regress)",
-    )
 
     gen_p = sub.add_parser("trace-gen", help="generate a synthetic FIU-like trace")
     gen_p.add_argument("--preset", default="mail", choices=sorted(FIU_PRESETS))
@@ -630,67 +585,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         Path(args.out).write_text(json.dumps(records, indent=2) + "\n")
         log.info("wrote %s", args.out)
     return 0
-
-
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.oracle import (
-        ALL_POLICIES,
-        diff_trace,
-        fuzz_config,
-        fuzz_trace,
-        make_divergence_predicate,
-        shrink_trace,
-    )
-    from repro.oracle.fuzz import profile_for_seed
-    from repro.oracle.shrink import save_regression
-
-    policies = tuple(args.policies) if args.policies else ALL_POLICIES
-    unknown = [p for p in policies if p not in ALL_POLICIES]
-    if unknown:
-        log.error(
-            "error: unknown policy %r; choose from %s",
-            unknown[0],
-            sorted(ALL_POLICIES),
-        )
-        return 2
-    config = fuzz_config()
-    start = time.time()
-    runs = 0
-    divergences = []
-    for seed in range(args.seeds):
-        trace = fuzz_trace(seed, config, n_requests=args.requests)
-        for scheme in args.schemes:
-            for policy in policies:
-                runs += 1
-                divergence = diff_trace(
-                    trace,
-                    scheme=scheme,
-                    policy=policy,
-                    config=config,
-                    check_every=args.check_every,
-                )
-                if divergence is None:
-                    continue
-                print(f"seed {seed} ({profile_for_seed(seed)}): {divergence}")
-                divergences.append((seed, divergence))
-                if args.shrink:
-                    minimal = shrink_trace(
-                        trace,
-                        make_divergence_predicate(scheme, policy, config),
-                        name=f"fuzz-s{seed}-{scheme}-{policy}",
-                    )
-                    path = save_regression(
-                        minimal, args.regress_dir, f"fuzz-s{seed}-{scheme}-{policy}"
-                    )
-                    log.info(
-                        "  shrunk %d -> %d requests: %s", len(trace), len(minimal), path
-                    )
-    wall = time.time() - start
-    print(
-        f"fuzz: {runs} differential runs, {len(divergences)} divergences "
-        f"({wall:.1f}s)"
-    )
-    return 1 if divergences else 0
 
 
 def _cmd_trace_gen(args: argparse.Namespace) -> int:
@@ -1231,8 +1125,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_run(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args)
     if args.command == "trace-gen":
         return _cmd_trace_gen(args)
     if args.command == "trace-info":

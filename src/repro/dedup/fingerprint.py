@@ -3,10 +3,12 @@
 In the real system a fingerprint is a SHA-1/SHA-256 digest of a 4 KB
 page.  Traces (both the FIU originals and our synthetic equivalents)
 carry one fingerprint per page, so inside the simulator a fingerprint is
-just an opaque integer content id — collision-free by construction, the
-same assumption the paper's trace replay makes.  ``fingerprint_bytes``
-hashes real buffers for the file-model example and for tests that
-round-trip actual data.
+just an opaque non-negative integer content id — collision-free by
+construction, the same assumption the paper's trace replay makes.
+:class:`repro.workloads.trace.Trace` rejects a negative one at
+construction, so the stores keep negative values as sentinels.
+``fingerprint_bytes`` hashes real buffers for the file-model example
+and for tests that round-trip actual data.
 
 :class:`PageFingerprints` is the columnar PPN -> fingerprint store every
 scheme carries (the "what content does this physical page hold" side
@@ -19,7 +21,6 @@ hands GC the whole victim block's fingerprints in one vectorized pass.
 from __future__ import annotations
 
 import hashlib
-import sys
 from array import array
 from typing import Iterator, List, Optional, Tuple
 
@@ -28,11 +29,9 @@ import numpy as np
 #: Type alias: a fingerprint is an opaque non-negative integer.
 Fingerprint = int
 
+#: Column sentinel for an unmapped page; no fingerprint is negative
+#: (:class:`repro.workloads.trace.Trace` rejects a negative one).
 _ABSENT = -1
-#: Column sentinel for "present but negative fp, see overflow dict".
-#: Negative fingerprints never come from traces (63-bit digests); the
-#: spill keeps hand-constructed values exact anyway.
-_NEGATIVE = -2
 
 
 def fingerprint_bytes(data: bytes) -> Fingerprint:
@@ -70,45 +69,35 @@ class PageFingerprints:
     so the store drops in for the old ``Dict[int, int]`` unchanged.
     """
 
-    __slots__ = ("_col", "_negative")
+    __slots__ = ("_col",)
 
     def __init__(self, physical_pages: int = 0) -> None:
         self._col = array("q", [_ABSENT]) * max(physical_pages, 16)
-        #: PPN -> negative fingerprint spill (normally always empty).
-        self._negative: dict = {}
 
     # -- dict protocol ---------------------------------------------------------
 
     def __getitem__(self, ppn: int) -> Fingerprint:
         if 0 <= ppn < len(self._col):
             fp = self._col[ppn]
-            if fp >= 0:
+            if fp != _ABSENT:
                 return fp
-            if fp == _NEGATIVE:
-                return self._negative[ppn]
         raise KeyError(ppn)
 
     def __setitem__(self, ppn: int, fp: Fingerprint) -> None:
         if ppn < 0:
             raise KeyError(f"negative ppn {ppn}")
+        if fp < 0:
+            raise ValueError(f"negative fingerprint {fp}")
         col = self._col
         if ppn >= len(col):
             col.extend(array("q", [_ABSENT]) * (max(ppn + 1, 2 * len(col)) - len(col)))
-        if fp >= 0:
-            if col[ppn] == _NEGATIVE:
-                del self._negative[ppn]
-            col[ppn] = fp
-        else:
-            col[ppn] = _NEGATIVE
-            self._negative[ppn] = fp
+        col[ppn] = fp
 
     def get(self, ppn: int, default: Optional[Fingerprint] = None):
         if 0 <= ppn < len(self._col):
             fp = self._col[ppn]
-            if fp >= 0:
+            if fp != _ABSENT:
                 return fp
-            if fp == _NEGATIVE:
-                return self._negative[ppn]
         return default
 
     def pop(self, ppn: int, default=KeyError):
@@ -116,7 +105,7 @@ class PageFingerprints:
             fp = self._col[ppn]
             if fp != _ABSENT:
                 self._col[ppn] = _ABSENT
-                return self._negative.pop(ppn) if fp == _NEGATIVE else fp
+                return fp
         if default is KeyError:
             raise KeyError(ppn)
         return default
@@ -149,8 +138,8 @@ class PageFingerprints:
         """The raw fingerprint column, for trusted hot-path writers.
 
         Direct indexing skips the dict-protocol dispatch on the per-page
-        program path; callers must only store non-negative fingerprints
-        at in-range PPNs (the trace-replay invariant).
+        program path; callers must only store in-range PPNs (trace
+        fingerprints are non-negative by the trace contract).
         """
         return self._col
 
@@ -165,16 +154,8 @@ class PageFingerprints:
         view = np.frombuffer(self._col, dtype=np.int64)
         out = view[ppns]  # fancy indexing copies; the view stays transient
         del view
-        if self._negative and (out == _NEGATIVE).any():
-            for i, ppn in enumerate(ppns.tolist()):
-                if out[i] == _NEGATIVE:
-                    out[i] = self._negative[ppn]
         return out
 
     def memory_bytes(self) -> int:
-        """Actual footprint: the column plus the (normally empty) spill."""
-        return (
-            len(self._col) * self._col.itemsize
-            + sys.getsizeof(self._negative)
-            + len(self._negative) * 104
-        )
+        """Actual footprint: the column at its allocated length."""
+        return len(self._col) * self._col.itemsize

@@ -12,11 +12,10 @@ fingerprint *is* a 63-bit digest prefix, see
 :mod:`repro.dedup.fingerprint`) and the canonical PPN — probed with a
 Fibonacci-scrambled linear scan.  16 bytes per slot at <=2/3 load
 instead of ~100+ bytes per dict slot of boxed ints.  The reverse
-direction is one flat PPN-indexed digest column.  Fingerprints the flat
-table cannot represent (negative values, which collide with the
-EMPTY/TOMBSTONE sentinels) spill into a collision-fallback dict pair —
-never exercised by trace replay (trace digests are non-negative by
-construction) but kept for API completeness.
+direction is one flat PPN-indexed digest column.  Fingerprints are
+non-negative (:class:`repro.workloads.trace.Trace` rejects a negative
+one), so negative keys serve as the EMPTY/TOMBSTONE sentinels and
+:meth:`FingerprintIndex.insert` rejects a negative fingerprint.
 
 Bulk operations: :meth:`FingerprintIndex.peek_many`,
 :meth:`~FingerprintIndex.insert_many` and
@@ -33,14 +32,13 @@ keep probing from where they stopped.  Small batches take the per-item
 loop, which is faster below ``_BULK_MIN`` items.
 
 ``memory_bytes()`` reports the *actual* footprint of all of this —
-columns at allocated capacity plus the fallback dicts — the figure a
-real FTL's DRAM budget would be judged on (and the number the paper's
-overhead table and the ``report`` subcommand surface).
+columns at allocated capacity — the figure a real FTL's DRAM budget
+would be judged on (and the number the paper's overhead table and the
+``report`` subcommand surface).
 """
 
 from __future__ import annotations
 
-import sys
 from array import array
 from typing import List, Optional, Tuple
 
@@ -64,10 +62,6 @@ _STEPS = np.arange(1, 17)
 #: fixed few dozen NumPy calls (~100 us on a 2-core x86 VM), which
 #: per-item calls at ~1-3 us each overtake only past ~64-96 items.
 _BULK_MIN = 96
-
-#: CPython dict per-entry cost (key + value + slot), used to price the
-#: fallback dicts honestly.
-_DICT_SLOT_BYTES = 104
 
 
 class IndexError_(RuntimeError):
@@ -197,8 +191,6 @@ class FingerprintIndex:
         "_used",
         "_filled",
         "_ppn_fp",
-        "_fallback",
-        "_fallback_ppn",
         "hits",
         "misses",
     )
@@ -212,14 +204,11 @@ class FingerprintIndex:
         self._filled = 0  # live entries + tombstones
         #: PPN -> digest prefix reverse column (-1 = not canonical).
         self._ppn_fp = _filled("q", _EMPTY, max(physical_pages, 16))
-        #: collision-fallback for digests the flat table cannot hold.
-        self._fallback: dict = {}
-        self._fallback_ppn: dict = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return self._used + len(self._fallback)
+        return self._used
 
     # -- probing ---------------------------------------------------------------
 
@@ -313,7 +302,7 @@ class FingerprintIndex:
     def peek(self, fp: Fingerprint) -> Optional[int]:
         """Like :meth:`lookup` but without touching the statistics."""
         if fp < 0:
-            return self._fallback.get(fp)
+            return None  # never indexed; a negative key is a sentinel
         keys = self._keys
         mask = self._mask
         slot = ((fp * _GOLD) & _MASK64) & mask
@@ -334,28 +323,20 @@ class FingerprintIndex:
         """
         fps = np.asarray(fps, dtype=np.int64)
         out = np.full(fps.size, -1, dtype=np.int64)
-        flat = np.flatnonzero(fps >= 0)
-        if flat.size < fps.size:  # collision-fallback fingerprints
-            get = self._fallback.get
-            neg = fps < 0
-            out[neg] = [get(fp, -1) for fp in fps[neg].tolist()]
+        flat = np.flatnonzero(fps >= 0)  # a negative key is never indexed
         slots = self._find_slots(fps[flat])
         found = slots >= 0
         out[flat[found]] = np.frombuffer(self._vals, dtype=np.int64)[slots[found]]
         return out
 
     def fp_of(self, ppn: int) -> Optional[Fingerprint]:
-        if ppn in self._fallback_ppn:
-            return self._fallback_ppn[ppn]
         if ppn < 0 or ppn >= len(self._ppn_fp):
             return None
         fp = self._ppn_fp[ppn]
         return None if fp == _EMPTY else fp
 
     def contains_ppn(self, ppn: int) -> bool:
-        if 0 <= ppn < len(self._ppn_fp) and self._ppn_fp[ppn] != _EMPTY:
-            return True
-        return ppn in self._fallback_ppn
+        return 0 <= ppn < len(self._ppn_fp) and self._ppn_fp[ppn] != _EMPTY
 
     @property
     def hit_ratio(self) -> float:
@@ -366,31 +347,26 @@ class FingerprintIndex:
         """Actual DRAM footprint of the index.
 
         Counts the flat columns at their allocated capacity (hash slots
-        are paid for whether occupied or not) plus the fallback dicts.
+        are paid for whether occupied or not).
         """
-        table = (
+        return (
             len(self._keys) * self._keys.itemsize
             + len(self._vals) * self._vals.itemsize
             + len(self._ppn_fp) * self._ppn_fp.itemsize
         )
-        fallback = sys.getsizeof(self._fallback) + sys.getsizeof(self._fallback_ppn)
-        fallback += (len(self._fallback) + len(self._fallback_ppn)) * _DICT_SLOT_BYTES
-        return table + fallback
 
     # -- mutations ---------------------------------------------------------------
 
     def insert(self, fp: Fingerprint, ppn: int) -> None:
         """Register ``ppn`` as the canonical page for ``fp``."""
+        if fp < 0:
+            raise IndexError_(f"negative fingerprint {fp}")
         if self.peek(fp) is not None:
             raise IndexError_(f"fingerprint {fp:#x} already indexed")
         if self.contains_ppn(ppn):
             raise IndexError_(f"ppn {ppn} already canonical for another fp")
         if ppn < 0:
             raise IndexError_(f"negative ppn {ppn}")
-        if fp < 0:
-            self._fallback[fp] = ppn
-            self._fallback_ppn[ppn] = fp
-            return
         self._maybe_grow()
         slot = self._insert_slot(fp)
         if self._keys[slot] == _EMPTY:
@@ -404,10 +380,6 @@ class FingerprintIndex:
 
     def remove_ppn(self, ppn: int) -> Optional[Fingerprint]:
         """Drop the entry whose canonical page is ``ppn`` (page died)."""
-        fp = self._fallback_ppn.pop(ppn, None)
-        if fp is not None:
-            del self._fallback[fp]
-            return fp
         if ppn < 0 or ppn >= len(self._ppn_fp):
             return None
         fp = self._ppn_fp[ppn]
@@ -432,14 +404,15 @@ class FingerprintIndex:
         fps = np.asarray(fps, dtype=np.int64)
         ppns = np.asarray(ppns, dtype=np.int64)
         n = fps.size
-        if n < _BULK_MIN or self._fallback or fps.min() < 0:
+        if n < _BULK_MIN:
             for fp, ppn in zip(fps.tolist(), ppns.tolist()):
                 self.insert(fp, ppn)
             return
-        # The first item a one-by-one loop rejects: its fp is indexed
-        # (before the batch or by an earlier item), its ppn is canonical
-        # (likewise), or its ppn is negative.
-        bad = self._find_slots(fps) >= 0
+        # The first item a one-by-one loop rejects: its fp is negative
+        # or indexed (before the batch or by an earlier item), its ppn
+        # is canonical (likewise), or its ppn is negative.
+        bad = fps < 0
+        bad[~bad] = self._find_slots(fps[~bad]) >= 0
         bad |= _repeats(fps)
         bad |= _repeats(ppns)
         bad |= ppns < 0
@@ -480,10 +453,6 @@ class FingerprintIndex:
         the entries before it are removed.
         """
         ppns = np.asarray(ppns, dtype=np.int64)
-        if self._fallback_ppn:  # negative fps live in the fallback dicts
-            for ppn in ppns.tolist():
-                self.remove_ppn(ppn)
-            return
         if not self._used:
             return  # nothing is canonical
         rev = np.frombuffer(self._ppn_fp, dtype=np.int64)
@@ -517,11 +486,6 @@ class FingerprintIndex:
             raise IndexError_(f"ppn {new_ppn} already canonical")
         if new_ppn < 0:
             raise IndexError_(f"negative ppn {new_ppn}")
-        if fp < 0:
-            del self._fallback_ppn[old_ppn]
-            self._fallback[fp] = new_ppn
-            self._fallback_ppn[new_ppn] = fp
-            return
         slot = self._slot_of(fp)
         if slot < 0:
             raise IndexError_(f"ppn {old_ppn} names fp {fp:#x}, which is not indexed")
@@ -535,9 +499,7 @@ class FingerprintIndex:
 
     def entries(self) -> List[Tuple[Fingerprint, int]]:
         """All (fp, canonical ppn) pairs (test/debug; copies)."""
-        out = [(fp, self._vals[i]) for i, fp in enumerate(self._keys) if fp >= 0]
-        out.extend(self._fallback.items())
-        return out
+        return [(fp, self._vals[i]) for i, fp in enumerate(self._keys) if fp >= 0]
 
     # -- invariants ----------------------------------------------------------------
 
@@ -558,11 +520,6 @@ class FingerprintIndex:
         for ppn, fp in self._ppn_fp_items():
             slot = self._slot_of(fp)
             if slot < 0 or self._vals[slot] != ppn:
-                raise AssertionError(f"asymmetric entry fp={fp:#x} ppn={ppn}")
-        if len(self._fallback) != len(self._fallback_ppn):
-            raise AssertionError("fp/ppn map sizes differ")
-        for fp, ppn in self._fallback.items():
-            if self._fallback_ppn.get(ppn) != fp:
                 raise AssertionError(f"asymmetric entry fp={fp:#x} ppn={ppn}")
 
     def _ppn_fp_items(self):

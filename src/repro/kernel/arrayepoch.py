@@ -54,8 +54,7 @@ Fallback stays reason-tagged at the same three granularities the
 single-device kernel established:
 
 * ``array-unmodelled`` — whole-array: a feature the epoch model does
-  not cover (preemptive lanes, heartbeat observers, streaming traces,
-  coordinated replays with negative fingerprints);
+  not cover (preemptive lanes, heartbeat observers, streaming traces);
 * ``array-coord-grant`` — per-request: a coordination grant boundary
   (the write whose deferral must actually reclaim) re-enters the
   reference scheme calls, composing like ``gc-trigger``; trims ride
@@ -362,13 +361,11 @@ def array_kernel_eligible(array, trace) -> Optional[str]:
     Every lane must pass the single-device
     :func:`repro.kernel.orchestrator.device_eligible` (blocking GC, no
     write buffer, bulk or inline-dedupe scheme) and the trace must be
-    sliceable; the array-only axes are heartbeat observers (they clock
-    per completion on the shared loop) and coordinated replays of
-    hand-built traces with negative fingerprints (they would interleave
-    per-request fallbacks with coordination decisions the planner cannot
-    predict).  An :class:`~repro.obs.metrics.ArrayMetrics` bundle is
-    supported — the lane folds feed it batch-exactly, so runner-cached
-    array runs stay kernel-eligible.
+    sliceable; the array-only axis is heartbeat observers (they clock
+    per completion on the shared loop).  An
+    :class:`~repro.obs.metrics.ArrayMetrics` bundle is supported — the
+    lane folds feed it batch-exactly, so runner-cached array runs stay
+    kernel-eligible.
     """
     if not all(device_eligible(lane) for lane in array.lanes):
         return FALLBACK_UNMODELLED
@@ -377,10 +374,6 @@ def array_kernel_eligible(array, trace) -> Optional[str]:
     times = getattr(trace, "times_us", None)
     if times is None or not hasattr(trace, "iter_chunks"):
         return FALLBACK_UNMODELLED  # streaming traces: no random access
-    if array.coordinator is not None:
-        fps = getattr(trace, "fps_flat", None)
-        if fps is not None and fps.size and bool((fps < 0).any()):
-            return FALLBACK_UNMODELLED
     return None
 
 

@@ -42,15 +42,10 @@ from repro.schemes.baseline import BaselineScheme
 from repro.schemes.inline_dedupe import InlineDedupeScheme
 
 _FP_ABSENT = -1
-_FP_NEGATIVE = -2
 _IDX_EMPTY = -1
 
 #: ``scheme.kernel_gc_stats`` keys: collection passes per path/reason.
-GC_STAT_KEYS = (
-    "batched",
-    "fallback[shared-or-canonical]",
-    "fallback[negative-fp]",
-)
+GC_STAT_KEYS = ("batched", "fallback[shared-or-canonical]")
 
 
 def install_fast_gc(scheme: FTLScheme, views: ColumnViews) -> bool:
@@ -119,27 +114,12 @@ def _collect_block_fast(
         if bool((ref_view[valid] != 1).any()):
             stats["fallback[shared-or-canonical]"] += 1
             return None
-        # An empty dedup index means no page anywhere is canonical, and
-        # an empty negative-fingerprint spill means no page carries one
-        # — two O(1) checks that skip the per-victim reverse/fingerprint
-        # gathers for the (always, in baseline) common case.
-        if len(scheme.index) != 0:
-            if bool(scheme.index._fallback_ppn) or bool(
-                (views.rev[valid] != _IDX_EMPTY).any()
-            ):
-                stats["fallback[shared-or-canonical]"] += 1
-                return None
-    else:
-        # Negative-fp canonicals live in the index's fallback dicts,
-        # invisible to the reverse column the scatters below move.
-        if scheme.index._fallback_ppn:
-            stats["fallback[negative-fp]"] += 1
+        # An empty dedup index means no page anywhere is canonical: an
+        # O(1) check that skips the per-victim reverse-column gather for
+        # the (always, in baseline) common case.
+        if len(scheme.index) != 0 and bool((views.rev[valid] != _IDX_EMPTY).any()):
+            stats["fallback[shared-or-canonical]"] += 1
             return None
-    if scheme.page_fp._negative and bool(
-        (views.fp[valid] == _FP_NEGATIVE).any()
-    ):
-        stats["fallback[negative-fp]"] += 1
-        return None
 
     region = scheme.allocator.region_of(victim)
     if region not in (Region.HOT, Region.COLD):

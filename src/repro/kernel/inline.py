@@ -55,7 +55,6 @@ from repro.schemes.base import FTLScheme
 
 _NO_PPN = -1
 _FP_ABSENT = -1
-_FP_NEGATIVE = -2
 _IDX_EMPTY = -1
 
 
@@ -380,11 +379,6 @@ def apply_inline_run(
         ref_view[dead_real] = 0
         solo_view[dead_real] = -1
         peak_view[dead_real] = 0
-        negative = scheme.page_fp._negative
-        if negative:  # hand-built negative fps: exact spill handling
-            fpd = fp_view[dead_real]
-            for ppn in dead_real[fpd == _FP_NEGATIVE].tolist():
-                negative.pop(ppn, None)
         fp_view[dead_real] = _FP_ABSENT
         index.remove_many(dead_real)  # no-op for non-canonical pages
         flash.page_state[dead_real] = PageState.INVALID

@@ -9,7 +9,7 @@ factors into *runs* of requests with no GC trigger between them:
 1. slice a chunk of raw trace columns (``Trace.iter_chunks`` /
    ``StreamingTrace.iter_chunks``; the chunk size comes from
    ``SSDConfig.kernel_chunk_requests``) and derive its
-   :class:`RunColumns` once: input checks, write page counts, elementwise
+   :class:`RunColumns` once: arrival check, write page counts, elementwise
    service durations, the write page prefix sum;
 2. plan the next run (:func:`plan_run`).  For bulk schemes every write
    programs all its pages, so the first GC-triggering write follows
@@ -39,14 +39,14 @@ are the run step the coordinated array lanes of
 the free-block floor that ends a run (the GC trigger here, the
 coordinator's reserve there) and in what they do between runs.
 
-Requests the batched kernels do not model (negative fingerprints in a
-chunk) drop to the same per-request reference path, so the fallback is
-row-granular, never a mid-run abort.  The ``kernel`` tracer track
+The trace contract (:class:`repro.workloads.trace.Trace` checks it at
+construction) leaves no request the batched kernels cannot model: the
+only per-request fallback is the GC-triggering write, so the fallback
+is row-granular, never a mid-run abort.  The ``kernel`` tracer track
 records one ``batch`` span per run and one ``fallback`` span per
 slow-path request (with host ``wall_us`` attribution and a ``reason``
-tag — ``gc-trigger`` or ``negative-fp``); the attached metrics count
-the same batches and per-reason fallbacks, and those counters feed the
-report rows.
+tag, ``gc-trigger``); the attached metrics count the same batches and
+per-reason fallbacks, and those counters feed the report rows.
 """
 
 from __future__ import annotations
@@ -130,28 +130,6 @@ def gc_trigger_ordinal(
     return int(np.searchsorted(prefix, limit, side="right"))
 
 
-def write_fps(
-    fps_flat: np.ndarray,
-    offsets: np.ndarray,
-    contiguous: bool,
-    i: int,
-    e: int,
-    wrows: np.ndarray,
-) -> np.ndarray:
-    """Concatenated fingerprints of the writes ``wrows`` in ``[i, e)``.
-
-    When no other row carries a fingerprint span (``contiguous``) that
-    is one slice of the flat column.
-    """
-    if contiguous:
-        return fps_flat[offsets[i] : offsets[e]]
-    if not wrows.size:
-        return fps_flat[:0]
-    return np.concatenate(
-        [fps_flat[offsets[j] : offsets[j + 1]] for j in wrows.tolist()]
-    )
-
-
 # ------------------------------------------------------------- run step
 
 
@@ -166,16 +144,17 @@ class RunColumns:
     """One chunk's request columns and what every run derives from them.
 
     Built once per chunk (a whole sub-trace for an array lane): the
-    arrival-order and opcode checks, write page counts (fingerprint
-    spans are authoritative), the elementwise service durations and the
-    write page prefix sum.  Write durations are state-independent for
+    arrival-order check (the chunk's :class:`~repro.workloads.trace.Trace`
+    already checked its opcodes and fingerprint spans), write page
+    counts (fingerprint spans are authoritative), the elementwise
+    service durations and the write page prefix sum.  Write durations are state-independent for
     bulk schemes; for inline-dedupe they depend on the per-request dedup
     miss count, so :func:`plan_run` scatters them in per run.
     """
 
     __slots__ = (
         "n", "times", "ops", "lpns", "npages", "offsets", "fps_flat",
-        "is_read", "is_trim", "is_row", "wn_all", "contiguous",
+        "is_read", "is_trim", "is_row", "wn_all",
         "durations", "write_positions", "wprefix",
     )
 
@@ -189,9 +168,6 @@ class RunColumns:
             raise SimulationError(
                 "cannot schedule into the past (trace arrivals not monotone)"
             )
-        if bool((ops > _OP_TRIM).any()):
-            bad = int(ops[ops > _OP_TRIM][0])
-            raise ValueError(f"unknown opcode {bad}")
         self.n = n
         self.times = times
         self.ops = ops
@@ -205,12 +181,9 @@ class RunColumns:
         self.is_trim = is_trim
         #: state-changing rows: writes and trims.
         self.is_row = is_write | is_trim
-        lengths = offsets[1:] - offsets[:-1]
-        wn_all = np.where(is_write, lengths, 0).astype(np.int64)
+        # Only writes carry fingerprint spans (the trace contract).
+        wn_all = np.diff(offsets)
         self.wn_all = wn_all
-        # Non-write rows with nonzero fingerprint spans would break the
-        # contiguous-slice fast path; gather the writes' spans instead.
-        self.contiguous = int(np.where(~is_write, lengths, 0).sum()) == 0
         slots = (npages.astype(np.int64) + (channels - 1)) // channels
         self.durations = np.where(
             is_write,
@@ -284,7 +257,9 @@ def plan_run(
     run.w = w = i + np.flatnonzero(cols.is_row[i:e])
     run.wt = wt = cols.is_trim[w]
     run.wn = wn = np.where(wt, cols.npages[w], cols.wn_all[w])
-    run.wfps = write_fps(cols.fps_flat, cols.offsets, cols.contiguous, i, e, w[~wt])
+    # Only writes carry fingerprint spans (the trace contract): the
+    # run's write fingerprints are one slice of the flat column.
+    run.wfps = cols.fps_flat[cols.offsets[i] : cols.offsets[e]]
     run.plan = None
     inline = not scheme.bulk_user_writes
     if inline:
@@ -465,24 +440,6 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
         offsets = cols.offsets
         fps_flat = cols.fps_flat
         last_time = float(times[-1])
-        # Slow-path chunk: negative fingerprints (never produced by
-        # traces; exactness over speed when hand-built rows carry them).
-        if fps_flat.size and bool((fps_flat < 0).any()):
-            for i in range(n):
-                op = int(cols.ops[i])
-                fview = (
-                    fps_flat[offsets[i] : offsets[i + 1]]
-                    if op == _OP_WRITE
-                    else None
-                )
-                t = _slow_request(
-                    ssd, float(times[i]), op, int(lpns[i]),
-                    int(cols.npages[i]), fview, t, tracer, "negative-fp",
-                )
-                fallback_requests += 1
-                served = True
-            continue
-
         i = 0
         while i < n:
             wall0 = time.perf_counter()
@@ -540,9 +497,9 @@ def _slow_request(
     tracer,
     reason: str,
 ) -> float:
-    """One request through :meth:`SSD._service` — the GC-triggering
-    writes and any request the batched kernels do not model — accounted
-    by :func:`commit_scalar`.  Returns the completion time."""
+    """One request through :meth:`SSD._service` — a GC-triggering
+    write — accounted by :func:`commit_scalar`.  Returns the completion
+    time."""
     wall0 = time.perf_counter()
     now = arrival if arrival > t_prev else t_prev
     ssd.sim.now = now  # _service and post-GC hooks read the start clock

@@ -48,7 +48,6 @@ from repro.schemes.base import FTLScheme
 
 _NO_PPN = -1
 _FP_ABSENT = -1
-_FP_NEGATIVE = -2
 
 
 def apply_write_run(
@@ -67,8 +66,7 @@ def apply_write_run(
     count is its fingerprint span (the authoritative write size in the
     reference path), a trim's is its extent.  ``fps`` is the
     concatenated fingerprint stream of the writes alone.  The caller
-    guarantees: bulk scheme, all fingerprints non-negative, no GC
-    trigger inside the run.
+    guarantees: bulk scheme, no GC trigger inside the run.
     """
     nreq = len(rlpns)
     mapping = scheme.mapping
@@ -221,11 +219,6 @@ def apply_write_run(
         solo_view[dying] = -1
         _bucket_invalidations(hist, np.maximum(peak_view[dying], 1))
         peak_view[dying] = 0
-        negative = scheme.page_fp._negative
-        if negative:  # hand-built negative fps: exact path
-            fpd = fp_view[dying]
-            for ppn in dying[fpd == _FP_NEGATIVE].tolist():
-                negative.pop(ppn, None)
         fp_view[dying] = _FP_ABSENT
         index.remove_many(dying)
         flash.page_state[dying] = PageState.INVALID

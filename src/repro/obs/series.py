@@ -76,7 +76,7 @@ class TimeSeriesRecorder:
         """Fix the column set: every plain counter and sampled gauge.
 
         Label-vec children are deliberately excluded — they can appear
-        lazily mid-run (e.g. the first ``negative-fp`` kernel fallback),
+        lazily mid-run (e.g. the first ``gc-trigger`` kernel fallback),
         which would tear the columnar layout; their finals live in the
         snapshot's values dict instead.
         """

@@ -53,7 +53,9 @@ class Divergence:
     #: failure could not be localized (device-replay mode).
     request_index: int
     #: ``state`` (snapshot mismatch), ``invariant`` (check_all failure),
-    #: or ``exception`` (the real stack crashed).
+    #: ``exception`` (the real stack crashed), ``metrics`` (attached
+    #: metrics aggregates differ between kernels) or ``telemetry`` (the
+    #: array's latency histograms differ between kernels).
     kind: str
     message: str
     scheme: str

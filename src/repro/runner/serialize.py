@@ -37,7 +37,8 @@ from repro.ftl.wear import WearStats
 #: v7: TRIMs ride kernel runs (no "trim" fallback reason; fewer batches).
 #: v8: kernel GC stats move from array results onto every run result.
 #: v9: channel-parallel runs carry a metrics snapshot too.
-SCHEMA_VERSION = 9
+#: v10: bulk-scheme kernel GC stats drop their negative-fingerprint key.
+SCHEMA_VERSION = 10
 
 
 class SchemaMismatchError(RuntimeError):

@@ -1,7 +1,7 @@
 """Workloads: request/trace containers, synthetic FIU-like generation."""
 
 from repro.workloads.request import IORequest, OpKind
-from repro.workloads.trace import Trace, TraceStats
+from repro.workloads.trace import Trace, TraceError, TraceStats
 from repro.workloads.synth import TraceSpec, generate_trace
 from repro.workloads.fiu import (
     FIU_PRESETS,
@@ -24,6 +24,7 @@ __all__ = [
     "IORequest",
     "OpKind",
     "Trace",
+    "TraceError",
     "TraceStats",
     "TraceSpec",
     "generate_trace",

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.workloads.fiu_format import iter_fiu_chunks, load_fiu_trace
 from repro.workloads.request import IORequest, OpKind
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, TraceError
 
 #: Default requests per streamed chunk: large enough to amortize the
 #: per-chunk array construction, small enough (~a few MB of columns)
@@ -122,19 +122,22 @@ def iter_csv_chunks(
         npages: List[int] = []
         fps: List[int] = []
         offsets: List[int] = [0]
-        emitted = False
+        emitted = 0  # requests in the chunks already yielded
 
         def take() -> Trace:
             nonlocal times, ops, lpns, npages, fps, offsets
-            chunk = Trace(
-                np.asarray(times, dtype=np.float64),
-                np.asarray(ops, dtype=np.uint8),
-                np.asarray(lpns, dtype=np.int64),
-                np.asarray(npages, dtype=np.int32),
-                np.asarray(fps, dtype=np.int64),
-                np.asarray(offsets, dtype=np.int64),
-                trace_name,
-            )
+            try:
+                chunk = Trace(
+                    np.asarray(times, dtype=np.float64),
+                    np.asarray(ops, dtype=np.uint8),
+                    np.asarray(lpns, dtype=np.int64),
+                    np.asarray(npages, dtype=np.int32),
+                    np.asarray(fps, dtype=np.int64),
+                    np.asarray(offsets, dtype=np.int64),
+                    trace_name,
+                )
+            except TraceError as exc:  # name the request by its file row
+                raise TraceError(emitted + exc.index, exc.field, exc.detail) from None
             times, ops, lpns, npages, fps, offsets = [], [], [], [], [], [0]
             return chunk
 
@@ -148,8 +151,8 @@ def iter_csv_chunks(
                 fps.extend(int(tok, 16) for tok in row[4].split("/"))
             offsets.append(len(fps))
             if len(times) >= chunk_size:
-                emitted = True
                 yield take()
+                emitted += chunk_size
         if times or not emitted:
             yield take()
 

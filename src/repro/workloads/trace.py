@@ -13,6 +13,15 @@ in and out on demand, so replaying a multi-million-request trace never
 materializes it in RAM.  :meth:`Trace.slice` and :meth:`Trace.iter_chunks`
 carve zero-copy windows out of the columns for chunked consumers (see
 :mod:`repro.workloads.stream` for the streaming dispatch layer).
+
+Every trace, however it is built, passes one column check in
+:class:`Trace`'s constructor: every op is a known :class:`OpKind`;
+``fp_offsets`` starts at 0, never decreases and ends at
+``len(fps_flat)``; only WRITE rows carry a non-empty fingerprint span;
+and every fingerprint is non-negative (an opaque content id, see
+:mod:`repro.dedup.fingerprint`).  A column that breaks it raises
+:class:`TraceError` naming the request and the field, so the replay
+layers below never see an out-of-contract request.
 """
 
 from __future__ import annotations
@@ -58,6 +67,65 @@ def _mmap_npz_member(path: Union[str, Path], info: zipfile.ZipInfo) -> np.ndarra
     return np.memmap(path, dtype=dtype, mode="r", offset=data_offset, shape=shape)
 
 
+class TraceError(ValueError):
+    """A trace column breaks the request contract at request ``index``."""
+
+    def __init__(self, index: int, field: str, detail: str) -> None:
+        super().__init__(f"request {index}: {field} {detail}")
+        self.index = index
+        self.field = field
+        self.detail = detail
+
+
+#: Requests per block of the column check: its temporaries stay this
+#: small however long a memory-mapped trace is.
+_CHECK_BLOCK = 1 << 16
+
+
+def _check_columns(
+    ops: np.ndarray, fps_flat: np.ndarray, fp_offsets: np.ndarray
+) -> None:
+    """Raise :class:`TraceError` unless the opcode and fingerprint
+    columns hold to the trace contract (see the module docs)."""
+    n = len(ops)
+    first, last = int(fp_offsets[0]), int(fp_offsets[n])
+    if first != 0:
+        raise TraceError(0, "fp_offsets", f"starts at {first}, not 0")
+    if last != len(fps_flat):
+        raise TraceError(
+            max(n - 1, 0), "fp_offsets",
+            f"ends at {last}, but fps_flat holds {len(fps_flat)} fingerprints",
+        )
+    write = int(OpKind.WRITE)
+    top = max(OpKind)
+    for lo in range(0, n, _CHECK_BLOCK):
+        hi = min(lo + _CHECK_BLOCK, n)
+        block_ops = np.asarray(ops[lo:hi])
+        if int(block_ops.max()) > top:
+            i = int(np.argmax(block_ops > top))
+            raise TraceError(lo + i, "ops", f"unknown opcode {int(block_ops[i])}")
+        offsets = np.asarray(fp_offsets[lo : hi + 1])
+        spans = np.diff(offsets)
+        if bool((spans < 0).any()):
+            i = int(np.argmax(spans < 0))
+            raise TraceError(lo + i, "fp_offsets", f"decreases by {-int(spans[i])}")
+        stray = (spans != 0) & (block_ops != write)
+        if bool(stray.any()):
+            i = int(np.argmax(stray))
+            raise TraceError(
+                lo + i, "fps_flat",
+                f"holds {int(spans[i])} fingerprints for a "
+                f"{OpKind(int(block_ops[i])).name} row",
+            )
+        fps = fps_flat[int(offsets[0]) : int(offsets[-1])]
+        if fps.size and int(fps.min()) < 0:
+            k = int(np.argmax(fps < 0))
+            i = int(np.searchsorted(offsets, offsets[0] + k, side="right")) - 1
+            raise TraceError(
+                lo + i, "fps_flat", f"holds negative fingerprint {int(fps[k])}"
+            )
+
+
 @dataclass(frozen=True)
 class TraceStats:
     """Aggregate characteristics, comparable against the paper's Table II."""
@@ -75,7 +143,11 @@ class TraceStats:
 
 
 class Trace:
-    """An ordered sequence of page-granular I/O requests."""
+    """An ordered sequence of page-granular I/O requests.
+
+    Raises :class:`TraceError` for columns that break the trace
+    contract (see the module docs).
+    """
 
     def __init__(
         self,
@@ -99,6 +171,7 @@ class Trace:
         self.fps_flat = np.asarray(fps_flat, dtype=np.int64)
         self.fp_offsets = np.asarray(fp_offsets, dtype=np.int64)
         self.name = name
+        _check_columns(self.ops, self.fps_flat, self.fp_offsets)
 
     def __len__(self) -> int:
         return len(self.times_us)

@@ -480,6 +480,16 @@ class TestSimulateRunsASpec:
         assert main(["simulate", *flags, "--array-devices", "2", "-q"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stream", [[], ["--stream"]])
+    def test_replay_of_a_malformed_trace_is_an_error(self, tmp_path, capsys, stream):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "time_us,op,lpn,npages,fingerprints\n0.0,1,0,1,a\n1.0,1,1,1,-3\n"
+        )
+        flags = ["--replay", str(path), "--blocks", "64", "--pages-per-block", "16"]
+        assert main(["simulate", *flags, *stream, "-q"]) == 2
+        assert "error: request 1: fps_flat holds negative" in capsys.readouterr().err
+
     def test_compare_runs_every_scheme(self, capsys):
         assert main(["compare", *_SMALL]) == 0
         out = capsys.readouterr().out

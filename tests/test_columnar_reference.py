@@ -152,6 +152,8 @@ class DictIndex:
         return sorted(self.fp_ppn.items())
 
     def insert(self, fp: int, ppn: int) -> None:
+        if fp < 0:
+            raise IndexError_("negative fingerprint")
         if fp in self.fp_ppn:
             raise IndexError_("already indexed")
         if ppn in self.ppn_fp:
@@ -177,7 +179,7 @@ class DictIndex:
 
 def _fp_pool(rng: random.Random, size: int):
     # A mix of small, huge (>= 2^62, stressing the Fibonacci-hash
-    # distribution), and negative fingerprints (the fallback-dict path).
+    # distribution), and negative fingerprints (both indexes reject them).
     pool = [rng.randrange(1 << 63) for _ in range(size)]
     pool += [(1 << 63) - 1 - i for i in range(4)]
     pool += [-rng.randrange(1, 1 << 62) for _ in range(4)]

@@ -60,6 +60,15 @@ class TestMutations:
         with pytest.raises(IndexError_):
             idx.insert(2, 10)
 
+    @pytest.mark.parametrize("fp", [-1, -2, -(1 << 62)])
+    def test_negative_fp_rejected(self, fp):
+        idx = FingerprintIndex()
+        with pytest.raises(IndexError_, match="negative fingerprint"):
+            idx.insert(fp, 10)
+        assert idx.peek(fp) is None  # a sentinel key never matches
+        assert idx.peek_many(np.array([fp])).tolist() == [-1]
+        assert len(idx) == 0 and not idx.contains_ppn(10)
+
     def test_remove_ppn(self):
         idx = FingerprintIndex()
         idx.insert(1, 10)
@@ -149,8 +158,7 @@ def _state(idx):
     """Everything a bulk op must leave exactly as the per-item loop."""
     return (
         bytes(idx._keys), bytes(idx._vals), bytes(idx._ppn_fp), idx._mask,
-        idx._used, idx._filled, dict(idx._fallback), dict(idx._fallback_ppn),
-        idx.hits, idx.misses,
+        idx._used, idx._filled, idx.hits, idx.misses,
     )
 
 
@@ -163,7 +171,8 @@ def _outcome(fn):
 
 
 #: Small pools make in-batch duplicates, probe collisions and repeated
-#: PPNs likely; a few huge and negative fps ride along.
+#: PPNs likely; a few huge fps ride along, and negative ones, which the
+#: bulk ops and the loops must reject identically.
 _FPS = st.one_of(
     st.integers(0, 40),
     st.integers(0, (1 << 63) - 1),
@@ -348,6 +357,7 @@ class TestBulkInsertEdges:
             ([1, 2, 3, 4], [10, 11, 10, 13], "already canonical", 2),  # in-batch
             ([1, 2, 3, 4], [10, 11, 50, 13], "already canonical", 2),  # ppn 50
             ([1, 2, 3, 4], [10, 11, -1, 13], "negative ppn", 2),
+            ([1, 2, -3, 4], [10, 11, 12, 13], "negative fingerprint", 2),
         ],
     )
     def test_error_after_prefix(self, fps, ppns, error, prefix):

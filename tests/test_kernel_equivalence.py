@@ -235,6 +235,21 @@ class TestCagcCollectOutcomes:
         assert stats == {"lean": 0, "fallback[traced-pipeline]": erased}
 
 
+@pytest.mark.parametrize("name", ["baseline", "inline-dedupe"])
+def test_plain_copy_collect_outcomes(name):
+    """The plain-copy collect counts only its batched path and the
+    shared-or-canonical gate; every baseline victim takes the batch."""
+    cfg = small_config(blocks=64, pages_per_block=16, kernel="vectorized")
+    trace = build_fiu_trace("homes", cfg, n_requests=0, fill_factor=3.0)
+    scheme = build_scheme(name, "greedy", cfg)
+    result = run_trace(scheme, trace)
+    stats = scheme.kernel_gc_stats
+    assert set(stats) == {"batched", "fallback[shared-or-canonical]"}
+    assert sum(stats.values()) == result.gc.blocks_erased > 0
+    if name == "baseline":
+        assert stats["batched"] == result.gc.blocks_erased
+
+
 class TestFallbackSeams:
     def test_unmapped_read_fallback(self):
         """Reads of never-written LPNs resolve zero pages on both

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.workloads import trace as trace_mod
 from repro.workloads.request import IORequest, OpKind
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, TraceError
 
 
 def make_requests():
@@ -157,3 +158,105 @@ class TestCSV:
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         trace.save_csv(path)
         assert list(Trace.load_csv(path).iter_requests()) == requests
+
+
+def _columns(fps, offsets, ops=(1, 0, 1)):
+    """Three-request columns with the given fingerprint column."""
+    n = len(ops)
+    return (
+        np.arange(n, dtype=np.float64),
+        np.asarray(ops, dtype=np.uint8),
+        np.zeros(n, dtype=np.int64),
+        np.ones(n, dtype=np.int32),
+        np.asarray(fps, dtype=np.int64),
+        np.asarray(offsets, dtype=np.int64),
+    )
+
+
+class TestTraceContract:
+    """Every constructor path rejects a malformed fingerprint column with
+    a TraceError naming the request and the field."""
+
+    @pytest.mark.parametrize(
+        "fps, offsets, index, field, detail",
+        [
+            ([5, -3], [0, 1, 1, 2], 2, "fps_flat", "negative fingerprint -3"),
+            ([5, 6], [1, 1, 1, 2], 0, "fp_offsets", "starts at 1"),
+            ([5, 6], [0, 1, 1, 1], 2, "fp_offsets", "ends at 1"),
+            ([5, 6, 7], [0, 2, 1, 3], 1, "fp_offsets", "decreases by 1"),
+            ([5, 6, 7], [0, 1, 2, 3], 1, "fps_flat", "for a READ row"),
+        ],
+    )
+    def test_raw_arrays(self, fps, offsets, index, field, detail):
+        with pytest.raises(TraceError, match=f"request {index}: {field}") as info:
+            Trace(*_columns(fps, offsets))
+        assert (info.value.index, info.value.field) == (index, field)
+        assert detail in info.value.detail
+        assert isinstance(info.value, ValueError)
+
+    def test_unknown_opcode(self):
+        with pytest.raises(TraceError, match="request 1: ops unknown opcode 3"):
+            Trace(*_columns([5, 6], [0, 1, 1, 2], ops=(1, 3, 1)))
+
+    def test_empty_and_fingerprintless_writes_pass(self):
+        Trace(*_columns([], [0], ops=()))
+        Trace(*_columns([], [0, 0, 0, 0]))
+
+    def test_negative_fp_past_a_check_block(self, monkeypatch):
+        monkeypatch.setattr(trace_mod, "_CHECK_BLOCK", 2)
+        ops = [1, 1, 2, 1, 1]
+        with pytest.raises(TraceError, match="request 4: fps_flat") as info:
+            Trace(*_columns([1, 2, 3, 4, 5, -9], [0, 2, 3, 3, 4, 6], ops=ops))
+        assert info.value.detail == "holds negative fingerprint -9"
+
+    def test_remapped_mail_trace_fails_at_construction(self):
+        from repro.config import small_config
+        from repro.workloads.fiu import build_fiu_trace
+
+        cfg = small_config(blocks=64, pages_per_block=16)
+        t = build_fiu_trace("mail", cfg, n_requests=1500)
+        for shift in (3, 130):
+            fps = t.fps_flat % 1000 - shift
+            with pytest.raises(TraceError, match="negative fingerprint"):
+                Trace(t.times_us, t.ops, t.lpns, t.npages, fps, t.fp_offsets)
+
+    def test_load_csv(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "time_us,op,lpn,npages,fingerprints\n0.0,1,0,1,a\n1.0,1,1,2,b/-3\n"
+        )
+        with pytest.raises(TraceError, match="request 1: fps_flat"):
+            Trace.load_csv(path)
+
+    def test_streamed_csv_chunk_names_the_file_row(self, tmp_path):
+        from repro.workloads.stream import iter_csv_chunks, open_trace
+
+        path = tmp_path / "bad.csv"
+        rows = [f"{i}.0,1,{i},1,{i + 1:x}" for i in range(5)] + ["5.0,1,5,1,-4"]
+        path.write_text("time_us,op,lpn,npages,fingerprints\n" + "\n".join(rows))
+        chunks = iter_csv_chunks(path, chunk_size=2)
+        assert len(next(chunks)) == 2 and len(next(chunks)) == 2
+        with pytest.raises(TraceError, match="request 5: fps_flat") as info:
+            next(chunks)
+        assert info.value.index == 5
+        with pytest.raises(TraceError, match="request 5"):
+            list(open_trace(path, stream=True, chunk_size=4).iter_chunks())
+
+    def test_load_npz_memory_mapped(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        fields = ("times_us", "ops", "lpns", "npages", "fps_flat", "fp_offsets")
+        np.savez(path, **dict(zip(fields, _columns([5, -3], [0, 1, 1, 2]))))
+        with pytest.raises(TraceError, match="request 2: fps_flat"):
+            Trace.load_npz(path)
+        good = tmp_path / "good.npz"
+        np.savez(good, **dict(zip(fields, _columns([5, 3], [0, 1, 1, 2]))))
+        assert isinstance(Trace.load_npz(good).fps_flat.base, np.memmap)
+
+    def test_multiplex_traces(self):
+        from repro.workloads.multiplex import multiplex_traces
+
+        a = Trace.from_requests(make_requests(), name="a")
+        b = Trace.from_requests(make_requests(), name="b")
+        b.fps_flat[2] = -1  # corrupted after construction
+        with pytest.raises(TraceError, match="fps_flat holds negative"):
+            multiplex_traces([a, b], devices=2, pages_per_device=64)
