@@ -61,8 +61,9 @@ from repro.runner import run_specs, sweep_specs
 from repro.runner.cache import ENV_NO_CACHE
 from repro.workloads.analysis import profile_trace, refcount_histogram
 from repro.workloads.fiu import FIU_PRESETS, build_fiu_trace
-from repro.workloads.fiu_format import dump_fiu_trace, load_fiu_trace
-from repro.workloads.trace import Trace
+from repro.workloads.fiu_format import dump_fiu_trace
+from repro.workloads.stream import open_trace
+from repro.workloads.trace import DEFAULT_CHUNK_SIZE
 
 SCHEME_NAMES = ("baseline", "inline-dedupe", "cagc", "lba-hotcold")
 
@@ -271,9 +272,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument(
         "--chunk-size",
         type=int,
-        default=65536,
+        default=DEFAULT_CHUNK_SIZE,
         metavar="REQUESTS",
-        help="requests per streamed chunk (with --stream; default 65536)",
+        help="requests per streamed chunk (with --stream; default %(default)s)",
     )
     sim_p.add_argument("--policy", default="greedy", choices=sorted(POLICIES))
     sim_p.add_argument("--blocks", type=int, default=256)
@@ -423,12 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for sub_parser in sub.choices.values():
         log.add_verbosity_args(sub_parser)
     return parser
-
-
-def _load_trace(path: str, fmt: Optional[str], stream: bool = False, chunk_size: int = 65536):
-    from repro.workloads.stream import open_trace
-
-    return open_trace(path, fmt=fmt, stream=stream, chunk_size=chunk_size)
 
 
 def _disable_cache() -> None:
@@ -616,7 +611,7 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
     if not Path(args.trace).exists():
         log.error("error: no such file: %s", args.trace)
         return 2
-    trace = _load_trace(args.trace, args.format)
+    trace = open_trace(args.trace, fmt=args.format)
     stats = trace.stats()
     profile = profile_trace(trace)
     rows = [
@@ -741,8 +736,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.replay is None:
             result = spec.execute(**observers)
         else:
-            trace = _load_trace(
-                args.replay, None, stream=args.stream, chunk_size=args.chunk_size
+            trace = open_trace(
+                args.replay, stream=args.stream, chunk_size=args.chunk_size
             )
             result = spec.replay(trace, **observers)
     except ValueError as exc:

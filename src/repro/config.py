@@ -169,17 +169,6 @@ class SSDConfig:
     kernel: str = field(
         default_factory=lambda: os.environ.get("REPRO_KERNEL", "vectorized")
     )
-    #: Request-chunk size of the vectorized replay orchestrator: how
-    #: many trace rows one batch slice covers.  Smaller chunks bound
-    #: the working set of the column slices (useful for constant-memory
-    #: streamed replays); larger chunks amortize the per-chunk numpy
-    #: setup.  Has no effect on results — chunk edges only change where
-    #: runs are *allowed* to split, never where they must.  The
-    #: ``REPRO_KERNEL_CHUNK`` environment variable overrides the
-    #: default for configs that do not set it explicitly.
-    kernel_chunk_requests: int = field(
-        default_factory=lambda: int(os.environ.get("REPRO_KERNEL_CHUNK", "65536"))
-    )
 
     @property
     def logical_pages(self) -> int:
@@ -205,8 +194,6 @@ class SSDConfig:
             raise ValueError("gc_mode must be 'blocking' or 'preemptive'")
         if self.kernel not in ("reference", "vectorized"):
             raise ValueError("kernel must be 'reference' or 'vectorized'")
-        if self.kernel_chunk_requests < 1:
-            raise ValueError("kernel_chunk_requests must be >= 1")
         if self.write_buffer_pages < 0:
             raise ValueError("write_buffer_pages must be >= 0")
         if self.write_buffer_dram_us < 0:

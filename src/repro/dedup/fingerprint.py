@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -44,18 +44,6 @@ def fingerprint_bytes(data: bytes) -> Fingerprint:
     """
     digest = hashlib.sha1(data).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def fingerprint_pages(data: bytes, page_size: int) -> List[Fingerprint]:
-    """Fingerprint a buffer page by page (one digest per ``page_size``
-    slice) — the batched form the GC hash engine models: all of a
-    victim's pages hashed in one pass."""
-    if page_size <= 0:
-        raise ValueError(f"page_size must be positive, got {page_size}")
-    return [
-        fingerprint_bytes(data[off : off + page_size])
-        for off in range(0, len(data), page_size)
-    ]
 
 
 class PageFingerprints:
@@ -155,7 +143,3 @@ class PageFingerprints:
         out = view[ppns]  # fancy indexing copies; the view stays transient
         del view
         return out
-
-    def memory_bytes(self) -> int:
-        """Actual footprint: the column at its allocated length."""
-        return len(self._col) * self._col.itemsize

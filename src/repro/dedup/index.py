@@ -33,8 +33,8 @@ loop, which is faster below ``_BULK_MIN`` items.
 
 ``memory_bytes()`` reports the *actual* footprint of all of this —
 columns at allocated capacity — the figure a real FTL's DRAM budget
-would be judged on (and the number the paper's overhead table and the
-``report`` subcommand surface).
+would be judged on.  No report prints it; an accounting test checks it
+against the columns.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ standalone trace analyzer keys it by fingerprint.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, List, MutableMapping, Tuple
@@ -124,9 +123,6 @@ class PeakStore:
         """The raw column for trusted hot-path writers (bulk program
         loop); callers must only store peaks >= 1 at in-range keys."""
         return self._col
-
-    def memory_bytes(self) -> int:
-        return len(self._col) * self._col.itemsize + sys.getsizeof(self)
 
 
 @dataclass

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple
 
 import numpy as np
@@ -152,17 +153,18 @@ class SSD:
     def replay(self, trace: Trace) -> RunResult:
         """Replay ``trace`` to completion and summarize the run.
 
-        ``trace`` is anything with ``iter_rows()`` and ``name`` — a
-        materialized :class:`Trace`, a memory-mapped npz trace, or a
-        :class:`repro.workloads.stream.StreamingTrace`; the replay loop
-        is single-pass either way.
+        ``trace`` is a trace source: ``name`` plus a restartable
+        ``iter_chunks()`` of :class:`Trace` chunks — a materialized
+        :class:`Trace`, or a :class:`repro.workloads.stream.StreamingTrace`
+        over a file; the replay is single-pass, one chunk at a time,
+        either way.
 
         With ``config.kernel = "vectorized"`` the replay runs through
         the batched kernels in :mod:`repro.kernel` instead of the event
-        engine — bit-identical results, one pass per chunk.  Features
+        engine — bit-identical results, one pass per chunk.  Devices
         the kernels do not model (preemptive GC, write buffers,
-        per-page-hashing schemes, per-channel queues) fall back to the
-        reference loop below.
+        per-channel queues, per-page-hashing schemes) take the
+        reference loop below, which reads the chunks row by row.
         """
         if self.heartbeat is not None:
             try:
@@ -170,11 +172,13 @@ class SSD:
             except TypeError:
                 pass  # streaming traces have no known length (no ETA)
         if self.scheme.config.kernel == "vectorized":
-            from repro.kernel import kernel_eligible, replay_vectorized
+            from repro.kernel import device_eligible, replay_vectorized
 
-            if kernel_eligible(self, trace):
+            if device_eligible(self):
                 return replay_vectorized(self, trace)
-        self._rows = trace.iter_rows()
+        self._rows = chain.from_iterable(
+            chunk.iter_rows() for chunk in trace.iter_chunks()
+        )
         self._schedule_next_arrival()
         self.sim.run()
         if self.buffer is not None:

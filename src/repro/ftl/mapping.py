@@ -316,19 +316,3 @@ class MappingTable:
         view = np.frombuffer(fwd, dtype=np.int64)
         if int(np.count_nonzero(view != _NO_PPN)) != self._len:
             raise AssertionError("forward column cardinality mismatch")
-
-    # -- introspection -------------------------------------------------------------
-
-    def memory_bytes(self) -> int:
-        """Actual DRAM footprint of the columnar state (arrays + overflow)."""
-        import sys
-
-        overflow = sys.getsizeof(self._shared) + sum(
-            sys.getsizeof(s) + len(s) * 28 for s in self._shared.values()
-        )
-        return (
-            len(self._fwd) * self._fwd.itemsize
-            + len(self._ref) * self._ref.itemsize
-            + len(self._solo) * self._solo.itemsize
-            + overflow
-        )

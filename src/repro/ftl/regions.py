@@ -39,11 +39,6 @@ class RegionStats:
         written = self.valid_pages + self.invalid_pages
         return self.invalid_pages / written if written else 0.0
 
-    @property
-    def valid_density(self) -> float:
-        written = self.valid_pages + self.invalid_pages
-        return self.valid_pages / written if written else 0.0
-
 
 def region_stats(scheme) -> Dict[str, RegionStats]:
     """Compute :class:`RegionStats` for every region of a scheme's FTL."""

@@ -28,11 +28,11 @@ The kernel/orchestrator split behind ``config.kernel = "vectorized"``:
 
 Every path is bit-identical to ``kernel = "reference"`` — the
 differential oracle diffs the two continuously (the
-``kernel-equivalence`` fuzz profile).  The replay chunk size comes from
-``SSDConfig.kernel_chunk_requests`` (``REPRO_KERNEL_CHUNK`` env
-override).
+``kernel-equivalence`` fuzz profile).  :func:`device_eligible` says
+whether a device takes the batched path; the replay reads the trace
+source's ``iter_chunks()``, so the source owns the chunk size.
 """
 
-from repro.kernel.orchestrator import kernel_eligible, replay_vectorized
+from repro.kernel.orchestrator import device_eligible, replay_vectorized
 
-__all__ = ["kernel_eligible", "replay_vectorized"]
+__all__ = ["device_eligible", "replay_vectorized"]

@@ -116,54 +116,12 @@ ARRAY_FALLBACK_REASONS = (
 # --------------------------------------------------------------- splitter
 
 
-def split_epoch_streams(router, trace) -> List[Tuple[object, np.ndarray, np.ndarray]]:
-    """Split ``trace`` per device, keeping the merged-stream positions.
-
-    Returns one ``(sub_trace, tenant_ids, merged_indices)`` triple per
-    device.  ``merged_indices[k]`` is the position in the merged trace
-    of the sub-trace's ``k``-th request — ascending per device (the
-    router preserves relative order), and the index arrays partition
-    ``arange(len(trace))`` exactly (every request lands on exactly one
-    device).  The Hypothesis suite pins both properties.
-    """
-    subs = router.split(trace)
-    if len(trace):
-        device_ids = trace.lpns // router.pages_per_device
-    else:
-        device_ids = np.zeros(0, dtype=np.int64)
-    out = []
-    for device, (sub, tenants) in enumerate(subs):
-        idx = np.nonzero(device_ids == device)[0]
-        out.append((sub, tenants, idx))
-    return out
-
-
-def merge_completions(
-    per_device_completions: List[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Stable merge of per-device completion columns.
-
-    Returns ``(times, devices)`` ordered by completion time with ties
-    broken by device index then per-device order — the order the
-    shared event heap would drain same-time completions scheduled in
-    lane order.  Stability is what makes epoch barriers safe: merging
-    each side of any barrier time separately and concatenating equals
-    filtering the full merge, so barriers can never reorder
-    cross-device completions (the property suite pins this).
-    """
-    if not per_device_completions:
-        return np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int64)
-    times = np.concatenate(
-        [np.asarray(c, dtype=np.float64) for c in per_device_completions]
-    )
-    devices = np.concatenate(
-        [
-            np.full(len(c), d, dtype=np.int64)
-            for d, c in enumerate(per_device_completions)
-        ]
-    )
-    order = np.argsort(times, kind="stable")
-    return times[order], devices[order]
+def split_epoch_streams(router, trace) -> List[Tuple[object, np.ndarray]]:
+    """Split ``trace`` per device: one ``(sub_trace, tenant_ids)`` pair
+    per device, each in merged-trace order (the router preserves
+    relative order, and every request lands on exactly one device; the
+    Hypothesis suite pins both)."""
+    return router.split(trace)
 
 
 # ---------------------------------------------------------- NCQ counters
@@ -360,8 +318,9 @@ def array_kernel_eligible(array, trace) -> Optional[str]:
 
     Every lane must pass the single-device
     :func:`repro.kernel.orchestrator.device_eligible` (blocking GC, no
-    write buffer, bulk or inline-dedupe scheme) and the trace must be
-    sliceable; the array-only axis is heartbeat observers (they clock
+    write buffer, bulk or inline-dedupe scheme) and the trace must be a
+    :class:`~repro.workloads.trace.Trace` (random access to its
+    columns); the array-only axis is heartbeat observers (they clock
     per completion on the shared loop).  An
     :class:`~repro.obs.metrics.ArrayMetrics` bundle is supported — the
     lane folds feed it batch-exactly, so runner-cached array runs stay
@@ -371,8 +330,7 @@ def array_kernel_eligible(array, trace) -> Optional[str]:
         return FALLBACK_UNMODELLED
     if array.heartbeat is not None:
         return FALLBACK_UNMODELLED
-    times = getattr(trace, "times_us", None)
-    if times is None or not hasattr(trace, "iter_chunks"):
+    if getattr(trace, "times_us", None) is None:
         return FALLBACK_UNMODELLED  # streaming traces: no random access
     return None
 
@@ -410,7 +368,7 @@ def _replay_independent(array, subs) -> None:
     clock; the shared clock only has to end at the latest lane.
     """
     sim = array.sim
-    for lane, (sub, tenants, _idx) in zip(array.lanes, subs):
+    for lane, (sub, tenants) in zip(array.lanes, subs):
         fold = _LaneFold(
             array.telemetry, lane.index, tenants, len(sub), array.metrics
         )
@@ -487,7 +445,7 @@ class _EpochRunner:
         self.sim = array.sim
         self.tracer = array.tracer
         self.states: List[_LaneState] = []
-        for lane, (sub, tenants, _idx) in zip(array.lanes, subs):
+        for lane, (sub, tenants) in zip(array.lanes, subs):
             state = _LaneState(
                 lane, sub, tenants, array.telemetry, array.metrics
             )
@@ -803,7 +761,6 @@ __all__ = [
     "FALLBACK_NCQ_STALL",
     "FALLBACK_UNMODELLED",
     "array_kernel_eligible",
-    "merge_completions",
     "ncq_occupancy",
     "replay_array_vectorized",
     "split_epoch_streams",

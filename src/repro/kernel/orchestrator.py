@@ -6,11 +6,12 @@ makes request timing a pure recurrence — ``completion_i =
 max(arrival_i, completion_{i-1}) + duration_i`` — and the replay
 factors into *runs* of requests with no GC trigger between them:
 
-1. slice a chunk of raw trace columns (``Trace.iter_chunks`` /
-   ``StreamingTrace.iter_chunks``; the chunk size comes from
-   ``SSDConfig.kernel_chunk_requests``) and derive its
-   :class:`RunColumns` once: arrival check, write page counts, elementwise
-   service durations, the write page prefix sum;
+1. take the next chunk of raw trace columns from the trace source's
+   ``iter_chunks()`` (a :class:`~repro.workloads.trace.Trace` or a
+   :class:`~repro.workloads.stream.StreamingTrace`; the source owns
+   its chunk size) and derive its :class:`RunColumns` once: arrival
+   check, write page counts, elementwise service durations, the write
+   page prefix sum;
 2. plan the next run (:func:`plan_run`).  For bulk schemes every write
    programs all its pages, so the first GC-triggering write follows
    from the allocator state alone (one binary search over the chunk's
@@ -383,7 +384,11 @@ def device_eligible(ssd: SSD) -> bool:
     One FIFO server (not the per-channel :class:`ParallelSSD`),
     blocking foreground GC, no DRAM write buffer, and either a
     bulk-write scheme or the inline-dedupe scheme (whose foreground
-    hash/lookup path has its own plan/apply kernel).
+    hash/lookup path has its own plan/apply kernel).  Post-GC hooks,
+    tracers, metrics and heartbeats are supported — metrics fold
+    per-batch with exact histogram counts, series samples clock at
+    batch boundaries.  Any other device silently takes the reference
+    event loop under the same ``FTLScheme`` interface.
     """
     scheme = ssd.scheme
     return (
@@ -393,19 +398,6 @@ def device_eligible(ssd: SSD) -> bool:
         and ssd.buffer is None
         and (scheme.bulk_user_writes or type(scheme) is InlineDedupeScheme)
     )
-
-
-def kernel_eligible(ssd: SSD, trace) -> bool:
-    """Can this (device, trace) pair take the vectorized path?
-
-    The device must pass :func:`device_eligible` and the trace must
-    slice into chunks.  Post-GC hooks, tracers, metrics and heartbeats
-    are supported — metrics fold per-batch with exact histogram counts,
-    series samples clock at batch boundaries.  Anything else silently
-    takes the reference event loop under the same ``FTLScheme``
-    interface.
-    """
-    return device_eligible(ssd) and hasattr(trace, "iter_chunks")
 
 
 def replay_vectorized(ssd: SSD, trace) -> RunResult:
@@ -419,18 +411,13 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
     metrics = ssd.metrics
     heartbeat = ssd.heartbeat
 
-    try:
-        chunks = trace.iter_chunks(scheme.config.kernel_chunk_requests)
-    except TypeError:
-        chunks = trace.iter_chunks()  # streaming traces fix their own size
-
     t = 0.0  # completion time of the previous request
     served = False  # at least one request completed (sim clock moved)
     last_time = 0.0
     fallback_requests = 0
     window = _WINDOW_MAX
 
-    for chunk in chunks:
+    for chunk in trace.iter_chunks():
         if len(chunk) == 0:
             continue
         cols = RunColumns(chunk, timing, channels, last_time)

@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, List, Optional, TextIO, Union
 import numpy as np
 
 from repro.workloads.request import OpKind
-from repro.workloads.trace import Trace
+from repro.workloads.trace import DEFAULT_CHUNK_SIZE, Trace, concat_traces
 
 
 class FIUFormatError(ValueError):
@@ -95,9 +95,9 @@ def iter_fiu_records(lines: Iterable[str]) -> Iterator[FIURecord]:
 class _RequestBuilder:
     """Accumulates coalesced FIU request rows into Trace columns.
 
-    Shared by the one-shot loader and the streaming chunk reader so both
-    produce byte-identical requests: the coalescing rule and the
-    timestamp rebase arithmetic live here exactly once.
+    The coalescing rule and the timestamp rebase arithmetic live here
+    exactly once, and the open group and the rebase base carry across
+    the chunks :func:`iter_fiu_chunks` takes out of it.
     """
 
     def __init__(self, coalesce: bool) -> None:
@@ -182,36 +182,27 @@ def load_fiu_trace(
     """Load an FIU IODedup trace file into a :class:`Trace`.
 
     ``source`` may be a path or an open text stream.  Timestamps are
-    rebased so the trace starts at t=0.
+    rebased so the trace starts at t=0.  The trace is the chunks of
+    :func:`iter_fiu_chunks` joined by :func:`concat_traces`.
     """
-    if isinstance(source, (str, Path)):
-        trace_name = name or Path(source).stem
-        with open(source) as fh:
-            return _load_all(fh, trace_name, coalesce)
-    return _load_all(source, name or "fiu", coalesce)
-
-
-def _load_all(lines: Iterable[str], trace_name: str, coalesce: bool) -> Trace:
-    builder = _RequestBuilder(coalesce)
-    for record in iter_fiu_records(lines):
-        builder.push(record)
-    builder.finish()
-    return builder.take_trace(trace_name)
+    chunks = list(iter_fiu_chunks(source, name=name, coalesce=coalesce))
+    return concat_traces(chunks, chunks[0].name)
 
 
 def iter_fiu_chunks(
     source: Union[str, Path, TextIO],
-    chunk_size: int = 65536,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
     name: Optional[str] = None,
     coalesce: bool = True,
 ) -> Iterator[Trace]:
     """Stream an FIU trace file as :class:`Trace` chunks of
     ``chunk_size`` requests, at memory proportional to one chunk.
 
-    Concatenating the chunks reproduces :func:`load_fiu_trace` exactly:
-    the coalescing group that is still open when a chunk fills carries
-    over into the next chunk (a multi-record request is never split),
-    and timestamps stay rebased to the whole trace's first record.
+    Always yields at least one (possibly empty) chunk.  The coalescing
+    group that is still open when a chunk fills carries over into the
+    next chunk (a multi-record request is never split), and timestamps
+    stay rebased to the whole trace's first record, so the chunks
+    concatenate to the same trace whatever the chunk size.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")

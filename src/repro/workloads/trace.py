@@ -11,8 +11,14 @@ uncompressed ``.npz`` (:meth:`Trace.save_npz`) that loads back as
 memory-mapped views (:meth:`Trace.load_npz`): the OS pages column data
 in and out on demand, so replaying a multi-million-request trace never
 materializes it in RAM.  :meth:`Trace.slice` and :meth:`Trace.iter_chunks`
-carve zero-copy windows out of the columns for chunked consumers (see
-:mod:`repro.workloads.stream` for the streaming dispatch layer).
+carve zero-copy windows out of the columns for chunked consumers.
+
+Every trace source — a :class:`Trace`, or a
+:class:`repro.workloads.stream.StreamingTrace` over a file — is ``name``
+plus a restartable, argument-free ``iter_chunks()``; the replay loops
+consume nothing else.  The CSV reader (:func:`iter_csv_chunks`) lives
+here beside :meth:`Trace.save_csv`, and :meth:`Trace.load_csv` is its
+chunks joined by :func:`concat_traces`.
 
 Every trace, however it is built, passes one column check in
 :class:`Trace`'s constructor: every op is a known :class:`OpKind`;
@@ -36,6 +42,11 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.workloads.request import IORequest, OpKind
+
+#: Requests per chunk of every chunked trace source: large enough to
+#: amortize the per-chunk array construction, small enough (~a few MB
+#: of columns) to keep memory flat.
+DEFAULT_CHUNK_SIZE = 65536
 
 
 def _mmap_npz_member(path: Union[str, Path], info: zipfile.ZipInfo) -> np.ndarray:
@@ -219,18 +230,8 @@ class Trace:
             page_fps = fps[offsets[i] : offsets[i + 1]] if op == write else None
             yield (float(times[i]), op, int(lpns[i]), int(npages[i]), page_fps)
 
-    def iter_requests(self, chunk_size: Optional[int] = None) -> Iterator[IORequest]:
-        """Yield :class:`IORequest` objects (convenience API).
-
-        ``chunk_size`` bounds how much of the backing columns is touched
-        at a time: with memory-mapped columns the OS can reclaim each
-        chunk's pages once iteration moves past it.  Materialized traces
-        yield identical requests either way.
-        """
-        if chunk_size is not None:
-            for chunk in self.iter_chunks(chunk_size):
-                yield from chunk.iter_requests()
-            return
+    def iter_requests(self) -> Iterator[IORequest]:
+        """Yield :class:`IORequest` objects (convenience API)."""
         for time_us, op, lpn, npages, page_fps in self.iter_rows():
             yield IORequest(
                 time_us=time_us,
@@ -267,7 +268,7 @@ class Trace:
             self.name,
         )
 
-    def iter_chunks(self, chunk_size: int = 65536) -> Iterator["Trace"]:
+    def iter_chunks(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator["Trace"]:
         """Yield the trace as consecutive :meth:`slice` windows."""
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
@@ -332,35 +333,8 @@ class Trace:
     @classmethod
     def load_csv(cls, path: Union[str, Path], name: Optional[str] = None) -> "Trace":
         """Load a trace written by :meth:`save_csv`."""
-        times: List[float] = []
-        ops: List[int] = []
-        lpns: List[int] = []
-        npages: List[int] = []
-        fps: List[int] = []
-        offsets: List[int] = [0]
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != cls.CSV_HEADER:
-                raise ValueError(f"unrecognized trace CSV header: {header}")
-            for row in reader:
-                times.append(float(row[0]))
-                op = int(row[1])
-                ops.append(op)
-                lpns.append(int(row[2]))
-                npages.append(int(row[3]))
-                if op == int(OpKind.WRITE):
-                    fps.extend(int(tok, 16) for tok in row[4].split("/"))
-                offsets.append(len(fps))
-        return cls(
-            np.asarray(times),
-            np.asarray(ops, dtype=np.uint8),
-            np.asarray(lpns, dtype=np.int64),
-            np.asarray(npages, dtype=np.int32),
-            np.asarray(fps, dtype=np.int64),
-            np.asarray(offsets, dtype=np.int64),
-            name or Path(path).stem,
-        )
+        chunks = list(iter_csv_chunks(path, name=name))
+        return concat_traces(chunks, chunks[0].name)
 
     _NPZ_FIELDS = ("times_us", "ops", "lpns", "npages", "fps_flat", "fp_offsets")
 
@@ -400,3 +374,93 @@ class Trace:
                     with zf.open(member) as fh:
                         columns[field] = np.lib.format.read_array(fh)
         return cls(name=name or Path(path).stem.replace(".npz", ""), **columns)
+
+
+def concat_traces(chunks: List[Trace], name: str) -> Trace:
+    """Concatenate trace chunks (rebasing fingerprint offsets)."""
+    if not chunks:
+        return Trace(
+            np.empty(0),
+            np.empty(0, dtype=np.uint8),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int32),
+            np.empty(0, dtype=np.int64),
+            np.zeros(1, dtype=np.int64),
+            name,
+        )
+    offsets = [chunks[0].fp_offsets]
+    base = int(chunks[0].fp_offsets[-1])
+    for chunk in chunks[1:]:
+        offsets.append(chunk.fp_offsets[1:] + base)
+        base += int(chunk.fp_offsets[-1])
+    return Trace(
+        np.concatenate([c.times_us for c in chunks]),
+        np.concatenate([c.ops for c in chunks]),
+        np.concatenate([c.lpns for c in chunks]),
+        np.concatenate([c.npages for c in chunks]),
+        np.concatenate([c.fps_flat for c in chunks]),
+        np.concatenate(offsets),
+        name,
+    )
+
+
+def iter_csv_chunks(
+    path: Union[str, Path],
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    name: Optional[str] = None,
+) -> Iterator[Trace]:
+    """Read a :meth:`Trace.save_csv` file as chunks of ``chunk_size``
+    requests, at memory proportional to one chunk.
+
+    Always yields at least one (possibly empty) chunk.  A row that
+    breaks the trace contract raises :class:`TraceError` naming the
+    request by its position in the file, whatever the chunk size.
+    """
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    trace_name = name or Path(path).stem
+    write = int(OpKind.WRITE)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != Trace.CSV_HEADER:
+            raise ValueError(f"unrecognized trace CSV header: {header}")
+        times: List[float] = []
+        ops: List[int] = []
+        lpns: List[int] = []
+        npages: List[int] = []
+        fps: List[int] = []
+        offsets: List[int] = [0]
+        emitted = 0  # requests in the chunks already yielded
+
+        def take() -> Trace:
+            nonlocal times, ops, lpns, npages, fps, offsets
+            try:
+                chunk = Trace(
+                    np.asarray(times, dtype=np.float64),
+                    np.asarray(ops, dtype=np.uint8),
+                    np.asarray(lpns, dtype=np.int64),
+                    np.asarray(npages, dtype=np.int32),
+                    np.asarray(fps, dtype=np.int64),
+                    np.asarray(offsets, dtype=np.int64),
+                    trace_name,
+                )
+            except TraceError as exc:  # name the request by its file row
+                raise TraceError(emitted + exc.index, exc.field, exc.detail) from None
+            times, ops, lpns, npages, fps, offsets = [], [], [], [], [], [0]
+            return chunk
+
+        for row in reader:
+            times.append(float(row[0]))
+            op = int(row[1])
+            ops.append(op)
+            lpns.append(int(row[2]))
+            npages.append(int(row[3]))
+            if op == write:
+                fps.extend(int(tok, 16) for tok in row[4].split("/"))
+            offsets.append(len(fps))
+            if len(times) >= chunk_size:
+                yield take()
+                emitted += chunk_size
+        if times or not emitted:
+            yield take()

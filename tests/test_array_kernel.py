@@ -33,11 +33,7 @@ from repro.array.coord import StaggeredCoordinator, TokenCoordinator
 from repro.array.router import RangeRouter
 from repro.config import small_config
 from repro.experiments.array_tail import array_tail_specs
-from repro.kernel.arrayepoch import (
-    merge_completions,
-    ncq_occupancy,
-    split_epoch_streams,
-)
+from repro.kernel.arrayepoch import ncq_occupancy, split_epoch_streams
 from repro.oracle.diff import build_scheme
 from repro.workloads.fiu import build_fiu_trace
 from repro.workloads.multiplex import multiplex_traces
@@ -100,13 +96,12 @@ def array_traces(draw):
     return router, Trace(times, ops, lpns, npages, fps, offsets, name="hyp")
 
 
-completion_columns = st.lists(
-    st.lists(st.floats(0.0, 100.0, allow_nan=False), max_size=20).map(sorted),
-    max_size=4,
-)
-
-
 # ------------------------------------------------------- property suite
+
+
+def _merged_positions(router, trace, device):
+    """Positions in the merged trace of ``device``'s requests."""
+    return np.nonzero(trace.lpns // router.pages_per_device == device)[0]
 
 
 class TestSplitterProperties:
@@ -116,22 +111,23 @@ class TestSplitterProperties:
         router, trace = rt
         splits = split_epoch_streams(router, trace)
         assert len(splits) == router.devices
-        all_idx = np.concatenate(
-            [idx for _, _, idx in splits]
-        ) if splits else np.zeros(0, dtype=np.int64)
-        # Every merged position lands on exactly one device...
-        assert sorted(all_idx.tolist()) == list(range(len(trace)))
-        for device, (_, _, idx) in enumerate(splits):
-            # ...its home device...
-            assert np.all(trace.lpns[idx] // router.pages_per_device == device)
-            # ...and per-device order is the merged order (stable).
-            assert np.all(np.diff(idx) > 0) or idx.size <= 1
+        # Every merged position lands on exactly one device, in merged
+        # order (the split is stable)...
+        assert sum(len(sub) for sub, _ in splits) == len(trace)
+        for device, (sub, _) in enumerate(splits):
+            idx = _merged_positions(router, trace, device)
+            assert len(sub) == idx.size
+            # ...its home device.
+            assert np.array_equal(
+                sub.lpns, trace.lpns[idx] - device * router.pages_per_device
+            )
 
     @settings(deadline=None, max_examples=60)
     @given(array_traces())
     def test_split_preserves_rows(self, rt):
         router, trace = rt
-        for device, (sub, _, idx) in enumerate(split_epoch_streams(router, trace)):
+        for device, (sub, _) in enumerate(split_epoch_streams(router, trace)):
+            idx = _merged_positions(router, trace, device)
             assert np.array_equal(sub.times_us, trace.times_us[idx])
             assert np.array_equal(sub.ops, trace.ops[idx])
             assert np.array_equal(sub.npages, trace.npages[idx])
@@ -146,34 +142,6 @@ class TestSplitterProperties:
                         trace.fp_offsets[j] : trace.fp_offsets[j + 1]
                     ],
                 )
-
-    @settings(deadline=None, max_examples=80)
-    @given(completion_columns, st.floats(0.0, 100.0, allow_nan=False))
-    def test_barriers_never_reorder_completions(self, columns, barrier):
-        """Merging each side of an arbitrary epoch barrier separately
-        and concatenating equals the one-shot merge — the invariant
-        that makes epoch-at-a-time replay order-safe."""
-        cols = [np.asarray(c, dtype=np.float64) for c in columns]
-        full_t, full_d = merge_completions(cols)
-        before = [c[c <= barrier] for c in cols]
-        after = [c[c > barrier] for c in cols]
-        bt, bd = merge_completions(before)
-        at, ad = merge_completions(after)
-        assert np.array_equal(np.concatenate([bt, at]), full_t)
-        assert np.array_equal(np.concatenate([bd, ad]), full_d)
-
-    @settings(deadline=None, max_examples=80)
-    @given(completion_columns)
-    def test_merge_is_time_sorted_and_device_stable(self, columns):
-        cols = [np.asarray(c, dtype=np.float64) for c in columns]
-        times, devices = merge_completions(cols)
-        assert np.all(np.diff(times) >= 0) or times.size <= 1
-        # Equal-time runs drain in device order (lane scheduling order).
-        for d, col in enumerate(cols):
-            assert np.array_equal(times[devices == d], col)
-        for i in range(1, len(times)):
-            if times[i] == times[i - 1]:
-                assert devices[i] >= devices[i - 1]
 
 
 class TestNCQOccupancy:

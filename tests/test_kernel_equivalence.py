@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import small_config
 from repro.device.ssd import SSD, run_trace
-from repro.kernel import kernel_eligible
+from repro.kernel import device_eligible
 from repro.oracle.diff import build_scheme, diff_kernels
 from repro.oracle.fuzz import (
     PROFILES,
@@ -36,6 +36,7 @@ from repro.oracle.fuzz import (
 )
 from repro.workloads.fiu import build_fiu_trace
 from repro.workloads.request import OpKind
+from repro.workloads.stream import StreamingTrace
 
 SCHEMES = ("baseline", "inline-dedupe", "cagc", "lba-hotcold")
 POLICIES = ("greedy", "cost-benefit", "random")
@@ -79,9 +80,9 @@ class TestChunkBoundaries:
     def test_gc_trigger_mid_chunk(self, chunk, scheme_name):
         # gc-fill floods the tiny fuzz device: triggers land inside,
         # at the start of, and at the end of nearly every chunk.
-        trace = fuzz_trace(2, n_requests=240, profile="gc-fill")
-        cfg = fuzz_config(kernel_chunk_requests=chunk)
-        assert diff_kernels(trace, scheme=scheme_name, config=cfg) is None
+        t = fuzz_trace(2, n_requests=240, profile="gc-fill")
+        trace = StreamingTrace(lambda: t.iter_chunks(chunk), t.name)
+        assert diff_kernels(trace, scheme=scheme_name, config=fuzz_config()) is None
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -90,9 +91,9 @@ class TestChunkBoundaries:
     )
     def test_profiles_property(self, seed, chunk):
         profile = PROFILES[seed % len(PROFILES)]
-        trace = fuzz_trace(seed, n_requests=160, profile=profile)
-        cfg = fuzz_config(kernel_chunk_requests=chunk)
-        assert diff_kernels(trace, scheme="cagc", config=cfg) is None
+        t = fuzz_trace(seed, n_requests=160, profile=profile)
+        trace = StreamingTrace(lambda: t.iter_chunks(chunk), t.name)
+        assert diff_kernels(trace, scheme="cagc", config=fuzz_config()) is None
 
 
 class TestInlineDedupePolicies:
@@ -158,12 +159,11 @@ class TestTelemetryParity:
         from repro.obs.metrics import DeviceMetrics
 
         cfg = small_config(blocks=64, pages_per_block=16, kernel="vectorized")
-        trace = build_fiu_trace("mail", cfg, n_requests=10)
         ssd = SSD(
             build_scheme("cagc", "greedy", cfg),
             metrics=DeviceMetrics(),
         )
-        assert kernel_eligible(ssd, trace)
+        assert device_eligible(ssd)
 
     def test_record_many_matches_record(self):
         from repro.obs.telemetry import LatencyHistogram
@@ -199,8 +199,9 @@ class TestCagcLargeBlockCollect:
         chunk=st.sampled_from([13, 64, 65536]),
     )
     def test_gc_fill_property(self, seed, chunk):
-        cfg = self._config(kernel_chunk_requests=chunk)
-        trace = fuzz_trace(seed, config=cfg, n_requests=400, profile="gc-fill")
+        cfg = self._config()
+        t = fuzz_trace(seed, config=cfg, n_requests=400, profile="gc-fill")
+        trace = StreamingTrace(lambda: t.iter_chunks(chunk), t.name)
         assert diff_kernels(trace, scheme="cagc", config=cfg) is None
 
     @settings(max_examples=8, deadline=None)
@@ -287,7 +288,7 @@ class TestFallbackSeams:
             )
             trace = build_fiu_trace("mail", cfg, n_requests=800)
             ssd = SSD(build_scheme("cagc", "greedy", cfg))
-            assert not kernel_eligible(ssd, trace)
+            assert not device_eligible(ssd)
             results[kernel] = ssd.replay(trace)
         assert np.array_equal(
             results["reference"].response_times_us,
@@ -299,18 +300,15 @@ class TestFallbackSeams:
         cfg = small_config(
             blocks=64, pages_per_block=16, kernel="vectorized", gc_mode="preemptive"
         )
-        trace = build_fiu_trace("mail", cfg, n_requests=10)
         ssd = SSD(build_scheme("baseline", "greedy", cfg))
-        assert not kernel_eligible(ssd, trace)
+        assert not device_eligible(ssd)
 
     def test_eligible_by_default(self):
         cfg = small_config(blocks=64, pages_per_block=16, kernel="vectorized")
-        trace = build_fiu_trace("mail", cfg, n_requests=10)
         ssd = SSD(build_scheme("baseline", "greedy", cfg))
-        assert kernel_eligible(ssd, trace)
+        assert device_eligible(ssd)
 
     def test_reference_config_not_eligible(self):
         cfg = small_config(blocks=64, pages_per_block=16, kernel="reference")
-        trace = build_fiu_trace("mail", cfg, n_requests=10)
         ssd = SSD(build_scheme("baseline", "greedy", cfg))
-        assert not kernel_eligible(ssd, trace)
+        assert not device_eligible(ssd)

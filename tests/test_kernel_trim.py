@@ -36,6 +36,7 @@ from repro.oracle.fuzz import (
 from repro.workloads import synth
 from repro.workloads.fiu import FIU_PRESETS
 from repro.workloads.request import OpKind
+from repro.workloads.stream import StreamingTrace
 
 SCHEMES = ("baseline", "inline-dedupe", "cagc", "lba-hotcold")
 
@@ -66,6 +67,11 @@ class _Rows:
 
     def trace(self):
         return rows_to_trace(self.rows)
+
+
+def _chunked(trace, chunk):
+    """``trace`` as a source of ``chunk``-request chunks."""
+    return StreamingTrace(lambda: trace.iter_chunks(chunk), trace.name)
 
 
 def _kernel_counters(trace, scheme, cfg):
@@ -100,8 +106,8 @@ class TestInRunTrimEdges:
             .trim(4).trim(5)  # last referrers of `b` go
             .write(6, b)  # miss again
         )
-        cfg = fuzz_config(kernel_chunk_requests=chunk)
-        trace = rows.trace()
+        cfg = fuzz_config()
+        trace = _chunked(rows.trace(), chunk)
         assert diff_kernels(trace, scheme="inline-dedupe", config=cfg) is None
         batches, fallbacks, io = _kernel_counters(trace, "inline-dedupe", cfg)
         assert fallbacks == {}
@@ -115,7 +121,7 @@ class TestInRunTrimEdges:
     def test_trim_of_gc_merged_shared_page(self, chunk):
         """CAGC merges duplicate content at GC: trimming one referrer of
         a merged page only decrefs it; trimming the last one kills it."""
-        cfg = fuzz_config(kernel_chunk_requests=chunk)
+        cfg = fuzz_config()
         rows = fuzz_rows(3, cfg, n_requests=260, profile="duplicate-heavy")
         prefix = rows_to_trace(rows)
         scheme = build_scheme("cagc", "greedy", replace(cfg, kernel="reference"))
@@ -132,7 +138,7 @@ class TestInRunTrimEdges:
         for lpn in shared[0][1:]:
             tail.trim(lpn)  # the merged page dies
         tail.write(shared[1][1], (1 << 41) + 7)  # rebind the other referrer
-        trace = rows_to_trace(rows + tail.rows)
+        trace = _chunked(rows_to_trace(rows + tail.rows), chunk)
         assert diff_kernels(trace, scheme="cagc", config=cfg) is None
         assert diff_kernels(trace, scheme="cagc", config=cfg, metrics=True) is None
         _, fallbacks, _ = _kernel_counters(trace, "cagc", cfg)
@@ -154,7 +160,7 @@ class TestInRunTrimEdges:
             .read(12, 3)
             .write(20, 77, 77).trim(21).write(22, 77)  # duplicate content
         )
-        cfg = fuzz_config(kernel_chunk_requests=65536)
+        cfg = fuzz_config()
         trace = rows.trace()
         assert diff_kernels(trace, scheme=scheme, config=cfg) is None
         batches, fallbacks, io = _kernel_counters(trace, scheme, cfg)
@@ -166,7 +172,7 @@ class TestInRunTrimEdges:
     def test_trims_beyond_forward_map(self, scheme):
         """Trims of never-written LPNs past the forward map are no-ops
         and never grow it, alone or beside a write that does."""
-        cfg = fuzz_config(kernel_chunk_requests=65536)
+        cfg = fuzz_config()
         cap = cfg.logical_pages
         rows = (
             _Rows()

@@ -44,6 +44,7 @@ class TestHeatTracking:
         from repro.device.ssd import SSD
         from repro.oracle.fuzz import fuzz_config, rows_to_trace
         from repro.workloads.request import OpKind
+        from repro.workloads.stream import StreamingTrace
 
         w, t = int(OpKind.WRITE), int(OpKind.TRIM)
         rows = [
@@ -53,11 +54,12 @@ class TestHeatTracking:
             (20.0, w, 4, 1, (104,)),
             (25.0, w, 3, 1, (105,)),
         ]
+        trace = rows_to_trace(rows)
+        chunked = StreamingTrace(lambda: trace.iter_chunks(chunk), trace.name)
         heat = {}
         for kernel in ("reference", "vectorized"):
-            cfg = fuzz_config(kernel=kernel, kernel_chunk_requests=chunk)
-            lba = LBAHotColdScheme(cfg)
-            SSD(lba).replay(rows_to_trace(rows))
+            lba = LBAHotColdScheme(fuzz_config(kernel=kernel))
+            SSD(lba).replay(chunked)
             heat[kernel] = dict(lba.lpn_writes)
         assert heat["reference"] == heat["vectorized"] == {3: 1, 4: 1}
 

@@ -25,23 +25,28 @@ from repro.device.ssd import SSD, run_trace
 from repro.metrics.latency import _HIST_BINS, _HIST_HI_US, _HIST_LO_US, LatencyRecorder
 from repro.schemes import make_scheme
 from repro.workloads.fiu import build_fiu_trace
-from repro.workloads.fiu_format import dump_fiu_trace, iter_fiu_chunks, load_fiu_trace
-from repro.workloads.stream import (
-    StreamingTrace,
-    concat_traces,
-    iter_csv_chunks,
-    open_trace,
+from repro.workloads.fiu_format import (
+    FIUFormatError,
+    dump_fiu_trace,
+    iter_fiu_chunks,
+    load_fiu_trace,
 )
-from repro.workloads.trace import Trace
+from repro.workloads.stream import StreamingTrace, open_trace
+from repro.workloads.trace import Trace, TraceError, concat_traces, iter_csv_chunks
 
 
 def _sample_trace(n: int = 3000) -> Trace:
     return build_fiu_trace("mail", small_config(), n_requests=n)
 
 
+def _rows(source):
+    """Every row of a trace source, read through its ``iter_chunks()``."""
+    return [row for chunk in source.iter_chunks() for row in chunk.iter_rows()]
+
+
 def _assert_rows_equal(a, b) -> None:
-    rows_a = list(a.iter_rows())
-    rows_b = list(b.iter_rows())
+    rows_a = _rows(a)
+    rows_b = _rows(b)
     assert len(rows_a) == len(rows_b)
     for ra, rb in zip(rows_a, rows_b):
         assert ra[:4] == rb[:4]
@@ -76,7 +81,8 @@ class TestSliceAndChunks:
 
     def test_iter_requests_chunked_equals_plain(self):
         t = _sample_trace(800)
-        assert list(t.iter_requests()) == list(t.iter_requests(chunk_size=97))
+        chunked = [r for c in t.iter_chunks(97) for r in c.iter_requests()]
+        assert list(t.iter_requests()) == chunked
 
 
 class TestNpz:
@@ -150,8 +156,8 @@ class TestStreamingSources:
         t.save_csv(path)
         stream = open_trace(path, stream=True, chunk_size=64)
         assert isinstance(stream, StreamingTrace)
-        first = list(stream.iter_rows())
-        second = list(stream.iter_rows())
+        first = _rows(stream)
+        second = _rows(stream)
         assert len(first) == len(second) == len(t)
 
     def test_streaming_replay_trajectory_sha256_equal(self, tmp_path):
@@ -160,28 +166,78 @@ class TestStreamingSources:
         t = _sample_trace(2500)
         path = tmp_path / "t.fiu"
         dump_fiu_trace(t, path)
-
-        def digest(trace) -> str:
-            cfg = small_config()
-            result = run_trace(make_scheme("cagc", cfg), trace)
-            h = hashlib.sha256()
-            h.update(result.response_times_us.tobytes())
-            h.update(
-                json.dumps(
-                    {
-                        "erased": result.gc.blocks_erased,
-                        "migrated": result.gc.pages_migrated,
-                        "programs": result.io.user_pages_programmed,
-                        "simulated_us": result.simulated_us,
-                    },
-                    sort_keys=True,
-                ).encode()
-            )
-            return h.hexdigest()
-
-        materialized = digest(load_fiu_trace(path))
-        streamed = digest(open_trace(path, stream=True, chunk_size=333))
+        materialized = _replay_digest(load_fiu_trace(path))
+        streamed = _replay_digest(open_trace(path, stream=True, chunk_size=333))
         assert materialized == streamed
+
+    def test_streamed_npz_honours_chunk_size(self, tmp_path):
+        t = _sample_trace(300)
+        path = tmp_path / "t.npz"
+        t.save_npz(path)
+        stream = open_trace(path, stream=True, chunk_size=7)
+        assert isinstance(stream, StreamingTrace) and stream.name == "t"
+        sizes = [len(c) for c in stream.iter_chunks()]
+        assert sizes == [7] * 42 + [6]
+        whole = open_trace(path)
+        assert isinstance(whole.fps_flat.base, np.memmap)
+        assert _replay_digest(stream) == _replay_digest(whole)
+
+    @pytest.mark.parametrize("fmt", ("csv", "fiu"))
+    @pytest.mark.parametrize("size", (1, 7, 65536))
+    def test_open_trace_stream_concat_equals_load(self, tmp_path, fmt, size):
+        t = _sample_trace(400)
+        path = tmp_path / f"t.{fmt}"
+        t.save_csv(path) if fmt == "csv" else dump_fiu_trace(t, path)
+        whole = open_trace(path)
+        chunks = list(open_trace(path, stream=True, chunk_size=size).iter_chunks())
+        assert all(len(c) == size for c in chunks[:-1])
+        joined = concat_traces(chunks, whole.name)
+        for field in Trace._NPZ_FIELDS:
+            assert np.array_equal(getattr(joined, field), getattr(whole, field))
+
+    @pytest.mark.parametrize("size", (1, 2, 7, 65536))
+    def test_malformed_csv_row_same_error_both_paths(self, tmp_path, size):
+        path = tmp_path / "bad.csv"
+        rows = [f"{i}.0,1,{i},1,{i + 1:x}" for i in range(5)]
+        rows.insert(3, "3.5,7,9,1,")  # opcode 7 is no OpKind
+        path.write_text("time_us,op,lpn,npages,fingerprints\n" + "\n".join(rows))
+        with pytest.raises(TraceError) as whole:
+            open_trace(path)
+        with pytest.raises(TraceError) as streamed:
+            list(open_trace(path, stream=True, chunk_size=size).iter_chunks())
+        assert (whole.value.index, whole.value.field) == (3, "ops")
+        assert (streamed.value.index, streamed.value.field) == (3, "ops")
+
+    @pytest.mark.parametrize("size", (1, 7))
+    def test_malformed_fiu_record_same_error_both_paths(self, tmp_path, size):
+        path = tmp_path / "bad.fiu"
+        good = [f"{i * 1000} 1 p {i} 1 W 8 0 {i + 1:032x}" for i in range(9)]
+        path.write_text("\n".join(good[:8] + ["8000 1 p 8 1 X 8 0 0"] + good[8:]))
+        with pytest.raises(FIUFormatError) as whole:
+            open_trace(path)
+        with pytest.raises(FIUFormatError) as streamed:
+            list(open_trace(path, stream=True, chunk_size=size).iter_chunks())
+        assert str(whole.value) == str(streamed.value) == "line 9: unknown op 'X'"
+
+
+def _replay_digest(trace) -> str:
+    """sha256 of a cagc replay's trajectory on the small device."""
+    cfg = small_config()
+    result = run_trace(make_scheme("cagc", cfg), trace)
+    h = hashlib.sha256()
+    h.update(result.response_times_us.tobytes())
+    h.update(
+        json.dumps(
+            {
+                "erased": result.gc.blocks_erased,
+                "migrated": result.gc.pages_migrated,
+                "programs": result.io.user_pages_programmed,
+                "simulated_us": result.simulated_us,
+            },
+            sort_keys=True,
+        ).encode()
+    )
+    return h.hexdigest()
 
 
 class TestHistogramLatency:

@@ -229,7 +229,8 @@ class TestTraceContract:
             Trace.load_csv(path)
 
     def test_streamed_csv_chunk_names_the_file_row(self, tmp_path):
-        from repro.workloads.stream import iter_csv_chunks, open_trace
+        from repro.workloads.stream import open_trace
+        from repro.workloads.trace import iter_csv_chunks
 
         path = tmp_path / "bad.csv"
         rows = [f"{i}.0,1,{i},1,{i + 1:x}" for i in range(5)] + ["5.0,1,5,1,-4"]
