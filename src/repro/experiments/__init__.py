@@ -9,12 +9,7 @@ reported values so the shape comparison is explicit.
 >>> print(report)                                     # doctest: +SKIP
 """
 
-from repro.experiments.common import (
-    ExperimentReport,
-    ExperimentScale,
-    SCALES,
-    gc_efficiency_result,
-)
+from repro.experiments.common import ExperimentReport, ExperimentScale, SCALES
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 
 __all__ = [
@@ -23,5 +18,4 @@ __all__ = [
     "SCALES",
     "EXPERIMENTS",
     "run_experiment",
-    "gc_efficiency_result",
 ]

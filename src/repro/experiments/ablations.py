@@ -8,22 +8,26 @@
   never, for realistic SHA latencies).
 * **A4 OP space** — over-provisioning sensitivity of the CAGC win.
 
-Every ablation decomposes into :class:`~repro.runner.RunSpec` work
-units (``*_specs`` functions, also consumed by the experiment registry
-for ``--jobs`` prewarming), so results land in the shared persistent
-cache; sweep points that coincide with the config defaults reuse the
-plain specs behind Figs 9-13.
+Every ablation is a ``*_specs`` fan-out of
+:class:`~repro.runner.RunSpec` work units plus a ``*_report`` builder
+that reads their results in declaration order (:data:`EXPERIMENTS`
+pairs them), so results land in the shared persistent cache; sweep
+points that coincide with the config defaults reuse the plain specs
+behind Figs 9-13.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from repro.experiments.common import (
+    Experiment,
     ExperimentReport,
+    Runs,
+    grouped,
     reduction_vs_baseline,
-    result_for,
 )
+from repro.experiments.fig2_inline_overhead import GC_QUIET
 from repro.runner import RunSpec, freeze_overrides
 
 #: Ablations run on the workload where each knob matters most.
@@ -40,31 +44,23 @@ BUFFER_PAGES = (0, 256, 1024, 4096)
 #: A9 sweep points (the scales default to 4 channels).
 CHANNEL_COUNTS = (1, 2, 4, 8)
 
-#: A3/fig2's GC-quiet regime: short trace, small LPN footprint.
-_GC_QUIET = freeze_overrides(fill_factor=0.5, lpn_utilization=0.5)
-
-
-def _threshold_spec(threshold: int, scale: str) -> RunSpec:
-    overrides = freeze_overrides(cold_threshold=threshold) if threshold != 2 else ()
-    return RunSpec(
-        workload=ABLATION_WORKLOAD, scheme="cagc", scale=scale,
-        config_overrides=overrides,
-    )
-
 
 def threshold_specs(scale: str) -> List[RunSpec]:
     return [RunSpec(workload=ABLATION_WORKLOAD, scheme="baseline", scale=scale)] + [
-        _threshold_spec(t, scale) for t in THRESHOLDS
+        RunSpec(
+            workload=ABLATION_WORKLOAD, scheme="cagc", scale=scale,
+            config_overrides=freeze_overrides(cold_threshold=t) if t != 2 else (),
+        )
+        for t in THRESHOLDS
     ]
 
 
-def run_threshold(scale: str = "bench") -> ExperimentReport:
+def threshold_report(runs: Runs, scale: str) -> ExperimentReport:
     """A1: cold threshold sweep (refcount >= t goes cold)."""
-    base = result_for(RunSpec(workload=ABLATION_WORKLOAD, scheme="baseline", scale=scale))
+    base, *swept = runs.values()
     rows = []
     data = {}
-    for threshold in THRESHOLDS:
-        result = result_for(_threshold_spec(threshold, scale))
+    for threshold, result in zip(THRESHOLDS, swept):
         r_erased = reduction_vs_baseline(base.blocks_erased, result.blocks_erased)
         r_migr = reduction_vs_baseline(base.pages_migrated, result.pages_migrated)
         rows.append((threshold, result.blocks_erased, f"{r_erased:.1f}%", f"{r_migr:.1f}%"))
@@ -87,28 +83,18 @@ _NO_PLACEMENT = freeze_overrides(placement="never-cold")
 
 
 def placement_specs(scale: str) -> List[RunSpec]:
-    specs = []
-    for workload in ("homes", "mail"):
-        specs.append(RunSpec(workload=workload, scheme="baseline", scale=scale))
-        specs.append(RunSpec(workload=workload, scheme="cagc", scale=scale))
-        specs.append(
-            RunSpec(workload=workload, scheme="cagc", scale=scale,
-                    scheme_options=_NO_PLACEMENT)
-        )
-    return specs
+    return [
+        RunSpec(workload=workload, scheme=scheme, scale=scale, scheme_options=options)
+        for workload in ("homes", "mail")
+        for scheme, options in (("baseline", ()), ("cagc", ()), ("cagc", _NO_PLACEMENT))
+    ]
 
 
-def run_placement(scale: str = "bench") -> ExperimentReport:
+def placement_report(runs: Runs, scale: str) -> ExperimentReport:
     """A2: full CAGC vs dedup-only CAGC (no hot/cold separation)."""
     rows = []
     data = {}
-    for workload in ("homes", "mail"):
-        base = result_for(RunSpec(workload=workload, scheme="baseline", scale=scale))
-        full = result_for(RunSpec(workload=workload, scheme="cagc", scale=scale))
-        dedup_only = result_for(
-            RunSpec(workload=workload, scheme="cagc", scale=scale,
-                    scheme_options=_NO_PLACEMENT)
-        )
+    for workload, (base, full, dedup_only) in zip(("homes", "mail"), grouped(runs, 3)):
         r_full = reduction_vs_baseline(base.pages_migrated, full.pages_migrated)
         r_dedup = reduction_vs_baseline(base.pages_migrated, dedup_only.pages_migrated)
         e_full = reduction_vs_baseline(base.blocks_erased, full.blocks_erased)
@@ -136,29 +122,23 @@ def run_placement(scale: str = "bench") -> ExperimentReport:
     )
 
 
-def _hash_latency_spec(scheme: str, hash_us: float, scale: str) -> RunSpec:
-    return RunSpec(
-        workload="homes", scheme=scheme, scale=scale,
-        config_overrides=freeze_overrides({"timing.hash_us": hash_us}),
-        trace_overrides=_GC_QUIET,
-    )
-
-
 def hash_latency_specs(scale: str) -> List[RunSpec]:
     return [
-        _hash_latency_spec(scheme, hash_us, scale)
+        RunSpec(
+            workload="homes", scheme=scheme, scale=scale,
+            config_overrides=freeze_overrides({"timing.hash_us": hash_us}),
+            trace_overrides=GC_QUIET,
+        )
         for hash_us in HASH_LATENCIES_US
         for scheme in ("baseline", "inline-dedupe")
     ]
 
 
-def run_hash_latency(scale: str = "bench") -> ExperimentReport:
+def hash_latency_report(runs: Runs, scale: str) -> ExperimentReport:
     """A3: where does inline dedup stop hurting? (GC-quiet regime)"""
     rows = []
     data = {}
-    for hash_us in HASH_LATENCIES_US:
-        base = result_for(_hash_latency_spec("baseline", hash_us, scale))
-        inline = result_for(_hash_latency_spec("inline-dedupe", hash_us, scale))
+    for hash_us, (base, inline) in zip(HASH_LATENCIES_US, grouped(runs, 2)):
         normalized = (
             inline.latency.mean_us / base.latency.mean_us
             if base.latency.mean_us
@@ -179,19 +159,18 @@ def run_hash_latency(scale: str = "bench") -> ExperimentReport:
     )
 
 
-def _channels_spec(channels: int, scale: str) -> RunSpec:
-    return RunSpec(
-        workload="homes", scheme="cagc", scale=scale,
-        config_overrides=freeze_overrides({"geometry.channels": channels}),
-        device="parallel",
-    )
-
-
 def channels_specs(scale: str) -> List[RunSpec]:
-    return [_channels_spec(c, scale) for c in CHANNEL_COUNTS]
+    return [
+        RunSpec(
+            workload="homes", scheme="cagc", scale=scale,
+            config_overrides=freeze_overrides({"geometry.channels": channels}),
+            device="parallel",
+        )
+        for channels in CHANNEL_COUNTS
+    ]
 
 
-def run_channels(scale: str = "bench") -> ExperimentReport:
+def channels_report(runs: Runs, scale: str) -> ExperimentReport:
     """A9: channel-level parallelism (related work: parallel GC, SC'16).
 
     Replays homes on the channel-parallel controller with 1/2/4/8
@@ -200,8 +179,7 @@ def run_channels(scale: str = "bench") -> ExperimentReport:
     """
     rows = []
     data = {}
-    for channels in CHANNEL_COUNTS:
-        result = result_for(_channels_spec(channels, scale))
+    for channels, result in zip(CHANNEL_COUNTS, runs.values()):
         rows.append(
             (
                 channels,
@@ -229,33 +207,22 @@ _HOT_FIRST = freeze_overrides(prefer_hot_victims=True)
 
 
 def hot_victims_specs(scale: str) -> List[RunSpec]:
-    specs = []
-    for policy_name in ("greedy", "cost-benefit"):
-        specs.append(
-            RunSpec(workload=ABLATION_WORKLOAD, scheme="cagc", policy=policy_name,
-                    scale=scale)
-        )
-        specs.append(
-            RunSpec(workload=ABLATION_WORKLOAD, scheme="cagc", policy=policy_name,
-                    scale=scale, scheme_options=_HOT_FIRST)
-        )
-    return specs
+    return [
+        RunSpec(workload=ABLATION_WORKLOAD, scheme="cagc", policy=policy, scale=scale,
+                scheme_options=options)
+        for policy in ("greedy", "cost-benefit")
+        for options in ((), _HOT_FIRST)
+    ]
 
 
-def run_hot_victims(scale: str = "bench") -> ExperimentReport:
+def hot_victims_report(runs: Runs, scale: str) -> ExperimentReport:
     """A8: hot-first victim preference (section III-C's 'desirable
     candidates') on top of each base victim policy."""
     rows = []
     data = {}
-    for policy_name in ("greedy", "cost-benefit"):
-        plain = result_for(
-            RunSpec(workload=ABLATION_WORKLOAD, scheme="cagc", policy=policy_name,
-                    scale=scale)
-        )
-        hot_first = result_for(
-            RunSpec(workload=ABLATION_WORKLOAD, scheme="cagc", policy=policy_name,
-                    scale=scale, scheme_options=_HOT_FIRST)
-        )
+    for policy_name, (plain, hot_first) in zip(
+        ("greedy", "cost-benefit"), grouped(runs, 2)
+    ):
         rows.append(
             (
                 policy_name,
@@ -286,20 +253,19 @@ def run_hot_victims(scale: str = "bench") -> ExperimentReport:
     )
 
 
-def _write_buffer_spec(buffer_pages: int, scale: str) -> RunSpec:
-    overrides = (
-        freeze_overrides(write_buffer_pages=buffer_pages) if buffer_pages else ()
-    )
-    return RunSpec(
-        workload="homes", scheme="cagc", scale=scale, config_overrides=overrides
-    )
-
-
 def write_buffer_specs(scale: str) -> List[RunSpec]:
-    return [_write_buffer_spec(pages, scale) for pages in BUFFER_PAGES]
+    return [
+        RunSpec(
+            workload="homes", scheme="cagc", scale=scale,
+            config_overrides=(
+                freeze_overrides(write_buffer_pages=pages) if pages else ()
+            ),
+        )
+        for pages in BUFFER_PAGES
+    ]
 
 
-def run_write_buffer(scale: str = "bench") -> ExperimentReport:
+def write_buffer_report(runs: Runs, scale: str) -> ExperimentReport:
     """A7: DRAM write buffer in front of CAGC (related work [32, 36]).
 
     Buffering and GC-time dedup attack the same quantity — flash write
@@ -307,8 +273,7 @@ def run_write_buffer(scale: str = "bench") -> ExperimentReport:
     """
     rows = []
     data = {}
-    for buffer_pages in BUFFER_PAGES:
-        result = result_for(_write_buffer_spec(buffer_pages, scale))
+    for buffer_pages, result in zip(BUFFER_PAGES, runs.values()):
         absorbed = (
             f"{result.buffer.absorption_ratio:.1%}" if result.buffer else "-"
         )
@@ -345,7 +310,7 @@ def separation_specs(scale: str) -> List[RunSpec]:
     ]
 
 
-def run_separation(scale: str = "bench") -> ExperimentReport:
+def separation_report(runs: Runs, scale: str) -> ExperimentReport:
     """A6: spatial (LBA) vs content (refcount) hot/cold separation.
 
     The paper's related-work argument: prior GC work separates hot/cold
@@ -355,10 +320,7 @@ def run_separation(scale: str = "bench") -> ExperimentReport:
     """
     rows = []
     data = {}
-    for workload in ("homes", "mail"):
-        base = result_for(RunSpec(workload=workload, scheme="baseline", scale=scale))
-        lba = result_for(RunSpec(workload=workload, scheme="lba-hotcold", scale=scale))
-        cagc = result_for(RunSpec(workload=workload, scheme="cagc", scale=scale))
+    for workload, (base, lba, cagc) in zip(("homes", "mail"), grouped(runs, 3)):
         r_lba = reduction_vs_baseline(base.pages_migrated, lba.pages_migrated)
         r_cagc = reduction_vs_baseline(base.pages_migrated, cagc.pages_migrated)
         e_lba = reduction_vs_baseline(base.blocks_erased, lba.blocks_erased)
@@ -385,22 +347,20 @@ def run_separation(scale: str = "bench") -> ExperimentReport:
     )
 
 
-def _gc_mode_spec(workload: str, mode: str, scale: str) -> RunSpec:
-    overrides = freeze_overrides(gc_mode=mode) if mode != "blocking" else ()
-    return RunSpec(
-        workload=workload, scheme="cagc", scale=scale, config_overrides=overrides
-    )
-
-
 def gc_mode_specs(scale: str) -> List[RunSpec]:
     return [
-        _gc_mode_spec(workload, mode, scale)
+        RunSpec(
+            workload=workload, scheme="cagc", scale=scale,
+            config_overrides=(
+                freeze_overrides(gc_mode=mode) if mode != "blocking" else ()
+            ),
+        )
         for workload in ("homes", "mail")
         for mode in ("blocking", "preemptive")
     ]
 
 
-def run_gc_mode(scale: str = "bench") -> ExperimentReport:
+def gc_mode_report(runs: Runs, scale: str) -> ExperimentReport:
     """A5: blocking vs semi-preemptive GC (related work, Lee ISPASS'11).
 
     Preemption changes *when* GC runs, not how much: erases stay equal
@@ -409,9 +369,7 @@ def run_gc_mode(scale: str = "bench") -> ExperimentReport:
     """
     rows = []
     data = {}
-    for workload in ("homes", "mail"):
-        blocking = result_for(_gc_mode_spec(workload, "blocking", scale))
-        preemptive = result_for(_gc_mode_spec(workload, "preemptive", scale))
+    for workload, (blocking, preemptive) in zip(("homes", "mail"), grouped(runs, 2)):
         p99_cut = reduction_vs_baseline(
             blocking.latency.p99_us, preemptive.latency.p99_us
         )
@@ -449,29 +407,24 @@ def run_gc_mode(scale: str = "bench") -> ExperimentReport:
     )
 
 
-def _op_space_spec(scheme: str, op_ratio: float, scale: str) -> RunSpec:
-    overrides = freeze_overrides(op_ratio=op_ratio) if op_ratio != 0.07 else ()
-    return RunSpec(
-        workload=ABLATION_WORKLOAD, scheme=scheme, scale=scale,
-        config_overrides=overrides,
-    )
-
-
 def op_space_specs(scale: str) -> List[RunSpec]:
     return [
-        _op_space_spec(scheme, op_ratio, scale)
+        RunSpec(
+            workload=ABLATION_WORKLOAD, scheme=scheme, scale=scale,
+            config_overrides=(
+                freeze_overrides(op_ratio=op_ratio) if op_ratio != 0.07 else ()
+            ),
+        )
         for op_ratio in OP_RATIOS
         for scheme in ("baseline", "cagc")
     ]
 
 
-def run_op_space(scale: str = "bench") -> ExperimentReport:
+def op_space_report(runs: Runs, scale: str) -> ExperimentReport:
     """A4: over-provisioning sensitivity of CAGC's erase reduction."""
     rows = []
     data = {}
-    for op_ratio in OP_RATIOS:
-        base = result_for(_op_space_spec("baseline", op_ratio, scale))
-        cagc = result_for(_op_space_spec("cagc", op_ratio, scale))
+    for op_ratio, (base, cagc) in zip(OP_RATIOS, grouped(runs, 2)):
         r_erased = reduction_vs_baseline(base.blocks_erased, cagc.blocks_erased)
         rows.append(
             (f"{op_ratio:.0%}", base.blocks_erased, cagc.blocks_erased, f"{r_erased:.1f}%")
@@ -489,3 +442,17 @@ def run_op_space(scale: str = "bench") -> ExperimentReport:
         notes="more OP relaxes GC pressure for both schemes; the CAGC win persists",
         data=data,
     )
+
+
+#: Every ablation's declaration, by experiment id (in registry order).
+EXPERIMENTS: Dict[str, Experiment] = {
+    "ablation-threshold": Experiment(threshold_report, threshold_specs),
+    "ablation-placement": Experiment(placement_report, placement_specs),
+    "ablation-hash-latency": Experiment(hash_latency_report, hash_latency_specs),
+    "ablation-op-space": Experiment(op_space_report, op_space_specs),
+    "ablation-gc-mode": Experiment(gc_mode_report, gc_mode_specs),
+    "ablation-separation": Experiment(separation_report, separation_specs),
+    "ablation-write-buffer": Experiment(write_buffer_report, write_buffer_specs),
+    "ablation-hot-victims": Experiment(hot_victims_report, hot_victims_specs),
+    "ablation-channels": Experiment(channels_report, channels_specs),
+}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.common import ExperimentReport, get_scale, result_for
+from repro.experiments.common import ExperimentReport, Runs, get_scale, results_by
 from repro.runner import RunSpec
 
 COORDINATIONS = ("independent", "staggered", "global-token")
@@ -49,10 +49,8 @@ def array_tail_specs(scale: str = "bench") -> Sequence[RunSpec]:
     )
 
 
-def run(scale: str = "bench") -> ExperimentReport:
-    results = {
-        spec.gc_coord: result_for(spec) for spec in array_tail_specs(scale)
-    }
+def report(runs: Runs, scale: str) -> ExperimentReport:
+    results = results_by(runs, "gc_coord")
     coordinated_p999 = min(
         results[c].percentile(99.9) for c in COORDINATIONS if c != "independent"
     )

@@ -4,8 +4,12 @@
   and trace (``quick`` for tests, ``bench`` for pytest-benchmark runs,
   ``full`` for the CLI).  All scales keep Table I latencies and the
   paper's 64-page blocks; only the device size / trace length change.
-* :func:`gc_efficiency_result` — memoized replay of one (workload,
-  scheme, policy) combination; Figs 9-13 all reuse these runs.
+* :class:`Experiment` — one experiment's declaration: the
+  :class:`~repro.runner.RunSpec` fan-out it reads and the report
+  builder that turns those runs' results into an
+  :class:`ExperimentReport`.  Figs 9-12 declare the same nine runs, so
+  the memo below replays each once, exactly as the paper reports one
+  run from several angles.
 * :class:`ExperimentReport` — uniform result container with paper-vs-
   measured rows and plain-text rendering.
 """
@@ -13,12 +17,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import GeometryConfig, SSDConfig
 from repro.device.ssd import RunResult
 from repro.metrics.report import format_table
-from repro.runner import RunCache, RunSpec, run_specs
+from repro.runner import RunCache, RunSpec, run_specs, sweep_specs
 from repro.workloads.fiu import build_fiu_trace
 
 #: Workloads of Table II, in the order the paper's figures use.
@@ -130,50 +135,6 @@ def prefetch_results(specs: Sequence[RunSpec], jobs: Optional[int] = None) -> No
         _MEMO[spec] = result
 
 
-def gc_efficiency_result(
-    workload: str,
-    scheme: str,
-    scale: str = "bench",
-    policy: str = "greedy",
-    seed: int = 0,
-) -> RunResult:
-    """Replay ``workload`` under ``scheme`` at ``scale`` (cached).
-
-    The cache means Fig 9 (blocks erased), Fig 10 (pages migrated),
-    Fig 11 (response time) and Fig 12 (CDF) all share the same nine
-    underlying simulations, exactly like the paper reports one run from
-    multiple angles.  Results are additionally persisted across
-    processes via :class:`repro.runner.RunCache` (seed=0 replays the
-    preset's canonical trace; other seeds draw an independent trace with
-    the same characteristics — stability runs).
-    """
-    return result_for(
-        RunSpec(workload=workload, scheme=scheme, policy=policy, seed=seed, scale=scale)
-    )
-
-
-def reduction_stability(
-    workload: str,
-    metric: str = "pages_migrated",
-    scale: str = "quick",
-    seeds: Tuple[int, ...] = (0, 1, 2),
-) -> List[float]:
-    """CAGC-vs-Baseline reduction (%) of ``metric`` across seeds.
-
-    ``metric`` is any numeric :class:`RunResult` attribute
-    (``blocks_erased``, ``pages_migrated``, ``mean_response_us``).
-    Used to check that reported reductions are not one-seed artifacts.
-    """
-    reductions = []
-    for seed in seeds:
-        base = gc_efficiency_result(workload, "baseline", scale, seed=seed)
-        cagc = gc_efficiency_result(workload, "cagc", scale, seed=seed)
-        base_value = float(getattr(base, metric))
-        cagc_value = float(getattr(cagc, metric))
-        reductions.append(reduction_vs_baseline(base_value, cagc_value))
-    return reductions
-
-
 @dataclass
 class ExperimentReport:
     """Uniform experiment output: table rows + raw data + paper notes."""
@@ -196,6 +157,49 @@ class ExperimentReport:
         if self.notes:
             parts.append(f"notes: {self.notes}")
         return "\n".join(parts)
+
+
+#: One experiment's runs: its declared specs, in declaration order, each
+#: mapped to its result.
+Runs = Dict[RunSpec, RunResult]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: the runs it reads and the report built from them.
+
+    ``specs(scale)`` is the experiment's whole spec fan-out (empty for
+    the analytic tables and worked examples); ``report(runs, scale)``
+    receives exactly those specs' results and never starts a run of its
+    own, so prewarming ``specs`` covers everything the report reads.
+    """
+
+    report: Callable[[Runs, str], ExperimentReport]
+    specs: Callable[[str], Sequence[RunSpec]] = lambda scale: ()
+
+    def run(self, scale: str) -> ExperimentReport:
+        return self.report({s: result_for(s) for s in self.specs(scale)}, scale)
+
+
+def workload_specs(*schemes: str, **axes: Any) -> Callable[[str], Sequence[RunSpec]]:
+    """The fan-out of Figs 9-13 and the stability study: every Table II
+    workload under each of ``schemes``, swept over
+    :func:`~repro.runner.sweep_specs`'s other ``axes`` (``policies``,
+    ``seeds``)."""
+    return lambda scale: sweep_specs(WORKLOADS, schemes, scale=scale, **axes)
+
+
+def results_by(runs: Runs, *fields: str) -> Dict[Any, RunResult]:
+    """Key ``runs``' results by the named spec fields: a tuple of them,
+    or the bare value for one field."""
+    key = attrgetter(*fields)
+    return {key(spec): result for spec, result in runs.items()}
+
+
+def grouped(runs: Runs, size: int) -> List[Tuple[RunResult, ...]]:
+    """``runs``' results in declaration order, ``size`` at a time."""
+    results = list(runs.values())
+    return [tuple(results[i : i + size]) for i in range(0, len(results), size)]
 
 
 def reduction_vs_baseline(baseline: float, other: float) -> float:

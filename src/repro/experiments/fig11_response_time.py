@@ -16,20 +16,21 @@ from __future__ import annotations
 from repro.experiments.common import (
     WORKLOADS,
     ExperimentReport,
-    gc_efficiency_result,
+    Runs,
+    grouped,
     reduction_vs_baseline,
+    workload_specs,
 )
 
 PAPER_CAGC_REDUCTION_PCT = {"homes": 33.6, "web-vm": 29.6, "mail": 70.1}
 
+specs = workload_specs("baseline", "inline-dedupe", "cagc")
 
-def run(scale: str = "bench") -> ExperimentReport:
+
+def report(runs: Runs, scale: str) -> ExperimentReport:
     rows = []
     data = {}
-    for workload in WORKLOADS:
-        base = gc_efficiency_result(workload, "baseline", scale)
-        inline = gc_efficiency_result(workload, "inline-dedupe", scale)
-        cagc = gc_efficiency_result(workload, "cagc", scale)
+    for workload, (base, inline, cagc) in zip(WORKLOADS, grouped(runs, 3)):
         b = base.latency.mean_us
         reduction = reduction_vs_baseline(b, cagc.latency.mean_us)
         rows.append(

@@ -14,17 +14,19 @@ import numpy as np
 from repro.experiments.common import (
     WORKLOADS,
     ExperimentReport,
-    gc_efficiency_result,
+    Runs,
+    grouped,
+    workload_specs,
 )
 from repro.metrics.cdf import cdf_at, empirical_cdf
 
+specs = workload_specs("baseline", "cagc")
 
-def run(scale: str = "bench") -> ExperimentReport:
+
+def report(runs: Runs, scale: str) -> ExperimentReport:
     rows = []
     data = {}
-    for workload in WORKLOADS:
-        base = gc_efficiency_result(workload, "baseline", scale)
-        cagc = gc_efficiency_result(workload, "cagc", scale)
+    for workload, (base, cagc) in zip(WORKLOADS, grouped(runs, 2)):
         bs = base.response_times_us
         cs = cagc.response_times_us
         # Dominance: at a grid of latencies, CAGC's CDF >= Baseline's.

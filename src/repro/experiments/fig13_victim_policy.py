@@ -11,20 +11,25 @@ from __future__ import annotations
 from repro.experiments.common import (
     WORKLOADS,
     ExperimentReport,
-    gc_efficiency_result,
+    Runs,
     reduction_vs_baseline,
+    results_by,
+    workload_specs,
 )
 
 POLICIES = ("random", "greedy", "cost-benefit")
 
+specs = workload_specs("baseline", "cagc", policies=POLICIES)
 
-def run(scale: str = "bench") -> ExperimentReport:
+
+def report(runs: Runs, scale: str) -> ExperimentReport:
+    results = results_by(runs, "workload", "scheme", "policy")
     rows = []
     data: dict = {m: {} for m in ("blocks_erased", "pages_migrated", "response")}
     for workload in WORKLOADS:
         for policy in POLICIES:
-            base = gc_efficiency_result(workload, "baseline", scale, policy=policy)
-            cagc = gc_efficiency_result(workload, "cagc", scale, policy=policy)
+            base = results[workload, "baseline", policy]
+            cagc = results[workload, "cagc", policy]
             r_erased = reduction_vs_baseline(base.blocks_erased, cagc.blocks_erased)
             r_migrated = reduction_vs_baseline(base.pages_migrated, cagc.pages_migrated)
             r_resp = reduction_vs_baseline(base.latency.mean_us, cagc.latency.mean_us)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.experiments.common import ExperimentReport, result_for
+from repro.experiments.common import ExperimentReport, Runs, grouped
 from repro.runner import RunSpec, freeze_overrides
 
 #: Fig 2 uses Homes, Webmail and Mail.
@@ -29,31 +29,24 @@ PAPER_NORMALIZED = {"homes": 1.7, "webmail": 1.5, "mail": 1.3}
 
 #: Light-utilization regime: short trace (half-fill), small LPN
 #: footprint -> the device never reaches the GC watermark.
-_GC_QUIET = freeze_overrides(fill_factor=0.5, lpn_utilization=0.5)
+GC_QUIET = freeze_overrides(fill_factor=0.5, lpn_utilization=0.5)
 
 
 def fig2_specs(scale: str) -> List[RunSpec]:
     return [
         RunSpec(workload=workload, scheme=scheme, scale=scale,
-                trace_overrides=_GC_QUIET)
+                trace_overrides=GC_QUIET)
         for workload in FIG2_WORKLOADS
         for scheme in ("baseline", "inline-dedupe")
     ]
 
 
-def run(scale: str = "bench") -> ExperimentReport:
+def report(runs: Runs, scale: str) -> ExperimentReport:
     rows = []
     data = {}
-    for workload in FIG2_WORKLOADS:
-        results = {
-            scheme: result_for(
-                RunSpec(workload=workload, scheme=scheme, scale=scale,
-                        trace_overrides=_GC_QUIET)
-            )
-            for scheme in ("baseline", "inline-dedupe")
-        }
-        base = results["baseline"].latency.mean_us
-        inline = results["inline-dedupe"].latency.mean_us
+    for workload, (baseline, inline_dedupe) in zip(FIG2_WORKLOADS, grouped(runs, 2)):
+        base = baseline.latency.mean_us
+        inline = inline_dedupe.latency.mean_us
         normalized = inline / base if base else 0.0
         rows.append(
             (
@@ -69,7 +62,7 @@ def run(scale: str = "bench") -> ExperimentReport:
             "baseline_mean_us": base,
             "inline_mean_us": inline,
             "normalized": normalized,
-            "gc_bursts_baseline": results["baseline"].gc.gc_invocations,
+            "gc_bursts_baseline": baseline.gc.gc_invocations,
         }
     increases = [d["normalized"] - 1.0 for d in data.values()]
     data["max_increase_pct"] = 100.0 * max(increases)

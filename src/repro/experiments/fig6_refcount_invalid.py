@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.dedup.refcount import InvalidationHistogram, RefcountTracker
-from repro.experiments.common import WORKLOADS, ExperimentReport, get_scale
+from repro.experiments.common import WORKLOADS, ExperimentReport, Runs, get_scale
 from repro.workloads.request import OpKind
 from repro.workloads.trace import Trace
 
@@ -56,7 +56,7 @@ def refcount_invalidation_histogram(trace: Trace) -> InvalidationHistogram:
     return tracker.histogram
 
 
-def run(scale: str = "bench") -> ExperimentReport:
+def report(runs: Runs, scale: str) -> ExperimentReport:
     sc = get_scale(scale)
     config = sc.config()
     rows = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.config import GeometryConfig, SSDConfig
 from repro.core.cagc import CAGCScheme
-from repro.experiments.common import ExperimentReport
+from repro.experiments.common import ExperimentReport, Runs
 from repro.ftl.regions import region_stats
 from repro.oracle.invariants import check_all
 
@@ -57,7 +57,7 @@ def run_placement_demo() -> dict:
     }
 
 
-def run(scale: str = "bench") -> ExperimentReport:
+def report(runs: Runs, scale: str) -> ExperimentReport:
     data = run_placement_demo()
     rows = [
         (

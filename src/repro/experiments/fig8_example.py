@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.config import GeometryConfig, SSDConfig
-from repro.experiments.common import ExperimentReport
+from repro.experiments.common import ExperimentReport, Runs
 from repro.oracle.invariants import check_all
 from repro.schemes import make_scheme
 from repro.workloads.filemodel import FileModelTrace
@@ -91,7 +91,7 @@ def run_scenario(scheme_name: str) -> Dict[str, int]:
     }
 
 
-def run(scale: str = "bench") -> ExperimentReport:
+def report(runs: Runs, scale: str) -> ExperimentReport:
     rows: List[List[object]] = []
     data = {}
     for scheme_name, label in (("baseline", "traditional"), ("cagc", "CAGC")):

@@ -15,19 +15,21 @@ from __future__ import annotations
 from repro.experiments.common import (
     WORKLOADS,
     ExperimentReport,
-    gc_efficiency_result,
+    Runs,
+    grouped,
     reduction_vs_baseline,
+    workload_specs,
 )
 
 PAPER_REDUCTION_PCT = {"homes": 23.3, "web-vm": 48.3, "mail": 86.6}
 
+specs = workload_specs("baseline", "cagc")
 
-def run(scale: str = "bench") -> ExperimentReport:
+
+def report(runs: Runs, scale: str) -> ExperimentReport:
     rows = []
     data = {}
-    for workload in WORKLOADS:
-        base = gc_efficiency_result(workload, "baseline", scale)
-        cagc = gc_efficiency_result(workload, "cagc", scale)
+    for workload, (base, cagc) in zip(WORKLOADS, grouped(runs, 2)):
         reduction = reduction_vs_baseline(base.blocks_erased, cagc.blocks_erased)
         rows.append(
             (

@@ -1,15 +1,15 @@
 """Experiment registry: every paper table/figure plus the ablations.
 
-Besides the id -> runner mapping, the registry knows which
-:class:`~repro.runner.RunSpec` fan-out each GC-efficiency experiment is
-built on (:func:`specs_for_experiments`), so the CLI can prewarm the
-shared result cache with a process pool before the (serial) report
-builders run.
+Each id maps to one :class:`~repro.experiments.common.Experiment`
+declaration: its :class:`~repro.runner.RunSpec` fan-out and the report
+builder that reads those runs' results.  The CLI prewarms the shared
+result cache from the declared fan-outs (:func:`warm_experiments`, with
+a process pool) before the serial report builders read them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 from repro.experiments import (
     ablations,
@@ -27,89 +27,55 @@ from repro.experiments import (
     table1_config,
     table2_workloads,
 )
-from repro.experiments.common import WORKLOADS, ExperimentReport, prefetch_results
-from repro.runner import RunSpec, sweep_specs
+from repro.experiments.common import Experiment, ExperimentReport, prefetch_results
+from repro.runner import RunSpec
 
-EXPERIMENTS: Dict[str, Callable[[str], ExperimentReport]] = {
-    "table1": table1_config.run,
-    "table2": table2_workloads.run,
-    "fig2": fig2_inline_overhead.run,
-    "fig6": fig6_refcount_invalid.run,
-    "fig7": fig7_placement_example.run,
-    "fig8": fig8_example.run,
-    "fig9": fig9_blocks_erased.run,
-    "fig10": fig10_pages_migrated.run,
-    "fig11": fig11_response_time.run,
-    "fig12": fig12_latency_cdf.run,
-    "fig13": fig13_victim_policy.run,
-    "ablation-threshold": ablations.run_threshold,
-    "ablation-placement": ablations.run_placement,
-    "ablation-hash-latency": ablations.run_hash_latency,
-    "ablation-op-space": ablations.run_op_space,
-    "ablation-gc-mode": ablations.run_gc_mode,
-    "ablation-separation": ablations.run_separation,
-    "ablation-write-buffer": ablations.run_write_buffer,
-    "ablation-hot-victims": ablations.run_hot_victims,
-    "ablation-channels": ablations.run_channels,
-    "stability": stability.run,
-    "array-tail": array_tail.run,
+#: The tables and worked examples (fig6/7/8) are analytic: no runs.  The
+#: nine ablations declare themselves in :mod:`repro.experiments.ablations`.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "table1": Experiment(table1_config.report),
+    "table2": Experiment(table2_workloads.report),
+    "fig2": Experiment(fig2_inline_overhead.report, fig2_inline_overhead.fig2_specs),
+    "fig6": Experiment(fig6_refcount_invalid.report),
+    "fig7": Experiment(fig7_placement_example.report),
+    "fig8": Experiment(fig8_example.report),
+    "fig9": Experiment(fig9_blocks_erased.report, fig9_blocks_erased.specs),
+    "fig10": Experiment(fig10_pages_migrated.report, fig10_pages_migrated.specs),
+    "fig11": Experiment(fig11_response_time.report, fig11_response_time.specs),
+    "fig12": Experiment(fig12_latency_cdf.report, fig12_latency_cdf.specs),
+    "fig13": Experiment(fig13_victim_policy.report, fig13_victim_policy.specs),
+    **ablations.EXPERIMENTS,
+    "stability": Experiment(stability.report, stability.specs),
+    "array-tail": Experiment(array_tail.report, array_tail.array_tail_specs),
 }
 
 
-#: Spec fan-out per experiment: the runs behind Fig 2, Figs 9-13, the
-#: stability study and every ablation sweep.  Tables and the worked
-#: examples (fig6/7/8) are analytic — no simulation, so no entry.
-_SPEC_BUILDERS: Dict[str, Callable[[str], Sequence[RunSpec]]] = {
-    "fig2": fig2_inline_overhead.fig2_specs,
-    "fig9": lambda scale: sweep_specs(WORKLOADS, ("baseline", "cagc"), scale=scale),
-    "fig10": lambda scale: sweep_specs(WORKLOADS, ("baseline", "cagc"), scale=scale),
-    "fig11": lambda scale: sweep_specs(
-        WORKLOADS, ("baseline", "inline-dedupe", "cagc"), scale=scale
-    ),
-    "fig12": lambda scale: sweep_specs(WORKLOADS, ("baseline", "cagc"), scale=scale),
-    "fig13": lambda scale: sweep_specs(
-        WORKLOADS,
-        ("baseline", "cagc"),
-        policies=("random", "greedy", "cost-benefit"),
-        scale=scale,
-    ),
-    "stability": lambda scale: sweep_specs(
-        WORKLOADS, ("baseline", "cagc"), seeds=(0, 1, 2), scale=scale
-    ),
-    "ablation-threshold": ablations.threshold_specs,
-    "ablation-placement": ablations.placement_specs,
-    "ablation-hash-latency": ablations.hash_latency_specs,
-    "ablation-op-space": ablations.op_space_specs,
-    "ablation-gc-mode": ablations.gc_mode_specs,
-    "ablation-separation": ablations.separation_specs,
-    "ablation-write-buffer": ablations.write_buffer_specs,
-    "ablation-hot-victims": ablations.hot_victims_specs,
-    "ablation-channels": ablations.channels_specs,
-    "array-tail": array_tail.array_tail_specs,
-}
+def _experiment(experiment_id: str) -> Experiment:
+    try:
+        return EXPERIMENTS[experiment_id]
+    except KeyError:
+        raise ValueError(
+            f"unknown experiment {experiment_id!r}; choose from {sorted(EXPERIMENTS)}"
+        ) from None
 
 
 def specs_for_experiments(
     experiment_ids: Iterable[str], scale: str = "bench"
 ) -> List[RunSpec]:
     """Deduplicated spec fan-out behind the given experiments."""
-    specs: List[RunSpec] = []
-    seen = set()
-    for experiment_id in experiment_ids:
-        builder = _SPEC_BUILDERS.get(experiment_id)
-        if builder is None:
-            continue
-        for spec in builder(scale):
-            if spec not in seen:
-                seen.add(spec)
-                specs.append(spec)
-    return specs
+    return list(
+        dict.fromkeys(
+            spec
+            for experiment_id in experiment_ids
+            for spec in _experiment(experiment_id).specs(scale)
+        )
+    )
 
 
 def warm_experiments(
     experiment_ids: Iterable[str], scale: str = "bench", jobs: int = 1
 ) -> int:
-    """Prewarm the result cache for the experiments' shared runs.
+    """Prewarm the result cache for the experiments' declared runs.
 
     Returns the number of distinct specs behind the selection; results
     land in the in-process memo and the persistent cache, so the
@@ -122,10 +88,4 @@ def warm_experiments(
 
 def run_experiment(experiment_id: str, scale: str = "bench") -> ExperimentReport:
     """Run one experiment by id (``fig9``, ``table2``, ...)."""
-    try:
-        runner = EXPERIMENTS[experiment_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown experiment {experiment_id!r}; choose from {sorted(EXPERIMENTS)}"
-        ) from None
-    return runner(scale)
+    return _experiment(experiment_id).run(scale)

@@ -14,7 +14,10 @@ import numpy as np
 from repro.experiments.common import (
     WORKLOADS,
     ExperimentReport,
-    reduction_stability,
+    Runs,
+    reduction_vs_baseline,
+    results_by,
+    workload_specs,
 )
 
 METRICS = (
@@ -25,14 +28,23 @@ METRICS = (
 
 SEEDS = (0, 1, 2)
 
+specs = workload_specs("baseline", "cagc", seeds=SEEDS)
 
-def run(scale: str = "bench") -> ExperimentReport:
+
+def report(runs: Runs, scale: str) -> ExperimentReport:
+    results = results_by(runs, "workload", "scheme", "seed")
     rows = []
     data: dict = {}
     for workload in WORKLOADS:
         data[workload] = {}
         for metric, figure in METRICS:
-            reductions = reduction_stability(workload, metric, scale, SEEDS)
+            reductions = [
+                reduction_vs_baseline(
+                    float(getattr(results[workload, "baseline", seed], metric)),
+                    float(getattr(results[workload, "cagc", seed], metric)),
+                )
+                for seed in SEEDS
+            ]
             mean = float(np.mean(reductions))
             std = float(np.std(reductions))
             rows.append(

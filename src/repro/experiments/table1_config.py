@@ -7,10 +7,10 @@ printed in the paper's Table I.
 from __future__ import annotations
 
 from repro.config import paper_config
-from repro.experiments.common import ExperimentReport
+from repro.experiments.common import ExperimentReport, Runs
 
 
-def run(scale: str = "bench") -> ExperimentReport:
+def report(runs: Runs, scale: str) -> ExperimentReport:
     cfg = paper_config()
     geometry = cfg.geometry
     timing = cfg.timing

@@ -9,7 +9,7 @@ characteristics the paper's conclusions rest on.
 
 from __future__ import annotations
 
-from repro.experiments.common import WORKLOADS, ExperimentReport, get_scale
+from repro.experiments.common import WORKLOADS, ExperimentReport, Runs, get_scale
 
 #: Table II of the paper.
 PAPER_TABLE2 = {
@@ -19,7 +19,7 @@ PAPER_TABLE2 = {
 }
 
 
-def run(scale: str = "bench") -> ExperimentReport:
+def report(runs: Runs, scale: str) -> ExperimentReport:
     sc = get_scale(scale)
     config = sc.config()
     rows = []

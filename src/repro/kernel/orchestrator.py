@@ -9,9 +9,9 @@ factors into *runs* of requests with no GC trigger between them:
 1. take the next chunk of raw trace columns from the trace source's
    ``iter_chunks()`` (a :class:`~repro.workloads.trace.Trace` or a
    :class:`~repro.workloads.stream.StreamingTrace`; the source owns
-   its chunk size) and derive its :class:`RunColumns` once: arrival
-   check, write page counts, elementwise service durations, the write
-   page prefix sum;
+   its chunk size) and derive its :class:`RunColumns` once: write page
+   counts, elementwise service durations, the write page prefix sum
+   (arrival order is the trace's own contract);
 2. plan the next run (:func:`plan_run`).  For bulk schemes every write
    programs all its pages, so the first GC-triggering write follows
    from the allocator state alone (one binary search over the chunk's
@@ -72,7 +72,6 @@ from repro.kernel.views import ColumnViews
 from repro.kernel.write import apply_write_run
 from repro.obs.trace import TRACK_KERNEL
 from repro.schemes.inline_dedupe import InlineDedupeScheme
-from repro.sim.engine import SimulationError
 from repro.workloads.request import OpKind
 
 _OP_WRITE = int(OpKind.WRITE)
@@ -144,11 +143,11 @@ def kernel_views(scheme) -> ColumnViews:
 class RunColumns:
     """One chunk's request columns and what every run derives from them.
 
-    Built once per chunk (a whole sub-trace for an array lane): the
-    arrival-order check (the chunk's :class:`~repro.workloads.trace.Trace`
-    already checked its opcodes and fingerprint spans), write page
-    counts (fingerprint spans are authoritative), the elementwise
-    service durations and the write page prefix sum.  Write durations are state-independent for
+    Built once per chunk (a whole sub-trace for an array lane; the
+    chunk's :class:`~repro.workloads.trace.Trace` already checked its
+    arrival order, opcodes and fingerprint spans): write page counts
+    (fingerprint spans are authoritative), the elementwise service
+    durations and the write page prefix sum.  Write durations are state-independent for
     bulk schemes; for inline-dedupe they depend on the per-request dedup
     miss count, so :func:`plan_run` scatters them in per run.
     """
@@ -159,17 +158,12 @@ class RunColumns:
         "durations", "write_positions", "wprefix",
     )
 
-    def __init__(self, chunk, timing, channels: int, last_time: float = 0.0):
+    def __init__(self, chunk, timing, channels: int):
         times = np.ascontiguousarray(chunk.times_us, dtype=np.float64)
         ops = chunk.ops
         npages = chunk.npages
         offsets = chunk.fp_offsets
-        n = len(times)
-        if n and (float(times[0]) < last_time or bool((np.diff(times) < 0).any())):
-            raise SimulationError(
-                "cannot schedule into the past (trace arrivals not monotone)"
-            )
-        self.n = n
+        self.n = len(times)
         self.times = times
         self.ops = ops
         self.lpns = chunk.lpns
@@ -413,20 +407,18 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
 
     t = 0.0  # completion time of the previous request
     served = False  # at least one request completed (sim clock moved)
-    last_time = 0.0
     fallback_requests = 0
     window = _WINDOW_MAX
 
     for chunk in trace.iter_chunks():
         if len(chunk) == 0:
             continue
-        cols = RunColumns(chunk, timing, channels, last_time)
+        cols = RunColumns(chunk, timing, channels)
         n = cols.n
         times = cols.times
         lpns = cols.lpns
         offsets = cols.offsets
         fps_flat = cols.fps_flat
-        last_time = float(times[-1])
         i = 0
         while i < n:
             wall0 = time.perf_counter()

@@ -33,7 +33,12 @@ from typing import Iterable, Iterator, List, Optional, TextIO, Union
 import numpy as np
 
 from repro.workloads.request import OpKind
-from repro.workloads.trace import DEFAULT_CHUNK_SIZE, Trace, concat_traces
+from repro.workloads.trace import (
+    DEFAULT_CHUNK_SIZE,
+    Trace,
+    checked_chunks,
+    concat_traces,
+)
 
 
 class FIUFormatError(ValueError):
@@ -207,11 +212,11 @@ def iter_fiu_chunks(
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     if isinstance(source, (str, Path)):
-        trace_name = name or Path(source).stem
         with open(source) as fh:
-            yield from _iter_chunks(fh, trace_name, chunk_size, coalesce)
+            name = name or Path(source).stem
+            yield from iter_fiu_chunks(fh, chunk_size, name, coalesce)
         return
-    yield from _iter_chunks(source, name or "fiu", chunk_size, coalesce)
+    yield from checked_chunks(_iter_chunks(source, name or "fiu", chunk_size, coalesce))
 
 
 def _iter_chunks(

@@ -21,13 +21,15 @@ here beside :meth:`Trace.save_csv`, and :meth:`Trace.load_csv` is its
 chunks joined by :func:`concat_traces`.
 
 Every trace, however it is built, passes one column check in
-:class:`Trace`'s constructor: every op is a known :class:`OpKind`;
-``fp_offsets`` starts at 0, never decreases and ends at
-``len(fps_flat)``; only WRITE rows carry a non-empty fingerprint span;
-and every fingerprint is non-negative (an opaque content id, see
-:mod:`repro.dedup.fingerprint`).  A column that breaks it raises
-:class:`TraceError` naming the request and the field, so the replay
-layers below never see an out-of-contract request.
+:class:`Trace`'s constructor: arrival times never decrease from the
+clock's start at 0; every op is a known :class:`OpKind` (checked before
+the ``uint8`` cast); ``fp_offsets`` starts at 0, never decreases and
+ends at ``len(fps_flat)``; only WRITE rows carry a non-empty
+fingerprint span; and every fingerprint is non-negative (an opaque
+content id, see :mod:`repro.dedup.fingerprint`).  A column that breaks
+it, or a CSV field that does not parse, raises :class:`TraceError`
+naming the request and the field, so the replay layers below never see
+an out-of-contract request.
 """
 
 from __future__ import annotations
@@ -94,10 +96,10 @@ _CHECK_BLOCK = 1 << 16
 
 
 def _check_columns(
-    ops: np.ndarray, fps_flat: np.ndarray, fp_offsets: np.ndarray
+    times_us: np.ndarray, ops: np.ndarray, fps_flat: np.ndarray, fp_offsets: np.ndarray
 ) -> None:
-    """Raise :class:`TraceError` unless the opcode and fingerprint
-    columns hold to the trace contract (see the module docs)."""
+    """Raise :class:`TraceError` unless the columns hold to the trace
+    contract (see the module docs)."""
     n = len(ops)
     first, last = int(fp_offsets[0]), int(fp_offsets[n])
     if first != 0:
@@ -112,8 +114,8 @@ def _check_columns(
     for lo in range(0, n, _CHECK_BLOCK):
         hi = min(lo + _CHECK_BLOCK, n)
         block_ops = np.asarray(ops[lo:hi])
-        if int(block_ops.max()) > top:
-            i = int(np.argmax(block_ops > top))
+        if int(block_ops.max()) > top or int(block_ops.min()) < 0:
+            i = int(np.argmax((block_ops > top) | (block_ops < 0)))
             raise TraceError(lo + i, "ops", f"unknown opcode {int(block_ops[i])}")
         offsets = np.asarray(fp_offsets[lo : hi + 1])
         spans = np.diff(offsets)
@@ -134,6 +136,15 @@ def _check_columns(
             i = int(np.searchsorted(offsets, offsets[0] + k, side="right")) - 1
             raise TraceError(
                 lo + i, "fps_flat", f"holds negative fingerprint {int(fps[k])}"
+            )
+        # Arrivals last, each against its predecessor (the clock's 0 for
+        # the first), as a stream checks a chunk before its boundary.
+        times = np.concatenate(([times_us[lo - 1] if lo else 0.0], times_us[lo:hi]))
+        back = np.diff(times) < 0
+        if bool(back.any()):
+            i = int(np.argmax(back))
+            raise TraceError(
+                lo + i, "times_us", f"decreases from {times[i]:g} to {times[i + 1]:g}"
             )
 
 
@@ -176,13 +187,14 @@ class Trace:
         if len(fp_offsets) != n + 1:
             raise ValueError("fp_offsets must have n+1 entries")
         self.times_us = np.asarray(times_us, dtype=np.float64)
-        self.ops = np.asarray(ops, dtype=np.uint8)
+        ops = np.asarray(ops)  # range-checked before the uint8 cast
         self.lpns = np.asarray(lpns, dtype=np.int64)
         self.npages = np.asarray(npages, dtype=np.int32)
         self.fps_flat = np.asarray(fps_flat, dtype=np.int64)
         self.fp_offsets = np.asarray(fp_offsets, dtype=np.int64)
         self.name = name
-        _check_columns(self.ops, self.fps_flat, self.fp_offsets)
+        _check_columns(self.times_us, ops, self.fps_flat, self.fp_offsets)
+        self.ops = ops.astype(np.uint8, copy=False)
 
     def __len__(self) -> int:
         return len(self.times_us)
@@ -404,6 +416,45 @@ def concat_traces(chunks: List[Trace], name: str) -> Trace:
     )
 
 
+def checked_chunks(chunks: Iterator[Trace]) -> Iterator[Trace]:
+    """Pass through the consecutive chunks of one trace, checking arrival
+    order across their boundaries; a :class:`TraceError` names the
+    request by its offset in the whole trace.  Chunk readers use it."""
+    offset, last = 0, 0.0  # requests and last arrival so far
+    try:
+        for chunk in chunks:
+            if len(chunk):
+                first = float(chunk.times_us[0])
+                if first < last:  # the chunk's request 0 goes back
+                    detail = f"decreases from {last:g} to {first:g}"
+                    raise TraceError(0, "times_us", detail)
+                last = float(chunk.times_us[-1])
+            yield chunk
+            offset += len(chunk)
+    except TraceError as exc:
+        raise TraceError(offset + exc.index, exc.field, exc.detail) from None
+
+
+#: The :class:`Trace` column and parser of each CSV field, in file order.
+_CSV_FIELDS = (
+    ("times_us", float), ("ops", int), ("lpns", int), ("npages", int),
+    ("fps_flat", lambda field: [int(tok, 16) for tok in field.split("/")]),
+)
+
+
+def _csv_row_error(index: int, row: List[str]) -> TraceError:
+    """The :class:`TraceError` naming a CSV row's first field that is
+    missing or does not parse."""
+    for column, (field, parse) in enumerate(_CSV_FIELDS):
+        try:
+            parse(row[column])
+        except IndexError:
+            return TraceError(index, field, "is missing")
+        except ValueError as exc:
+            return TraceError(index, field, f"does not parse: {exc}")
+    raise AssertionError(f"CSV row {index} parses field by field: {row}")
+
+
 def iter_csv_chunks(
     path: Union[str, Path],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -413,12 +464,16 @@ def iter_csv_chunks(
     requests, at memory proportional to one chunk.
 
     Always yields at least one (possibly empty) chunk.  A row that
-    breaks the trace contract raises :class:`TraceError` naming the
-    request by its position in the file, whatever the chunk size.
+    breaks the trace contract or does not parse raises
+    :class:`TraceError` naming it by its position in the file.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    trace_name = name or Path(path).stem
+    chunks = _read_csv_chunks(path, chunk_size, name or Path(path).stem)
+    yield from checked_chunks(chunks)
+
+
+def _read_csv_chunks(path, chunk_size: int, trace_name: str) -> Iterator[Trace]:
     write = int(OpKind.WRITE)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -435,29 +490,29 @@ def iter_csv_chunks(
 
         def take() -> Trace:
             nonlocal times, ops, lpns, npages, fps, offsets
-            try:
-                chunk = Trace(
-                    np.asarray(times, dtype=np.float64),
-                    np.asarray(ops, dtype=np.uint8),
-                    np.asarray(lpns, dtype=np.int64),
-                    np.asarray(npages, dtype=np.int32),
-                    np.asarray(fps, dtype=np.int64),
-                    np.asarray(offsets, dtype=np.int64),
-                    trace_name,
-                )
-            except TraceError as exc:  # name the request by its file row
-                raise TraceError(emitted + exc.index, exc.field, exc.detail) from None
+            chunk = Trace(
+                np.asarray(times, dtype=np.float64),
+                np.asarray(ops, dtype=np.int64),
+                np.asarray(lpns, dtype=np.int64),
+                np.asarray(npages, dtype=np.int32),
+                np.asarray(fps, dtype=np.int64),
+                np.asarray(offsets, dtype=np.int64),
+                trace_name,
+            )
             times, ops, lpns, npages, fps, offsets = [], [], [], [], [], [0]
             return chunk
 
         for row in reader:
-            times.append(float(row[0]))
-            op = int(row[1])
-            ops.append(op)
-            lpns.append(int(row[2]))
-            npages.append(int(row[3]))
-            if op == write:
-                fps.extend(int(tok, 16) for tok in row[4].split("/"))
+            try:
+                times.append(float(row[0]))
+                op = int(row[1])
+                ops.append(op)
+                lpns.append(int(row[2]))
+                npages.append(int(row[3]))
+                if op == write and row[4]:
+                    fps.extend(int(tok, 16) for tok in row[4].split("/"))
+            except (ValueError, IndexError):
+                raise _csv_row_error(len(offsets) - 1, row) from None
             offsets.append(len(fps))
             if len(times) >= chunk_size:
                 yield take()

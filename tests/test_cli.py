@@ -490,6 +490,27 @@ class TestSimulateRunsASpec:
         assert main(["simulate", *flags, *stream, "-q"]) == 2
         assert "error: request 1: fps_flat holds negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stream", [[], ["--stream"]])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0.0,1,0,1,a\n1.0,257,1,1,\n", "request 1: ops unknown opcode 257"),
+            ("0.0,1,0,1,a\n1.0,1,1,1,zz\n", "request 1: fps_flat does not parse"),
+            (
+                "0.0,1,0,1,a\n10.0,1,1,1,b\n5.0,1,2,1,c\n",
+                "request 2: times_us decreases from 10 to 5",
+            ),
+        ],
+    )
+    def test_replay_of_an_unparseable_or_unordered_csv_is_an_error(
+        self, tmp_path, capsys, stream, rows, message
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_us,op,lpn,npages,fingerprints\n" + rows)
+        flags = ["--replay", str(path), "--blocks", "64", "--pages-per-block", "16"]
+        assert main(["simulate", *flags, *stream, "-q"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_compare_runs_every_scheme(self, capsys):
         assert main(["compare", *_SMALL]) == 0
         out = capsys.readouterr().out

@@ -2,17 +2,24 @@
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments import EXPERIMENTS, common, run_experiment
+from repro.experiments.array_tail import array_tail_specs
 from repro.experiments.common import (
     SCALES,
     ExperimentReport,
-    gc_efficiency_result,
     get_scale,
     reduction_vs_baseline,
+    result_for,
 )
 from repro.experiments.fig6_refcount_invalid import refcount_invalidation_histogram
 from repro.experiments.fig8_example import run_scenario
+from repro.runner import RunSpec
 from repro.workloads.fiu import build_fiu_trace
+
+
+def _quick_result(workload, scheme):
+    """The quick-scale greedy run Figs 9-12 all read."""
+    return result_for(RunSpec(workload=workload, scheme=scheme, scale="quick"))
 
 
 class TestRegistry:
@@ -45,6 +52,28 @@ class TestRegistry:
     def test_scales_have_valid_configs(self):
         for scale in SCALES.values():
             scale.config().validate()
+
+
+class TestDeclarations:
+    """Each experiment's declared fan-out is the one list of its runs."""
+
+    def test_reports_read_only_declared_runs(self, monkeypatch):
+        from repro.experiments.registry import warm_experiments
+
+        assert warm_experiments(list(EXPERIMENTS), scale="quick") == 74
+
+        def undeclared(specs, **kwargs):
+            raise AssertionError(f"undeclared runs: {[s.label() for s in specs]}")
+
+        monkeypatch.setattr(common, "run_specs", undeclared)
+        for experiment_id in EXPERIMENTS:
+            report = run_experiment(experiment_id, scale="quick")
+            assert report.experiment_id == experiment_id
+
+    def test_declared_specs_are_distinct(self):
+        for experiment_id, experiment in EXPERIMENTS.items():
+            specs = list(experiment.specs("quick"))
+            assert len(set(specs)) == len(specs), experiment_id
 
 
 class TestReportStructure:
@@ -124,35 +153,35 @@ class TestGCEfficiency:
 
     @pytest.mark.parametrize("workload", ["homes", "web-vm", "mail"])
     def test_cagc_erases_fewer_blocks(self, workload):
-        base = gc_efficiency_result(workload, "baseline", "quick")
-        cagc = gc_efficiency_result(workload, "cagc", "quick")
+        base = _quick_result(workload, "baseline")
+        cagc = _quick_result(workload, "cagc")
         assert cagc.blocks_erased < base.blocks_erased
 
     @pytest.mark.parametrize("workload", ["homes", "web-vm", "mail"])
     def test_cagc_migrates_fewer_pages(self, workload):
-        base = gc_efficiency_result(workload, "baseline", "quick")
-        cagc = gc_efficiency_result(workload, "cagc", "quick")
+        base = _quick_result(workload, "baseline")
+        cagc = _quick_result(workload, "cagc")
         assert cagc.pages_migrated < base.pages_migrated
 
     @pytest.mark.parametrize("workload", ["homes", "web-vm", "mail"])
     def test_cagc_improves_mean_response(self, workload):
-        base = gc_efficiency_result(workload, "baseline", "quick")
-        cagc = gc_efficiency_result(workload, "cagc", "quick")
+        base = _quick_result(workload, "baseline")
+        cagc = _quick_result(workload, "cagc")
         assert cagc.latency.mean_us < base.latency.mean_us
 
     def test_mail_benefits_most_from_dedup(self):
         reductions = {}
         for workload in ("homes", "mail"):
-            base = gc_efficiency_result(workload, "baseline", "quick")
-            cagc = gc_efficiency_result(workload, "cagc", "quick")
+            base = _quick_result(workload, "baseline")
+            cagc = _quick_result(workload, "cagc")
             reductions[workload] = reduction_vs_baseline(
                 base.pages_migrated, cagc.pages_migrated
             )
         assert reductions["mail"] > reductions["homes"]
 
     def test_results_memoized(self):
-        a = gc_efficiency_result("homes", "baseline", "quick")
-        b = gc_efficiency_result("homes", "baseline", "quick")
+        a = _quick_result("homes", "baseline")
+        b = _quick_result("homes", "baseline")
         assert a is b
 
 
@@ -167,10 +196,9 @@ class TestReports:
 
 class TestArrayTail:
     def test_registered_with_spec_fanout(self):
-        from repro.experiments.registry import _SPEC_BUILDERS
-
         assert "array-tail" in EXPERIMENTS
-        specs = _SPEC_BUILDERS["array-tail"]("quick")
+        specs = EXPERIMENTS["array-tail"].specs("quick")
+        assert list(specs) == list(array_tail_specs("quick"))
         assert len(specs) == 3
         assert {s.gc_coord for s in specs} == {
             "independent",

@@ -283,19 +283,18 @@ class TestRunSpecsEquivalence:
 
 
 class TestExperimentsIntegration:
-    def test_gc_efficiency_result_persists_across_memo_reset(
-        self, monkeypatch, tmp_path
-    ):
-        from repro.experiments.common import gc_efficiency_result, reset_result_caches
+    def test_result_for_persists_across_memo_reset(self, monkeypatch, tmp_path):
+        from repro.experiments.common import reset_result_caches, result_for
 
+        spec = RunSpec(workload="mail", scheme="baseline", scale="quick")
         monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
         reset_result_caches()
         try:
-            first = gc_efficiency_result("mail", "baseline", scale="quick")
-            again = gc_efficiency_result("mail", "baseline", scale="quick")
+            first = result_for(spec)
+            again = result_for(spec)
             assert again is first  # in-process memo: identity preserved
             reset_result_caches()  # simulate a new process
-            reloaded = gc_efficiency_result("mail", "baseline", scale="quick")
+            reloaded = result_for(spec)
             assert reloaded is not first  # came from the persistent cache
             assert_identical(first, reloaded)
         finally:

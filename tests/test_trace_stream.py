@@ -219,6 +219,30 @@ class TestStreamingSources:
             list(open_trace(path, stream=True, chunk_size=size).iter_chunks())
         assert str(whole.value) == str(streamed.value) == "line 9: unknown op 'X'"
 
+    @pytest.mark.parametrize("fmt", ("csv", "fiu"))
+    @pytest.mark.parametrize("size", (1, 2, 7, 65536))
+    def test_decreasing_arrival_same_error_both_paths(self, tmp_path, fmt, size):
+        """Request 5 arrives at 3.5 us, after request 4 at 4 us: inside
+        a chunk or across a chunk boundary, whatever the chunk size."""
+        times_ns = (0, 1000, 2000, 3000, 4000, 3500, 5000)
+        path = tmp_path / f"late.{fmt}"
+        if fmt == "csv":
+            rows = [f"{ns / 1000},1,{i},1,{i + 1:x}" for i, ns in enumerate(times_ns)]
+            path.write_text("time_us,op,lpn,npages,fingerprints\n" + "\n".join(rows))
+        else:
+            rows = [
+                f"{ns} 1 p {10 * i} 1 W 8 0 {i + 1:032x}"
+                for i, ns in enumerate(times_ns)
+            ]
+            path.write_text("\n".join(rows))
+        with pytest.raises(TraceError) as whole:
+            open_trace(path)
+        with pytest.raises(TraceError) as streamed:
+            list(open_trace(path, stream=True, chunk_size=size).iter_chunks())
+        for error in (whole.value, streamed.value):
+            assert (error.index, error.field) == (5, "times_us")
+            assert error.detail == "decreases from 4 to 3.5"
+
 
 def _replay_digest(trace) -> str:
     """sha256 of a cagc replay's trajectory on the small device."""

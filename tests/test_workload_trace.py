@@ -243,6 +243,136 @@ class TestTraceContract:
         with pytest.raises(TraceError, match="request 5"):
             list(open_trace(path, stream=True, chunk_size=4).iter_chunks())
 
+    @pytest.mark.parametrize("op", [257, -1])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int16])
+    def test_opcode_range_checked_before_the_uint8_cast(self, op, dtype):
+        columns = list(_columns([5, 6], [0, 1, 1, 2]))
+        columns[1] = np.array([1, op, 1], dtype=dtype)
+        with pytest.raises(TraceError) as info:
+            Trace(*columns)
+        assert (info.value.index, info.value.field) == (1, "ops")
+        assert info.value.detail == f"unknown opcode {op}"
+
+    @pytest.mark.parametrize("size", [1, 2, 65536])
+    def test_csv_opcode_out_of_uint8_range(self, tmp_path, size):
+        from repro.workloads.stream import open_trace
+
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "time_us,op,lpn,npages,fingerprints\n0.0,1,0,1,a\n1.0,257,1,1,\n"
+        )
+        for source in (
+            lambda: Trace.load_csv(path),
+            lambda: list(open_trace(path, stream=True, chunk_size=size).iter_chunks()),
+        ):
+            with pytest.raises(TraceError) as info:
+                source()
+            assert (info.value.index, info.value.field) == (1, "ops")
+            assert info.value.detail == "unknown opcode 257"
+
+    @pytest.mark.parametrize("size", [1, 2, 65536])
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("3.0,1,3,1,zz", "fps_flat"),
+            ("3.0,1,3,1,4/", "fps_flat"),
+            ("soon,1,3,1,4", "times_us"),
+            ("3.0,W,3,1,4", "ops"),
+            ("3.0,1,0x3,1,4", "lpns"),
+            ("3.0,0,3,1.5,", "npages"),
+            ("3.0,1,3,1", "fps_flat"),
+            ("3.0,1,3", "npages"),
+        ],
+    )
+    def test_csv_field_that_does_not_parse_names_its_request(
+        self, tmp_path, size, row, field
+    ):
+        from repro.workloads.stream import open_trace
+
+        path = tmp_path / "bad.csv"
+        rows = [f"{i}.0,1,{i},1,{i + 1:x}" for i in range(5)]
+        rows[3] = row
+        path.write_text("time_us,op,lpn,npages,fingerprints\n" + "\n".join(rows))
+        for source in (
+            lambda: Trace.load_csv(path),
+            lambda: list(open_trace(path, stream=True, chunk_size=size).iter_chunks()),
+        ):
+            with pytest.raises(TraceError, match=f"request 3: {field} ") as info:
+                source()
+            assert (info.value.index, info.value.field) == (3, field)
+
+    def test_csv_round_trips_a_fingerprintless_write(self, tmp_path):
+        path = tmp_path / "t.csv"
+        t = Trace(*_columns([7], [0, 0, 0, 1]))
+        t.save_csv(path)
+        back = Trace.load_csv(path)
+        for field in Trace._NPZ_FIELDS:
+            assert np.array_equal(getattr(back, field), getattr(t, field)), field
+
+    def test_decreasing_arrival(self):
+        columns = list(_columns([5, 6], [0, 1, 1, 2]))
+        columns[0] = np.array([0.0, 10.0, 5.0])
+        with pytest.raises(TraceError, match="request 2: times_us") as info:
+            Trace(*columns)
+        assert info.value.detail == "decreases from 10 to 5"
+        columns[0] = np.array([0.0, 5.0, 5.0])  # ties are in order
+        Trace(*columns)
+        columns[0] = np.array([-1.0, 0.0, 5.0])  # the event clock starts at 0
+        with pytest.raises(TraceError, match="request 0: times_us decreases from 0"):
+            Trace(*columns)
+
+    def test_decreasing_arrival_across_a_check_block(self, monkeypatch):
+        monkeypatch.setattr(trace_mod, "_CHECK_BLOCK", 2)
+        columns = list(_columns([], [0, 0, 0, 0, 0, 0], ops=(0, 0, 0, 0, 0)))
+        columns[0] = np.array([0.0, 1.0, 2.0, 3.0, 2.5])
+        with pytest.raises(TraceError, match="request 4: times_us") as info:
+            Trace(*columns)
+        assert info.value.detail == "decreases from 3 to 2.5"
+        columns[0] = np.array([0.0, 1.0, 2.5, 2.0, 3.0])
+        with pytest.raises(TraceError, match="request 3: times_us"):
+            Trace(*columns)
+
+    @staticmethod
+    def _decreasing_arrival_csv(tmp_path):
+        """Six writes arriving at 0, 10, 5, 20, 30, 40 us."""
+        path = tmp_path / "late.csv"
+        rows = [
+            f"{t:.1f},1,{i},1,{i + 1:x}" for i, t in enumerate((0, 10, 5, 20, 30, 40))
+        ]
+        path.write_text("time_us,op,lpn,npages,fingerprints\n" + "\n".join(rows))
+        return path
+
+    @pytest.mark.parametrize("device", ["ssd", "array"])
+    @pytest.mark.parametrize("kernel", ["reference", "vectorized"])
+    def test_decreasing_arrival_same_error_on_every_driver(
+        self, tmp_path, device, kernel
+    ):
+        from repro.array import SSDArray
+        from repro.config import small_config
+        from repro.device.ssd import SSD
+        from repro.schemes import make_scheme
+        from repro.workloads.stream import open_trace
+
+        cfg = small_config(blocks=64, pages_per_block=16, kernel=kernel)
+
+        def replay(trace):
+            if device == "ssd":
+                return SSD(make_scheme("cagc", cfg)).replay(trace)
+            return SSDArray([make_scheme("cagc", cfg) for _ in range(2)]).replay(trace)
+
+        path = self._decreasing_arrival_csv(tmp_path)
+        sources = [lambda: open_trace(path)]
+        if device == "ssd":  # arrays replay materialized traces only
+            sources += [
+                lambda size=size: open_trace(path, stream=True, chunk_size=size)
+                for size in (1, 2, 7)
+            ]
+        for source in sources:
+            with pytest.raises(TraceError) as info:
+                replay(source())
+            assert (info.value.index, info.value.field) == (2, "times_us")
+            assert info.value.detail == "decreases from 10 to 5"
+
     def test_load_npz_memory_mapped(self, tmp_path):
         path = tmp_path / "bad.npz"
         fields = ("times_us", "ops", "lpns", "npages", "fps_flat", "fp_offsets")
