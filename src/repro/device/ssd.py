@@ -107,9 +107,11 @@ class SSD:
     ) -> None:
         self.scheme = scheme
         self.sim = sim if sim is not None else Simulator()
-        #: keep_samples=False switches latency capture to the fixed-size
-        #: histogram so replay memory is independent of trace length
-        #: (RunResult.response_times_us comes back empty in that mode).
+        #: keep_samples=False folds latencies into the shared
+        #: LatencyHistogram (repro.obs.telemetry) so replay memory is
+        #: independent of trace length: count/mean/max stay exact, each
+        #: percentile is a bucket upper edge (within one ~7 % bucket),
+        #: and RunResult.response_times_us comes back empty.
         self.latency = LatencyRecorder(keep_samples=keep_samples)
         self._queue: Deque[_Row] = deque()
         self._busy = False

@@ -9,10 +9,11 @@ floats).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
 from typing import Tuple
 
 import numpy as np
+
+from repro.obs.telemetry import LatencyHistogram
 
 
 @dataclass(frozen=True)
@@ -42,37 +43,25 @@ class LatencySummary:
 _EMPTY = LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-#: Histogram-mode binning: log-spaced edges from 0.1 µs to 10 s give
-#: <1.2 % relative quantile error with a fixed 4 KB-ish footprint.
-_HIST_LO_US = 0.1
-_HIST_HI_US = 1e7
-_HIST_BINS = 800
-
-
 class LatencyRecorder:
-    """Response-time capture: exact samples or a fixed-size histogram.
+    """Response-time capture: exact samples or the shared histogram.
 
     ``keep_samples=True`` (the default) appends every sample into a
     growable buffer — exact percentiles, O(requests) memory.  With
-    ``keep_samples=False`` samples fold into a fixed log-spaced
-    histogram instead: percentiles become bin-accurate approximations
-    (sub-percent relative error) but memory stays constant no matter
-    how long the replay runs — the mode streaming replays of
-    multi-million-request traces use.
+    ``keep_samples=False`` samples fold into one
+    :class:`~repro.obs.telemetry.LatencyHistogram` instead: memory stays
+    constant no matter how long the replay runs (the mode streaming
+    replays of multi-million-request traces use), count, mean and max
+    stay exact, and percentiles are the shared bucket upper edges —
+    within one ~7 % bucket, the resolution of every histogram
+    percentile the metrics and SLO layers report.
     """
 
     def __init__(self, capacity: int = 1024, keep_samples: bool = True) -> None:
         self.keep_samples = keep_samples
         self._n = 0
-        if keep_samples:
-            self._buf = np.empty(max(capacity, 16), dtype=np.float64)
-        else:
-            self._buf = np.empty(0, dtype=np.float64)
-            self._bins = np.zeros(_HIST_BINS + 2, dtype=np.int64)
-            self._log_lo = np.log(_HIST_LO_US)
-            self._bin_scale = _HIST_BINS / (np.log(_HIST_HI_US) - self._log_lo)
-            self._sum = 0.0
-            self._max = 0.0
+        self._buf = np.empty(max(capacity, 16) if keep_samples else 0, dtype=np.float64)
+        self._hist = None if keep_samples else LatencyHistogram()
 
     def __len__(self) -> int:
         return self._n
@@ -80,8 +69,9 @@ class LatencyRecorder:
     def record(self, latency_us: float) -> None:
         if latency_us < 0:
             raise ValueError(f"negative latency {latency_us}")
-        if not self.keep_samples:
-            self._record_binned(latency_us)
+        if self._hist is not None:
+            self._hist.record(latency_us)
+            self._n += 1
             return
         if self._n == len(self._buf):
             grown = np.empty(len(self._buf) * 2, dtype=np.float64)
@@ -91,41 +81,17 @@ class LatencyRecorder:
         self._n += 1
 
     def record_many(self, latencies_us: np.ndarray) -> None:
-        """Append a whole batch of samples at once.
-
-        Bit-identical to calling :meth:`record` in a loop: exact mode
-        bulk-copies into the sample buffer; histogram mode bins with the
-        same scalar ``math.log`` expression as :meth:`_record_binned`
-        (``np.log`` may differ by an ulp at a bin edge), counts with one
-        ``bincount``, and accumulates ``_sum`` left to right in request
-        order (float addition is not associative, and builtin ``sum``
-        compensates on newer Pythons).
-        """
+        """Append a whole batch of samples at once; bit-identical to
+        calling :meth:`record` in a loop (see
+        :meth:`~repro.obs.telemetry.LatencyHistogram.record_many`)."""
         arr = np.ascontiguousarray(latencies_us, dtype=np.float64)
         if arr.size == 0:
             return
         if np.min(arr) < 0:
             raise ValueError(f"negative latency {float(np.min(arr))}")
-        if not self.keep_samples:
-            values = arr.tolist()
-            log_lo = float(self._log_lo)
-            scale = float(self._bin_scale)
-            top = _HIST_BINS + 1
-            idx = [
-                0 if v < _HIST_LO_US
-                else top if v >= _HIST_HI_US
-                else 1 + int((log(v) - log_lo) * scale)
-                for v in values
-            ]
-            self._bins += np.bincount(idx, minlength=top + 1)
-            total = self._sum
-            for v in values:
-                total += v
-            self._sum = total
-            peak = float(arr.max())
-            if peak > self._max:
-                self._max = peak
-            self._n += len(values)
+        if self._hist is not None:
+            self._hist.record_many(arr)
+            self._n += arr.size
             return
         need = self._n + arr.size
         if need > len(self._buf):
@@ -138,19 +104,6 @@ class LatencyRecorder:
         self._buf[self._n : need] = arr
         self._n = need
 
-    def _record_binned(self, latency_us: float) -> None:
-        if latency_us < _HIST_LO_US:
-            idx = 0
-        elif latency_us >= _HIST_HI_US:
-            idx = _HIST_BINS + 1
-        else:
-            idx = 1 + int((log(latency_us) - self._log_lo) * self._bin_scale)
-        self._bins[idx] += 1
-        self._sum += latency_us
-        if latency_us > self._max:
-            self._max = latency_us
-        self._n += 1
-
     def samples(self) -> np.ndarray:
         """View of the recorded samples (do not mutate).
 
@@ -161,8 +114,10 @@ class LatencyRecorder:
     def summary(self) -> LatencySummary:
         if self._n == 0:
             return _EMPTY
-        if not self.keep_samples:
-            return self._summary_binned()
+        hist = self._hist
+        if hist is not None:
+            q = hist.quantiles((50, 95, 99, 99.9))
+            return LatencySummary(hist.total, hist.mean_us, *q, hist.max_us)
         samples = self.samples()
         q = np.percentile(samples, [50, 95, 99, 99.9])
         return LatencySummary(
@@ -173,30 +128,6 @@ class LatencyRecorder:
             p99_us=float(q[2]),
             p999_us=float(q[3]),
             max_us=float(samples.max()),
-        )
-
-    def _summary_binned(self) -> LatencySummary:
-        cum = np.cumsum(self._bins)
-        # Geometric bin midpoints; the clamp bins report their edge.
-        edges = np.exp(
-            self._log_lo + np.arange(_HIST_BINS + 1) / self._bin_scale
-        )
-        mids = np.empty(_HIST_BINS + 2)
-        mids[0] = _HIST_LO_US
-        mids[1:-1] = np.sqrt(edges[:-1] * edges[1:])
-        mids[-1] = self._max
-        def quantile(q: float) -> float:
-            rank = q * (self._n - 1)
-            idx = int(np.searchsorted(cum, rank + 1.0, side="left"))
-            return float(min(mids[idx], self._max))
-        return LatencySummary(
-            count=self._n,
-            mean_us=self._sum / self._n,
-            median_us=quantile(0.50),
-            p95_us=quantile(0.95),
-            p99_us=quantile(0.99),
-            p999_us=quantile(0.999),
-            max_us=self._max,
         )
 
     def cdf(self, points: int = 200) -> Tuple[np.ndarray, np.ndarray]:

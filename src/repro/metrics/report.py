@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-import numpy as np
-
 Number = Union[int, float]
 
 
@@ -79,13 +77,14 @@ def gc_phase_breakdown(gc) -> Dict[str, float]:
 
 def summary_rows(result) -> List[Tuple[str, str]]:
     """(metric, value) rows for the ``report`` table of one (possibly
-    cached) :class:`~repro.device.ssd.RunResult`."""
-    from repro.obs.telemetry import LatencyHistogram
-
+    cached) :class:`~repro.device.ssd.RunResult`.  ``p99 (histogram)``
+    is the run's own metrics histogram, so it reads the same whether or
+    not the run kept its samples."""
     gc = result.gc
     io = result.io
     lat = result.latency
-    hist = LatencyHistogram.from_samples(result.response_times_us)
+    values = result.metrics.values if result.metrics is not None else {}
+    hist_count = int(values.get("cagc_request_latency_us_count", 0))
     phases = gc_phase_breakdown(gc)
     phase_total = sum(phases.values())
     rows: List[Tuple[str, str]] = [
@@ -98,10 +97,10 @@ def summary_rows(result) -> List[Tuple[str, str]]:
         ),
         (
             "p99 (histogram)",
-            f"{hist.percentile(99.0):.0f}us ({hist.total:,} samples, "
-            f"{int(np.count_nonzero(hist.counts))} buckets)"
-            if hist.total
-            else "n/a (samples not kept)",
+            f"{values['cagc_request_latency_us_p99']:.0f}us "
+            f"({hist_count:,} samples)"
+            if hist_count
+            else "n/a (no metrics)",
         ),
         ("write amplification", f"{result.write_amplification():.3f}"),
         (

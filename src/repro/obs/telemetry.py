@@ -4,8 +4,10 @@
 to ~100 s.  Recording is O(log buckets), memory is constant, and any
 percentile is answerable afterwards to within one bucket's relative
 width (~7%) — p50/p95/p99/p999 without storing half a million floats.
-The metrics registry's :class:`~repro.obs.metrics.Histogram` handles
-and the array tier's SLO histograms are all this one type.
+The metrics registry's :class:`~repro.obs.metrics.Histogram` handles,
+the array tier's SLO histograms and a sample-less
+:class:`~repro.metrics.latency.LatencyRecorder` are all this one type,
+and :func:`percentile_from_counts` is the one percentile rule.
 """
 
 from __future__ import annotations

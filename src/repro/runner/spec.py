@@ -309,9 +309,11 @@ class RunSpec:
         metrics snapshot for the ``metrics``/``report --compare`` CLI
         surfaces; pass ``None`` to run bare or a pre-built bundle to
         control the registry/interval.  ``keep_samples=False`` switches
-        latency capture to the constant-memory histogram
-        (``response_times_us`` comes back empty); use it for
-        large-scale runs where O(requests) sample storage dominates RSS.
+        latency capture to the shared constant-memory
+        :class:`~repro.obs.telemetry.LatencyHistogram` (exact
+        count/mean/max, percentiles within one ~7 % bucket,
+        ``response_times_us`` empty); use it for large-scale runs where
+        O(requests) sample storage dominates RSS.
         """
         config = self.build_config()
         if self.array_devices:

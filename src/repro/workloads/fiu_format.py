@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, TextIO, Union
+from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -158,17 +158,16 @@ class _RequestBuilder:
             self._flush()
             self.group = []
 
-    def take_trace(self, name: str) -> Trace:
-        """Emit the flushed rows as a Trace and reset the columns (the
+    def take_columns(self) -> Tuple[np.ndarray, ...]:
+        """Emit the flushed rows as Trace columns and reset them (the
         open coalescing group and timestamp base carry over)."""
-        trace = Trace(
+        columns = (
             np.asarray(self.times, dtype=np.float64),
             np.asarray(self.ops, dtype=np.uint8),
             np.asarray(self.lpns, dtype=np.int64),
             np.asarray(self.npages, dtype=np.int32),
             np.asarray(self.fps, dtype=np.int64),
             np.asarray(self.offsets, dtype=np.int64),
-            name,
         )
         self.times = []
         self.ops = []
@@ -176,7 +175,7 @@ class _RequestBuilder:
         self.npages = []
         self.fps = []
         self.offsets = [0]
-        return trace
+        return columns
 
 
 def load_fiu_trace(
@@ -216,22 +215,22 @@ def iter_fiu_chunks(
             name = name or Path(source).stem
             yield from iter_fiu_chunks(fh, chunk_size, name, coalesce)
         return
-    yield from checked_chunks(_iter_chunks(source, name or "fiu", chunk_size, coalesce))
+    yield from checked_chunks(_iter_columns(source, chunk_size, coalesce), name or "fiu")
 
 
-def _iter_chunks(
-    lines: Iterable[str], trace_name: str, chunk_size: int, coalesce: bool
-) -> Iterator[Trace]:
+def _iter_columns(
+    lines: Iterable[str], chunk_size: int, coalesce: bool
+) -> Iterator[Tuple[np.ndarray, ...]]:
     builder = _RequestBuilder(coalesce)
     empty = True
     for record in iter_fiu_records(lines):
         builder.push(record)
         if len(builder) >= chunk_size:
             empty = False
-            yield builder.take_trace(trace_name)
+            yield builder.take_columns()
     builder.finish()
     if len(builder) or empty:
-        yield builder.take_trace(trace_name)
+        yield builder.take_columns()
 
 
 def dump_fiu_trace(trace: Trace, path: Union[str, Path], process: str = "repro") -> None:

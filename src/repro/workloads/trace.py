@@ -21,15 +21,18 @@ here beside :meth:`Trace.save_csv`, and :meth:`Trace.load_csv` is its
 chunks joined by :func:`concat_traces`.
 
 Every trace, however it is built, passes one column check in
-:class:`Trace`'s constructor: arrival times never decrease from the
-clock's start at 0; every op is a known :class:`OpKind` (checked before
-the ``uint8`` cast); ``fp_offsets`` starts at 0, never decreases and
-ends at ``len(fps_flat)``; only WRITE rows carry a non-empty
-fingerprint span; and every fingerprint is non-negative (an opaque
-content id, see :mod:`repro.dedup.fingerprint`).  A column that breaks
-it, or a CSV field that does not parse, raises :class:`TraceError`
-naming the request and the field, so the replay layers below never see
-an out-of-contract request.
+:class:`Trace`'s constructor: arrival times are finite and never
+decrease from the clock's start at 0; every op is a known
+:class:`OpKind` (checked before the ``uint8`` cast); every LPN is
+non-negative; ``fp_offsets`` starts at 0, never decreases and ends at
+``len(fps_flat)``; only WRITE rows carry a non-empty fingerprint span;
+and every fingerprint is non-negative (an opaque content id, see
+:mod:`repro.dedup.fingerprint`).  A column that breaks it, or a CSV
+field that does not parse, raises :class:`TraceError` naming the
+lowest bad request and its field (on a tie, the first of ``ops``,
+``lpns``, ``fp_offsets``, ``fps_flat``, ``times_us``), so the replay
+layers below never see an out-of-contract request and a file names
+the same request loaded or streamed at any chunk size.
 """
 
 from __future__ import annotations
@@ -96,56 +99,68 @@ _CHECK_BLOCK = 1 << 16
 
 
 def _check_columns(
-    times_us: np.ndarray, ops: np.ndarray, fps_flat: np.ndarray, fp_offsets: np.ndarray
+    times_us: np.ndarray,
+    ops: np.ndarray,
+    lpns: np.ndarray,
+    fps_flat: np.ndarray,
+    fp_offsets: np.ndarray,
+    start_us: float,
 ) -> None:
     """Raise :class:`TraceError` unless the columns hold to the trace
-    contract (see the module docs)."""
+    contract (see the module docs), naming the lowest request that
+    breaks it; ``start_us`` is the arrival request 0 may not precede."""
     n = len(ops)
-    first, last = int(fp_offsets[0]), int(fp_offsets[n])
-    if first != 0:
-        raise TraceError(0, "fp_offsets", f"starts at {first}, not 0")
-    if last != len(fps_flat):
-        raise TraceError(
-            max(n - 1, 0), "fp_offsets",
-            f"ends at {last}, but fps_flat holds {len(fps_flat)} fingerprints",
-        )
+    if int(fp_offsets[0]) != 0:
+        raise TraceError(0, "fp_offsets", f"starts at {int(fp_offsets[0])}, not 0")
     write = int(OpKind.WRITE)
     top = max(OpKind)
     for lo in range(0, n, _CHECK_BLOCK):
         hi = min(lo + _CHECK_BLOCK, n)
         block_ops = np.asarray(ops[lo:hi])
-        if int(block_ops.max()) > top or int(block_ops.min()) < 0:
-            i = int(np.argmax((block_ops > top) | (block_ops < 0)))
-            raise TraceError(lo + i, "ops", f"unknown opcode {int(block_ops[i])}")
+        block_lpns = np.asarray(lpns[lo:hi])
         offsets = np.asarray(fp_offsets[lo : hi + 1])
         spans = np.diff(offsets)
-        if bool((spans < 0).any()):
-            i = int(np.argmax(spans < 0))
-            raise TraceError(lo + i, "fp_offsets", f"decreases by {-int(spans[i])}")
-        stray = (spans != 0) & (block_ops != write)
-        if bool(stray.any()):
-            i = int(np.argmax(stray))
-            raise TraceError(
-                lo + i, "fps_flat",
-                f"holds {int(spans[i])} fingerprints for a "
-                f"{OpKind(int(block_ops[i])).name} row",
-            )
-        fps = fps_flat[int(offsets[0]) : int(offsets[-1])]
-        if fps.size and int(fps.min()) < 0:
-            k = int(np.argmax(fps < 0))
-            i = int(np.searchsorted(offsets, offsets[0] + k, side="right")) - 1
-            raise TraceError(
-                lo + i, "fps_flat", f"holds negative fingerprint {int(fps[k])}"
-            )
-        # Arrivals last, each against its predecessor (the clock's 0 for
-        # the first), as a stream checks a chunk before its boundary.
-        times = np.concatenate(([times_us[lo - 1] if lo else 0.0], times_us[lo:hi]))
-        back = np.diff(times) < 0
-        if bool(back.any()):
-            i = int(np.argmax(back))
-            raise TraceError(
-                lo + i, "times_us", f"decreases from {times[i]:g} to {times[i + 1]:g}"
-            )
+        # Each arrival after its predecessor (``start_us`` for row 0).
+        times = np.concatenate(([times_us[lo - 1] if lo else start_us], times_us[lo:hi]))
+        # Fingerprints of the rows up to the first decreasing offset.
+        d = _first(spans < 0)
+        fps = fps_flat[int(offsets[0]) : int(offsets[len(spans) if d is None else d])]
+        k = _first(fps < 0)
+        neg = None if k is None else int(
+            np.searchsorted(offsets, offsets[0] + k, side="right") - 1
+        )
+        # (first bad row, field, its detail) per rule, in tie-break order.
+        faults = [
+            (_first((block_ops > top) | (block_ops < 0)), "ops",
+             lambda i: f"unknown opcode {int(block_ops[i])}"),
+            (_first(block_lpns < 0), "lpns",
+             lambda i: f"{int(block_lpns[i])} is negative"),
+            (d, "fp_offsets", lambda i: f"decreases by {-int(spans[i])}"),
+            (_first((spans != 0) & (block_ops != write)), "fps_flat",
+             lambda i: f"holds {int(spans[i])} fingerprints for a "
+                       f"{OpKind(int(block_ops[i])).name} row"),
+            (neg, "fps_flat", lambda i: f"holds negative fingerprint {int(fps[k])}"),
+            (_first(~np.isfinite(times[1:])), "times_us",
+             lambda i: f"{times[i + 1]} is not finite"),
+            (_first(np.diff(times) < 0), "times_us",
+             lambda i: f"decreases from {times[i]:g} to {times[i + 1]:g}"),
+        ]
+        found = [(i, rule) for rule, (i, _, _) in enumerate(faults) if i is not None]
+        if found:
+            i, rule = min(found)
+            _, field, detail = faults[rule]
+            raise TraceError(lo + i, field, detail(i))
+    last = int(fp_offsets[n])
+    if last != len(fps_flat):
+        raise TraceError(
+            max(n - 1, 0), "fp_offsets",
+            f"ends at {last}, but fps_flat holds {len(fps_flat)} fingerprints",
+        )
+
+
+def _first(mask: np.ndarray) -> Optional[int]:
+    """Index of the first True in ``mask``, or None."""
+    return int(np.argmax(mask)) if mask.any() else None
 
 
 @dataclass(frozen=True)
@@ -168,7 +183,9 @@ class Trace:
     """An ordered sequence of page-granular I/O requests.
 
     Raises :class:`TraceError` for columns that break the trace
-    contract (see the module docs).
+    contract (see the module docs).  ``start_us`` is the arrival the
+    first request may not precede: the clock's start for a whole trace,
+    the previous chunk's last arrival for a chunk of one.
     """
 
     def __init__(
@@ -180,6 +197,7 @@ class Trace:
         fps_flat: np.ndarray,
         fp_offsets: np.ndarray,
         name: str = "trace",
+        start_us: float = 0.0,
     ) -> None:
         n = len(times_us)
         if not (len(ops) == len(lpns) == len(npages) == n):
@@ -193,7 +211,9 @@ class Trace:
         self.fps_flat = np.asarray(fps_flat, dtype=np.int64)
         self.fp_offsets = np.asarray(fp_offsets, dtype=np.int64)
         self.name = name
-        _check_columns(self.times_us, ops, self.fps_flat, self.fp_offsets)
+        _check_columns(
+            self.times_us, ops, self.lpns, self.fps_flat, self.fp_offsets, start_us
+        )
         self.ops = ops.astype(np.uint8, copy=False)
 
     def __len__(self) -> int:
@@ -416,18 +436,20 @@ def concat_traces(chunks: List[Trace], name: str) -> Trace:
     )
 
 
-def checked_chunks(chunks: Iterator[Trace]) -> Iterator[Trace]:
-    """Pass through the consecutive chunks of one trace, checking arrival
-    order across their boundaries; a :class:`TraceError` names the
-    request by its offset in the whole trace.  Chunk readers use it."""
+def checked_chunks(
+    columns: Iterator[Tuple[np.ndarray, ...]], name: str
+) -> Iterator[Trace]:
+    """Build the consecutive chunks of one trace from their column
+    tuples (``times_us, ops, lpns, npages, fps_flat, fp_offsets``), each
+    checked from the previous chunk's last arrival on, so a chunk names
+    its lowest bad request whatever the chunk size; a
+    :class:`TraceError` names the request by its offset in the whole
+    trace.  Chunk readers use it."""
     offset, last = 0, 0.0  # requests and last arrival so far
     try:
-        for chunk in chunks:
+        for cols in columns:
+            chunk = Trace(*cols, name=name, start_us=last)
             if len(chunk):
-                first = float(chunk.times_us[0])
-                if first < last:  # the chunk's request 0 goes back
-                    detail = f"decreases from {last:g} to {first:g}"
-                    raise TraceError(0, "times_us", detail)
                 last = float(chunk.times_us[-1])
             yield chunk
             offset += len(chunk)
@@ -469,11 +491,11 @@ def iter_csv_chunks(
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    chunks = _read_csv_chunks(path, chunk_size, name or Path(path).stem)
-    yield from checked_chunks(chunks)
+    columns = _read_csv_columns(path, chunk_size)
+    yield from checked_chunks(columns, name or Path(path).stem)
 
 
-def _read_csv_chunks(path, chunk_size: int, trace_name: str) -> Iterator[Trace]:
+def _read_csv_columns(path, chunk_size: int) -> Iterator[Tuple[np.ndarray, ...]]:
     write = int(OpKind.WRITE)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -488,31 +510,35 @@ def _read_csv_chunks(path, chunk_size: int, trace_name: str) -> Iterator[Trace]:
         offsets: List[int] = [0]
         emitted = 0  # requests in the chunks already yielded
 
-        def take() -> Trace:
+        def take() -> Tuple[np.ndarray, ...]:
             nonlocal times, ops, lpns, npages, fps, offsets
-            chunk = Trace(
+            columns = (
                 np.asarray(times, dtype=np.float64),
                 np.asarray(ops, dtype=np.int64),
                 np.asarray(lpns, dtype=np.int64),
                 np.asarray(npages, dtype=np.int32),
                 np.asarray(fps, dtype=np.int64),
                 np.asarray(offsets, dtype=np.int64),
-                trace_name,
             )
             times, ops, lpns, npages, fps, offsets = [], [], [], [], [], [0]
-            return chunk
+            return columns
 
         for row in reader:
             try:
-                times.append(float(row[0]))
                 op = int(row[1])
-                ops.append(op)
-                lpns.append(int(row[2]))
-                npages.append(int(row[3]))
+                fields = (float(row[0]), int(row[2]), int(row[3]))
                 if op == write and row[4]:
-                    fps.extend(int(tok, 16) for tok in row[4].split("/"))
+                    fps.extend([int(tok, 16) for tok in row[4].split("/")])
             except (ValueError, IndexError):
-                raise _csv_row_error(len(offsets) - 1, row) from None
+                # The rows above it go first: one of them may break the
+                # contract, and the lowest bad request is the one named.
+                if times:
+                    yield take()
+                raise _csv_row_error(0, row) from None
+            times.append(fields[0])
+            ops.append(op)
+            lpns.append(fields[1])
+            npages.append(fields[2])
             offsets.append(len(fps))
             if len(times) >= chunk_size:
                 yield take()

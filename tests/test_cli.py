@@ -471,11 +471,14 @@ class TestSimulateRunsASpec:
         assert out.startswith("cagc / t / greedy / blocking")
         rows = _table(out)
         result = _small_spec().replay(
-            open_trace(str(path), stream=True), metrics=None, keep_samples=False
+            open_trace(str(path), stream=True), keep_samples=False
         )
         assert rows["requests"] == "600"
         assert rows["blocks erased"] == str(result.blocks_erased)
         assert rows["pages migrated"] == str(result.pages_migrated)
+        # A streamed run keeps no samples; the row reads its own histogram.
+        p99 = result.metrics.values["cagc_request_latency_us_p99"]
+        assert rows["p99 (histogram)"] == f"{p99:.0f}us (600 samples)"
         # An array replays its own multiplexed tenant traces, not a file.
         assert main(["simulate", *flags, "--array-devices", "2", "-q"]) == 2
         assert "error:" in capsys.readouterr().err

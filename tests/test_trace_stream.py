@@ -22,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import small_config
 from repro.device.ssd import SSD, run_trace
-from repro.metrics.latency import _HIST_BINS, _HIST_HI_US, _HIST_LO_US, LatencyRecorder
+from repro.metrics.latency import LatencyRecorder, LatencySummary
+from repro.obs.telemetry import _BUCKETS, _EDGES, _FIRST_US, LatencyHistogram
 from repro.schemes import make_scheme
 from repro.workloads.fiu import build_fiu_trace
 from repro.workloads.fiu_format import (
@@ -264,6 +265,12 @@ def _replay_digest(trace) -> str:
     return h.hexdigest()
 
 
+def _hist_summary(hist: LatencyHistogram) -> LatencySummary:
+    """The summary a sample-less recorder holding ``hist`` reports."""
+    q = hist.quantiles((50, 95, 99, 99.9))
+    return LatencySummary(hist.total, hist.mean_us, *q, hist.max_us)
+
+
 class TestHistogramLatency:
     def test_histogram_mode_summary_close_to_exact(self):
         rng = np.random.default_rng(11)
@@ -274,31 +281,30 @@ class TestHistogramLatency:
             exact.record(float(s))
             binned.record(float(s))
         e, b = exact.summary(), binned.summary()
-        assert b.count == e.count
-        assert b.max_us == pytest.approx(e.max_us)
-        assert b.mean_us == pytest.approx(e.mean_us, rel=1e-9)
+        # The sample-less summary is the shared histogram's, exactly.
+        assert b == _hist_summary(LatencyHistogram.from_samples(samples))
+        assert (b.count, b.max_us) == (e.count, e.max_us)
+        # Bucket upper edges: within one 7 % bucket of the exact value.
         for field in ("median_us", "p95_us", "p99_us", "p999_us"):
-            assert getattr(b, field) == pytest.approx(getattr(e, field), rel=0.02)
+            exact_us, edge_us = getattr(e, field), getattr(b, field)
+            assert exact_us / 1.07 <= edge_us <= exact_us * 1.07, field
 
     @settings(max_examples=60, deadline=None)
     @given(
         batches=st.lists(
             st.lists(
                 st.one_of(
-                    # exact bin edges, the under/overflow bins and their
-                    # boundaries, and arbitrary values in between
-                    st.integers(0, _HIST_BINS).map(
-                        lambda k: float(
-                            np.exp(
-                                np.log(_HIST_LO_US)
-                                + k * (np.log(_HIST_HI_US) - np.log(_HIST_LO_US))
-                                / _HIST_BINS
-                            )
-                        )
+                    # exact bucket edges and their float neighbours, the
+                    # first and overflow buckets, and values in between
+                    st.integers(0, _BUCKETS - 1).flatmap(
+                        lambda k: st.sampled_from([
+                            float(_EDGES[k]),
+                            float(np.nextafter(_EDGES[k], 0.0)),
+                            float(np.nextafter(_EDGES[k], np.inf)),
+                        ])
                     ),
                     st.sampled_from(
-                        [0.0, 1e-9, 0.09999999999999999, _HIST_LO_US,
-                         9999999.999999998, _HIST_HI_US, 3e7]
+                        [0.0, 1e-9, _FIRST_US, float(_EDGES[-1]) * 2, 1e300]
                     ),
                     st.floats(0.0, 5e7, allow_nan=False),
                 ),
@@ -308,16 +314,21 @@ class TestHistogramLatency:
         )
     )
     def test_binned_record_many_matches_record_loop(self, batches):
-        one = LatencyRecorder(keep_samples=False)
-        many = LatencyRecorder(keep_samples=False)
+        one, many = LatencyHistogram(), LatencyHistogram()
         for batch in batches:
             for value in batch:
                 one.record(value)
             many.record_many(np.asarray(batch, dtype=np.float64))
-        assert np.array_equal(one._bins, many._bins)
-        assert one._sum == many._sum  # bit-exact left-to-right fold
-        assert one._max == many._max
-        assert one._n == many._n == len(many)
+        assert np.array_equal(one.counts, many.counts)
+        assert one.sum_us == many.sum_us  # bit-exact left-to-right fold
+        assert one.max_us == many.max_us
+        assert one.total == many.total == sum(map(len, batches))
+        recorder = LatencyRecorder(keep_samples=False)
+        for batch in batches:
+            recorder.record_many(np.asarray(batch, dtype=np.float64))
+        assert len(recorder) == many.total
+        if many.total:
+            assert recorder.summary() == _hist_summary(many)
 
     def test_histogram_mode_keeps_no_samples(self):
         rec = LatencyRecorder(keep_samples=False)
@@ -333,13 +344,12 @@ class TestHistogramLatency:
         result = ssd.replay(trace)
         assert result.response_times_us.size == 0
         assert result.latency.count == 400
-        # The summary must still track an exact-sample run; tail
-        # percentiles of only 400 samples are bin-quantized, so the
-        # tight accuracy bound lives in the 20k-sample test above.
+        # The summary is the shared histogram of an exact-sample run's
+        # response times, exactly.
         exact = run_trace(make_scheme("baseline", cfg), _sample_trace(400))
-        assert result.latency.mean_us == pytest.approx(exact.latency.mean_us, rel=1e-9)
-        assert result.latency.median_us == pytest.approx(exact.latency.median_us, rel=0.05)
-        assert result.latency.p99_us == pytest.approx(exact.latency.p99_us, rel=0.15)
+        hist = LatencyHistogram.from_samples(exact.response_times_us)
+        assert result.latency == _hist_summary(hist)
+        assert result.latency.max_us == exact.latency.max_us
 
 
 _REPLAY_CHILD = textwrap.dedent(

@@ -391,3 +391,103 @@ class TestTraceContract:
         b.fps_flat[2] = -1  # corrupted after construction
         with pytest.raises(TraceError, match="fps_flat holds negative"):
             multiplex_traces([a, b], devices=2, pages_per_device=64)
+
+    @staticmethod
+    def _write_csv(path, times, ops, lpns, fps):
+        """One single-page request per row; ``fps[i]`` is row i's
+        fingerprint field as written (empty for no fingerprint)."""
+        rows = [
+            f"{t!r},{op},{lpn},1,{fp}" for t, op, lpn, fp in zip(times, ops, lpns, fps)
+        ]
+        path.write_text("time_us,op,lpn,npages,fingerprints\n" + "\n".join(rows))
+        return path
+
+    @staticmethod
+    def _every_source(path, raw=None):
+        """Loaders of one trace: the raw columns (when given), the CSV
+        loaded, and the CSV streamed at several chunk sizes."""
+        from repro.workloads.stream import open_trace
+
+        sources = [lambda: open_trace(path)] + [
+            lambda k=k: list(open_trace(path, stream=True, chunk_size=k).iter_chunks())
+            for k in (1, 2, 7, 65536)
+        ]
+        return ([lambda: Trace(*raw)] if raw is not None else []) + sources
+
+    @pytest.mark.parametrize(
+        "times", [[0.0, float("nan"), 1.0, 2.0], [float("nan"), 1.0, 2.0, 3.0],
+                  [0.0, 1.0, 2.0, float("inf")], [0.0, float("-inf"), 1.0, 2.0]],
+    )
+    def test_non_finite_arrival(self, tmp_path, times):
+        bad = int(np.argmax(~np.isfinite(times)))
+        path = self._write_csv(tmp_path / "t.csv", times, [1] * 4, range(4), "abcd")
+        raw = list(_columns(list(range(4)), range(5), ops=(1, 1, 1, 1)))
+        raw[0] = np.asarray(times)
+        for source in self._every_source(path, raw):
+            with pytest.raises(TraceError) as info:
+                source()
+            assert (info.value.index, info.value.field) == (bad, "times_us")
+            assert info.value.detail == f"{times[bad]} is not finite"
+
+    @pytest.mark.parametrize(
+        "times, ops, lpns, fps, index, field",
+        [
+            # row 2 arrives early, row 3 has op 7: the lower row wins
+            ([0, 2, 1.5, 3], [1, 1, 1, 7], [0, 1, 2, 3], [5, 6, 7, None], 2, "times_us"),
+            # op 7 at row 1 comes before row 3's early arrival
+            ([0, 2, 3, 1.5], [1, 7, 1, 1], [0, 1, 2, 3], [5, None, 7, 8], 1, "ops"),
+            # one row breaks two rules: the field order breaks the tie
+            ([0, 2, 1.5, 3], [1, 1, 7, 1], [0, 1, 2, 3], [5, 6, None, 8], 2, "ops"),
+            # a negative LPN at row 1 before a negative fingerprint at row 2
+            ([0, 1, 2, 3], [1, 1, 1, 1], [0, -1, 2, 3], [5, 6, -7, 8], 1, "lpns"),
+            # a chunk's first row goes back past a later row's bad op
+            ([0, 1, 2, 3, 2.5, 4, 5, 6], [1, 1, 1, 1, 1, 7, 1, 1], list(range(8)),
+             [1, 2, 3, 4, 5, None, 7, 8], 4, "times_us"),
+        ],
+    )
+    def test_lowest_bad_request_is_named(
+        self, tmp_path, times, ops, lpns, fps, index, field
+    ):
+        fields = ["" if fp is None else f"{fp:x}" for fp in fps]
+        path = self._write_csv(tmp_path / "t.csv", times, ops, lpns, fields)
+        flat = [fp for fp in fps if fp is not None]
+        offsets = np.cumsum([0] + [fp is not None for fp in fps])
+        raw = (np.asarray(times, dtype=np.float64), np.asarray(ops),
+               np.asarray(lpns), np.ones(len(ops)), np.asarray(flat), offsets)
+        for source in self._every_source(path, raw):
+            with pytest.raises(TraceError) as info:
+                source()
+            assert (info.value.index, info.value.field) == (index, field)
+
+    def test_parse_error_after_a_contract_fault(self, tmp_path):
+        """A CSV field that does not parse is named only when no row
+        above it breaks the contract."""
+        times = [0.0, 2.0, 1.0, 3.0, 4.0]
+        path = self._write_csv(tmp_path / "t.csv", times, [1] * 5, range(5), "abcde")
+        path.write_text(path.read_text().replace("3.0,1,3,1,d", "3.0,1,3,1,zz"))
+        for source in self._every_source(path):
+            with pytest.raises(TraceError) as info:
+                source()
+            assert (info.value.index, info.value.field) == (2, "times_us")
+
+    @pytest.mark.parametrize("kernel", ["reference", "vectorized"])
+    def test_negative_lpn_fails_before_either_kernel(self, tmp_path, kernel):
+        from repro.config import small_config
+        from repro.device.ssd import SSD
+        from repro.schemes import make_scheme
+        from repro.workloads.stream import open_trace
+
+        raw = list(_columns([5, 6], [0, 1, 1, 2]))
+        raw[2] = np.array([0, -1, 2])
+        with pytest.raises(TraceError) as info:
+            Trace(*raw)
+        assert (info.value.index, info.value.field) == (1, "lpns")
+        assert info.value.detail == "-1 is negative"
+        path = self._write_csv(tmp_path / "t.csv", [0.0, 1.0, 2.0], [1] * 3,
+                               [0, -1, 2], "abc")
+        cfg = small_config(blocks=64, pages_per_block=16, kernel=kernel)
+        for trace in (lambda: open_trace(path),
+                      lambda: open_trace(path, stream=True, chunk_size=1)):
+            with pytest.raises(TraceError) as info:
+                SSD(make_scheme("cagc", cfg)).replay(trace())
+            assert (info.value.index, info.value.field) == (1, "lpns")
