@@ -49,38 +49,6 @@ from repro.obs.trace import TRACK_ARRAY
 COORDINATIONS = ("independent", "staggered", "global-token")
 
 
-def _restore_reserve(lane, now: float) -> float:
-    """Minimal foreground reclamation: free blocks back to the reserve.
-
-    The same loop as the device's semi-preemptive foreground path — a
-    deferred lane is never allowed to run out of allocatable blocks, so
-    coordination can only ever change *timing*, not reachability.
-    """
-    scheme = lane.scheme
-    reserve = scheme.reserve_blocks()
-    duration = 0.0
-    while scheme.allocator.free_blocks < reserve:
-        chunk = scheme.collect_next(now + duration)
-        if chunk <= 0.0:
-            break
-        duration += chunk
-    return duration
-
-
-def _idle_burst(lane, now: float) -> float:
-    """One bounded idle-time burst: up to ``gc_burst_blocks`` victims."""
-    scheme = lane.scheme
-    duration = 0.0
-    blocks = 0
-    while blocks < scheme.config.gc_burst_blocks and scheme.needs_background_gc():
-        chunk = scheme.collect_next(now + duration)
-        if chunk <= 0.0:
-            break
-        duration += chunk
-        blocks += 1
-    return duration
-
-
 class GCCoordinator:
     """Base/no-op coordinator (= ``independent``).
 
@@ -127,8 +95,13 @@ class GCCoordinator:
     # -- common helpers -------------------------------------------------
 
     def _defer(self, lane, now: float) -> float:
+        """Minimal foreground reclamation: free blocks back to the
+        reserve, the device's semi-preemptive floor — a deferred lane
+        never runs out of allocatable blocks, so coordination changes
+        only *timing*, not reachability."""
         self.deferrals += 1
-        duration = _restore_reserve(lane, now)
+        scheme = lane.scheme
+        duration = scheme.reclaim(now, scheme.reserve_blocks())
         tracer = self.array.tracer if self.array is not None else None
         if tracer is not None:
             tracer.instant(
@@ -141,8 +114,10 @@ class GCCoordinator:
         return duration
 
     def _start_idle_burst(self, lane) -> float:
+        """One bounded idle-time burst: up to ``gc_burst_blocks`` victims."""
         now = lane.sim.now
-        duration = _idle_burst(lane, now)
+        scheme = lane.scheme
+        duration = scheme.reclaim(now, max_victims=scheme.config.gc_burst_blocks)
         if duration > 0.0:
             self.idle_bursts += 1
             self.idle_busy_us += duration

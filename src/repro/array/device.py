@@ -207,27 +207,16 @@ class _ArrayLane(SSD):
 
     # ------------------------------------------------- GC coordination
 
-    def _gc_before_write(self, now: float) -> float:
+    def _foreground_gc(self, now: float) -> float:
         if self._coord is None or self._preemptive:
-            return super()._gc_before_write(now)
-        gc_us = self._coord.foreground_gc(self, now)
-        if gc_us > 0.0 and self.gc_hook is not None:
-            self.gc_hook(self)
-        return gc_us
+            return super()._foreground_gc(now)
+        return self._coord.foreground_gc(self, now)
 
     def _maybe_background_gc(self) -> None:
         if self._coord is not None and not self._preemptive:
             self._coord.on_idle(self)
             return
         super()._maybe_background_gc()
-
-    def start_idle_collection(self, duration: float) -> None:
-        """Occupy the lane for a coordinator-granted idle burst."""
-        self._busy = True
-        self.background_gc_chunks += 1
-        self.sim.schedule(
-            duration, EventKind.GC_COMPLETE, None, self._on_bg_gc_done
-        )
 
     def _on_bg_gc_done(self, event: Event) -> None:
         self.last_event_us = self.sim.now
@@ -287,8 +276,14 @@ class SSDArray:
             raise ValueError(
                 "SSDArray does not model per-device DRAM write buffers"
             )
+        logical = min(s.config.logical_pages for s in schemes)
         if pages_per_device is None:
             pages_per_device = schemes[0].config.logical_pages
+        elif pages_per_device > logical:
+            raise ValueError(
+                f"pages_per_device={pages_per_device} exceeds the devices' "
+                f"{logical} logical pages"
+            )
         self.sim = Simulator()
         self.router = RangeRouter(len(schemes), pages_per_device)
         self.coordination = coordination

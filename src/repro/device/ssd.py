@@ -131,8 +131,6 @@ class SSD:
         }
         #: idle-time GC chunks completed (preemptive mode telemetry).
         self.background_gc_chunks = 0
-        #: requests completed (drives heartbeat progress).
-        self.requests_completed = 0
         self.buffer: Optional[WriteBuffer] = None
         if scheme.config.write_buffer_pages > 0:
             self.buffer = WriteBuffer(
@@ -166,7 +164,8 @@ class SSD:
         engine — bit-identical results, one pass per chunk.  Devices
         the kernels do not model (preemptive GC, write buffers,
         per-channel queues, per-page-hashing schemes) take the
-        reference loop below, which reads the chunks row by row.
+        reference loop below, which reads the chunks row by row.  Both
+        take the chunks through :meth:`take_chunks`.
         """
         if self.heartbeat is not None:
             try:
@@ -179,7 +178,7 @@ class SSD:
             if device_eligible(self):
                 return replay_vectorized(self, trace)
         self._rows = chain.from_iterable(
-            chunk.iter_rows() for chunk in trace.iter_chunks()
+            chunk.iter_rows() for chunk in self.take_chunks(trace)
         )
         self._schedule_next_arrival()
         self.sim.run()
@@ -195,13 +194,24 @@ class SSD:
             self.heartbeat.finish(
                 self.sim.now,
                 self.sim.events_processed,
-                self.requests_completed,
+                len(self.latency),
                 gc_collects=self.scheme.gc_counters.gc_invocations,
             )
         return make_run_result(
             self.scheme, trace.name, self.latency, self.sim.now,
             buffer=self.buffer, metrics=self.metrics,
         )
+
+    def take_chunks(self, trace):
+        """``trace``'s chunks, each checked against the device's logical
+        capacity as a replay takes it (a request past it raises
+        :class:`TraceError` by its offset in the whole trace)."""
+        logical = self.scheme.config.logical_pages
+        offset = 0
+        for chunk in trace.iter_chunks():
+            chunk.check_capacity(logical, offset)
+            offset += len(chunk)
+            yield chunk
 
     def state_snapshot(self):
         """The scheme's comparable state (see ``FTLScheme.state_snapshot``)."""
@@ -255,14 +265,13 @@ class SSD:
         now = self.sim.now
         latency_us = now - arrival_us
         self.latency.record(latency_us)
-        self.requests_completed += 1
         if self.metrics is not None:
             self.metrics.on_complete(now, latency_us, self)
         if self.heartbeat is not None:
             self.heartbeat.tick(
                 now,
                 self.sim.events_processed,
-                self.requests_completed,
+                len(self.latency),
                 gc_collects=self.scheme.gc_counters.gc_invocations,
             )
 
@@ -270,11 +279,14 @@ class SSD:
 
     def _maybe_background_gc(self) -> None:
         """Preemptive mode: reclaim one block per idle gap."""
-        if not self._preemptive or not self.scheme.needs_background_gc():
+        if not self._preemptive:
             return
-        duration = self.scheme.collect_next(self.sim.now)
-        if duration <= 0.0:
-            return
+        duration = self.scheme.reclaim(self.sim.now, max_victims=1)
+        if duration > 0.0:
+            self.start_idle_collection(duration)
+
+    def start_idle_collection(self, duration: float) -> None:
+        """Occupy the idle device for a ``duration``-long collection."""
         self._busy = True
         self.background_gc_chunks += 1
         self.sim.schedule(duration, EventKind.GC_COMPLETE, None, self._on_bg_gc_done)
@@ -334,13 +346,18 @@ class SSD:
         return gc_us + service
 
     def _gc_before_write(self, now: float) -> float:
-        if self._preemptive:
-            gc_us = self._foreground_preemptive_gc(now)
-        else:
-            gc_us = self.scheme.run_gc(now) if self.scheme.needs_gc() else 0.0
+        gc_us = self._foreground_gc(now)
         if gc_us > 0.0 and self.gc_hook is not None:
             self.gc_hook(self)
         return gc_us
+
+    def _foreground_gc(self, now: float) -> float:
+        """GC a write at ``now`` waits for: a whole burst (blocking) or
+        only the free-block reserve's restoration (preemptive)."""
+        scheme = self.scheme
+        if self._preemptive:
+            return scheme.reclaim(now, scheme.reserve_blocks())
+        return scheme.run_gc(now) if scheme.needs_gc() else 0.0
 
     def _service_buffered_write(
         self, lpn: int, npages: int, fps, now: float
@@ -405,18 +422,6 @@ class SSD:
                 timing.read_request_us(misses, self._channels) - timing.overhead_us
             )
         return service
-
-    def _foreground_preemptive_gc(self, now: float) -> float:
-        """Reclaim only until the free-block reserve is restored."""
-        scheme = self.scheme
-        reserve = scheme.reserve_blocks()
-        duration = 0.0
-        while scheme.allocator.free_blocks < reserve:
-            chunk = scheme.collect_next(now + duration)
-            if chunk <= 0.0:
-                break
-            duration += chunk
-        return duration
 
 
 def make_run_result(

@@ -36,7 +36,7 @@ deferral counts, and the two-hop completion scheduling on the shared
 event heap.
 
 The coordinated epoch planner leans on one watermark fact: a deferred
-foreground GC (``GCCoordinator._defer`` -> ``_restore_reserve``) does
+foreground GC (``GCCoordinator._defer`` -> ``FTLScheme.reclaim``) does
 *zero work* while ``free_blocks >= reserve_blocks()`` — it only bumps
 the deferral counter and emits a tracer instant.  Free blocks fall
 monotonically inside a run (no GC between requests), so both the

@@ -7,12 +7,9 @@ no dedup lookups, no promotions, no mid-pass state feedback.  That
 makes the whole pass one mask-classification plus a handful of
 scatters:
 
-* gather the victim's valid PPNs and classify them in one pass (for
-  baseline the gate requires every page solo-referenced and
-  non-canonical — always true, re-checked per victim so the kernel
-  degrades to the reference loop instead of corrupting state if a
-  subclass ever changes the invariants; for inline-dedupe shared and
-  canonical pages are expected and handled);
+* gather the victim's valid PPNs and classify them in one pass (a
+  baseline victim is all solo-referenced and non-canonical; for
+  inline-dedupe shared and canonical pages are expected and handled);
 * allocate destination pages in ``allocate_run`` stretches (same PPN
   order as the reference's per-page ``allocate_page`` calls);
 * remap/move fingerprints/rekey peaks with one scatter per column
@@ -31,8 +28,6 @@ walk, not plain scatters).  Per-victim path counts land in
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 import numpy as np
 
 from repro.ftl.allocator import Region
@@ -44,8 +39,8 @@ from repro.schemes.inline_dedupe import InlineDedupeScheme
 _FP_ABSENT = -1
 _IDX_EMPTY = -1
 
-#: ``scheme.kernel_gc_stats`` keys: collection passes per path/reason.
-GC_STAT_KEYS = ("batched", "fallback[shared-or-canonical]")
+#: ``scheme.kernel_gc_stats`` keys: collection passes per path.
+GC_STAT_KEYS = ("batched",)
 
 
 def install_fast_gc(scheme: FTLScheme, views: ColumnViews) -> bool:
@@ -55,71 +50,28 @@ def install_fast_gc(scheme: FTLScheme, views: ColumnViews) -> bool:
     may override the migration-region decision (spatial hot/cold) or
     the whole pass (CAGC).  Returns True when installed.
     """
-    plain = type(scheme) is BaselineScheme
-    if not plain and type(scheme) is not InlineDedupeScheme:
+    if type(scheme) not in (BaselineScheme, InlineDedupeScheme):
         return False
-    reference = scheme.collect_block
     stats = {key: 0 for key in GC_STAT_KEYS}
     scheme.kernel_gc_stats = stats  # type: ignore[attr-defined]
 
     def collect_block(victim: int, now_us: float) -> GCBlockOutcome:
-        outcome = _collect_block_fast(
-            scheme, views, victim, now_us, not plain, stats
-        )
-        if outcome is None:
-            return reference(victim, now_us)
         stats["batched"] += 1
-        return outcome
+        return _collect_block_fast(scheme, views, victim, now_us)
 
     scheme.collect_block = collect_block  # type: ignore[method-assign]
     return True
 
 
 def _collect_block_fast(
-    scheme: FTLScheme,
-    views: ColumnViews,
-    victim: int,
-    now_us: float,
-    dedup_meta: bool,
-    stats: Dict[str, int],
-) -> Optional[GCBlockOutcome]:
-    """One victim collection as column scatters; None -> take the
-    reference loop (gate tripped).  ``dedup_meta`` enables the
-    inline-dedupe metadata moves (shared referrer sets, canonical
-    index entries); without it those same conditions trip the gate."""
-    flash = scheme.flash
-    valid = flash.valid_ppns_array(victim)
+    scheme: FTLScheme, views: ColumnViews, victim: int, now_us: float
+) -> GCBlockOutcome:
+    """One victim collection as column scatters."""
+    valid = scheme.flash.valid_ppns_array(victim)
     n = len(valid)
-    timing = scheme.timing
     if n == 0:
         _finish_erase(scheme, victim, 0)
-        outcome = GCBlockOutcome(
-            victim=victim,
-            duration_us=timing.gc_migrate_us(0),
-            pages_examined=0,
-            pages_migrated=0,
-            dedup_skipped=0,
-            promotions=0,
-            read_us=0.0,
-            hash_us=0.0,
-            write_us=0.0,
-            erase_us=timing.erase_us,
-        )
-        _emit_spans(scheme, victim, 0, now_us, timing)
-        scheme._account_gc(outcome)
-        return outcome
-
-    ref_view = views.ref
-    if not dedup_meta:
-        if bool((ref_view[valid] != 1).any()):
-            stats["fallback[shared-or-canonical]"] += 1
-            return None
-        # An empty dedup index means no page anywhere is canonical: an
-        # O(1) check that skips the per-victim reverse-column gather for
-        # the (always, in baseline) common case.
-        if len(scheme.index) != 0 and bool((views.rev[valid] != _IDX_EMPTY).any()):
-            stats["fallback[shared-or-canonical]"] += 1
-            return None
+        return scheme._plain_copy_done(victim, 0, now_us)
 
     region = scheme.allocator.region_of(victim)
     if region not in (Region.HOT, Region.COLD):
@@ -137,48 +89,45 @@ def _collect_block_fast(
 
     # Remap: destinations are fresh, so each source page's referrers
     # transfer wholesale (solo pages as column scatters, shared pages
-    # by handing the referrer set to the new PPN).
+    # by handing the referrer set to the new PPN).  All-solo victims
+    # (every baseline victim) scatter unmasked.
+    ref_view = views.ref
     solo_view = views.solo
     fwd_view = views.fwd()
-    if dedup_meta:
-        solo_sel = ref_view[valid] == 1
-        solo_old = valid[solo_sel]
-        solo_new = new_ppns[solo_sel]
-        lpns = solo_view[solo_old].copy()
-        fwd_view[lpns] = solo_new
-        solo_view[solo_old] = -1
-        ref_view[solo_old] = 0
-        ref_view[solo_new] = 1
-        solo_view[solo_new] = lpns
-        if not bool(solo_sel.all()):
-            shared = scheme.mapping._shared
-            for old, new in zip(
-                valid[~solo_sel].tolist(), new_ppns[~solo_sel].tolist()
-            ):
-                referrers = shared.pop(old)
-                for moved_lpn in referrers:
-                    fwd_view[moved_lpn] = new
-                shared[new] = referrers
-                ref_view[new] = len(referrers)
-                ref_view[old] = 0
-        # Canonical index entries move in-place (victim order, exactly
-        # the reference's per-page ``index.move`` calls).
-        rev_view = views.rev
-        canon_sel = rev_view[valid] != _IDX_EMPTY
+    solo_sel = ref_view[valid] == 1
+    all_solo = bool(solo_sel.all())
+    solo_old = valid if all_solo else valid[solo_sel]
+    solo_new = new_ppns if all_solo else new_ppns[solo_sel]
+    lpns = solo_view[solo_old].copy()
+    fwd_view[lpns] = solo_new
+    solo_view[solo_old] = -1
+    ref_view[solo_old] = 0
+    ref_view[solo_new] = 1
+    solo_view[solo_new] = lpns
+    if not all_solo:
+        shared = scheme.mapping._shared
+        for old, new in zip(
+            valid[~solo_sel].tolist(), new_ppns[~solo_sel].tolist()
+        ):
+            referrers = shared.pop(old)
+            for moved_lpn in referrers:
+                fwd_view[moved_lpn] = new
+            shared[new] = referrers
+            ref_view[new] = len(referrers)
+            ref_view[old] = 0
+    del fwd_view
+    # Canonical index entries move in-place (victim order, exactly the
+    # reference's per-page ``index.move`` calls).  An empty dedup index
+    # (always, in baseline) means no page anywhere is canonical: an O(1)
+    # check that skips the reverse-column gather.
+    if len(scheme.index) != 0:
+        canon_sel = views.rev[valid] != _IDX_EMPTY
         if bool(canon_sel.any()):
             move = scheme.index.move
             for old, new in zip(
                 valid[canon_sel].tolist(), new_ppns[canon_sel].tolist()
             ):
                 move(old, new)
-    else:
-        lpns = solo_view[valid].copy()
-        fwd_view[lpns] = new_ppns
-        ref_view[valid] = 0
-        solo_view[valid] = -1
-        ref_view[new_ppns] = 1
-        solo_view[new_ppns] = lpns
-    del fwd_view
 
     # Fingerprints follow the pages; peaks rekey onto the new PPNs.
     fp_view = views.fp
@@ -195,21 +144,7 @@ def _collect_block_fast(
     peak_view[new_ppns] = peaks
 
     _finish_erase(scheme, victim, n)
-    outcome = GCBlockOutcome(
-        victim=victim,
-        duration_us=timing.gc_migrate_us(n),
-        pages_examined=n,
-        pages_migrated=n,
-        dedup_skipped=0,
-        promotions=0,
-        read_us=n * timing.read_us,
-        hash_us=0.0,
-        write_us=n * timing.write_us,
-        erase_us=timing.erase_us,
-    )
-    _emit_spans(scheme, victim, n, now_us, timing)
-    scheme._account_gc(outcome)
-    return outcome
+    return scheme._plain_copy_done(victim, n, now_us)
 
 
 def _finish_erase(scheme: FTLScheme, victim: int, migrated: int) -> None:
@@ -224,12 +159,3 @@ def _finish_erase(scheme: FTLScheme, victim: int, migrated: int) -> None:
     if migrated:
         scheme.flash.valid_count[victim] = 0
     scheme._erase_victim(victim)
-
-
-def _emit_spans(scheme: FTLScheme, victim: int, n: int, now_us: float, timing) -> None:
-    tracer = scheme.tracer
-    if tracer is None:
-        return
-    copy_us = n * (timing.read_us + timing.write_us)
-    tracer.span("gc", "copy-valid", now_us, copy_us, victim=victim, pages=n)
-    tracer.span("gc", "erase", now_us + copy_us, timing.erase_us, victim=victim)

@@ -299,14 +299,13 @@ def commit_run(
     e = run.e
     lat_batch = completions - cols.times[i:e]
     ssd.latency.record_many(lat_batch)
-    ssd.requests_completed += e - i
     if observer is not None:
         observer.on_batch(lat_batch, t_end, ssd)
     if ssd.heartbeat is not None:
         ssd.heartbeat.tick(
             t_end,
-            ssd.requests_completed,
-            ssd.requests_completed,
+            len(ssd.latency),
+            len(ssd.latency),
             gc_collects=scheme.gc_counters.gc_invocations,
         )
     # Reads: counter-only effects.
@@ -347,7 +346,6 @@ def commit_scalar(
     the attribution report.  Returns the completion time."""
     completion = start + duration
     ssd.latency.record(completion - arrival)
-    ssd.requests_completed += 1
     if observer is not None:
         # The reference completion event fires with the sim clock at
         # the completion time; the histogram/series view matches.
@@ -356,8 +354,8 @@ def commit_scalar(
     if ssd.heartbeat is not None:
         ssd.heartbeat.tick(
             completion,
-            ssd.requests_completed,
-            ssd.requests_completed,
+            len(ssd.latency),
+            len(ssd.latency),
             gc_collects=ssd.scheme.gc_counters.gc_invocations,
         )
     if tracer is not None:
@@ -410,7 +408,7 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
     fallback_requests = 0
     window = _WINDOW_MAX
 
-    for chunk in trace.iter_chunks():
+    for chunk in ssd.take_chunks(trace):
         if len(chunk) == 0:
             continue
         cols = RunColumns(chunk, timing, channels)
@@ -456,8 +454,8 @@ def replay_vectorized(ssd: SSD, trace) -> RunResult:
     if heartbeat is not None:
         heartbeat.finish(
             ssd.sim.now,
-            ssd.requests_completed,
-            ssd.requests_completed,
+            len(ssd.latency),
+            len(ssd.latency),
             gc_collects=scheme.gc_counters.gc_invocations,
         )
     return make_run_result(

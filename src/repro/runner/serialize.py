@@ -38,7 +38,8 @@ from repro.ftl.wear import WearStats
 #: v8: kernel GC stats move from array results onto every run result.
 #: v9: channel-parallel runs carry a metrics snapshot too.
 #: v10: bulk-scheme kernel GC stats drop their negative-fingerprint key.
-SCHEMA_VERSION = 10
+#: v11: plain-copy kernel GC stats drop their shared-or-canonical key.
+SCHEMA_VERSION = 11
 
 
 class SchemaMismatchError(RuntimeError):

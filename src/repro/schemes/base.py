@@ -323,10 +323,8 @@ class FTLScheme(abc.ABC):
     def collect_next(self, now_us: float) -> float:
         """Collect exactly one victim block; returns its duration.
 
-        The incremental unit of preemptive/idle GC: the device calls
-        this repeatedly in gaps between user requests instead of running
-        a multi-block blocking burst.  Returns 0.0 when no victim is
-        eligible.
+        The incremental unit of preemptive/idle GC (see :meth:`reclaim`).
+        Returns 0.0 when no victim is eligible.
         """
         victim = self.policy.select_indexed(self.flash, self.victim_index, now_us)
         if victim is None:
@@ -335,6 +333,37 @@ class FTLScheme(abc.ABC):
         if tracer is not None:
             tracer.instant("gc", "victim-select", now_us, victim=victim, idle=True)
         return self.collect_block(victim, now_us).duration_us
+
+    def reclaim(
+        self,
+        now_us: float,
+        floor_blocks: Optional[int] = None,
+        max_victims: Optional[int] = None,
+    ) -> float:
+        """Collect victims one at a time until ``floor_blocks`` blocks
+        are free; returns the busy time.
+
+        The one loop behind every GC that is not a blocking burst: the
+        preemptive device and a coordinated array lane restore
+        :meth:`reserve_blocks` before a write; idle-time GC reclaims
+        toward the stop watermark (the default floor), at most
+        ``max_victims`` blocks per call.  A victim-less or zero-duration
+        collect ends the loop.
+        """
+        if floor_blocks is None:
+            floor_blocks = self._gc_stop_blocks
+        allocator = self.allocator
+        duration = 0.0
+        victims = 0
+        while allocator.free_blocks < floor_blocks and (
+            max_victims is None or victims < max_victims
+        ):
+            chunk = self.collect_next(now_us + duration)
+            if chunk <= 0.0:
+                break
+            duration += chunk
+            victims += 1
+        return duration
 
     def reserve_blocks(self) -> int:
         """Free-block floor preemptive GC restores before a write."""
@@ -350,8 +379,12 @@ class FTLScheme(abc.ABC):
         for ppn in valid:
             self._migrate_page(ppn, self._migration_region(ppn), now_us)
         self._erase_victim(victim)
+        return self._plain_copy_done(victim, len(valid), now_us)
+
+    def _plain_copy_done(self, victim: int, n: int, now_us: float) -> GCBlockOutcome:
+        """Outcome, trace spans and counters of a plain copy of ``n``
+        valid pages out of the already-erased ``victim``."""
         timing = self.timing
-        n = len(valid)
         outcome = GCBlockOutcome(
             victim=victim,
             duration_us=timing.gc_migrate_us(n),

@@ -345,6 +345,22 @@ class Trace:
             return 0
         return int((self.lpns + self.npages).max()) - 1
 
+    def check_capacity(self, logical_pages: int, offset: int = 0) -> None:
+        """Raise :class:`TraceError` (as request ``offset + i``) at the
+        first request whose extent ends past ``logical_pages``: a
+        write's extent is its fingerprint span, a read's or trim's
+        ``npages``."""
+        extents = np.where(
+            self.ops == int(OpKind.WRITE), np.diff(self.fp_offsets), self.npages
+        )
+        i = _first(self.lpns + extents > logical_pages)
+        if i is not None:
+            raise TraceError(
+                offset + i, "lpns",
+                f"{int(self.lpns[i])} + {int(extents[i])} pages passes the "
+                f"device's {logical_pages} logical pages",
+            )
+
     # -- serialization --------------------------------------------------------------------
 
     CSV_HEADER = ["time_us", "op", "lpn", "npages", "fingerprints"]
@@ -496,7 +512,6 @@ def iter_csv_chunks(
 
 
 def _read_csv_columns(path, chunk_size: int) -> Iterator[Tuple[np.ndarray, ...]]:
-    write = int(OpKind.WRITE)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -527,7 +542,7 @@ def _read_csv_columns(path, chunk_size: int) -> Iterator[Tuple[np.ndarray, ...]]
             try:
                 op = int(row[1])
                 fields = (float(row[0]), int(row[2]), int(row[3]))
-                if op == write and row[4]:
+                if row[4]:
                     fps.extend([int(tok, 16) for tok in row[4].split("/")])
             except (ValueError, IndexError):
                 # The rows above it go first: one of them may break the

@@ -238,17 +238,37 @@ class TestCagcCollectOutcomes:
 
 @pytest.mark.parametrize("name", ["baseline", "inline-dedupe"])
 def test_plain_copy_collect_outcomes(name):
-    """The plain-copy collect counts only its batched path and the
-    shared-or-canonical gate; every baseline victim takes the batch."""
+    """The plain-copy collect counts only its batched path, which every
+    victim takes."""
     cfg = small_config(blocks=64, pages_per_block=16, kernel="vectorized")
     trace = build_fiu_trace("homes", cfg, n_requests=0, fill_factor=3.0)
     scheme = build_scheme(name, "greedy", cfg)
     result = run_trace(scheme, trace)
     stats = scheme.kernel_gc_stats
-    assert set(stats) == {"batched", "fallback[shared-or-canonical]"}
+    assert set(stats) == {"batched"}
     assert sum(stats.values()) == result.gc.blocks_erased > 0
     if name == "baseline":
         assert stats["batched"] == result.gc.blocks_erased
+
+
+@pytest.mark.parametrize(
+    "name, events",
+    [("baseline", 640), ("inline-dedupe", 416), ("cagc", 446), ("lba-hotcold", 625)],
+)
+def test_traced_gc_events_match_across_kernels(name, events):
+    """A traced replay's ``gc``-track events (bursts, victim selects,
+    copy/erase spans) are the same on both kernels."""
+    from repro.obs import Tracer
+
+    tracks = {}
+    for kernel in ("reference", "vectorized"):
+        cfg = small_config(blocks=64, pages_per_block=16, kernel=kernel)
+        trace = build_fiu_trace("homes", cfg, n_requests=0, fill_factor=3.0)
+        tracer = Tracer()
+        run_trace(build_scheme(name, "greedy", cfg), trace, tracer=tracer)
+        tracks[kernel] = [e for e in tracer.events() if e.track == "gc"]
+    assert len(tracks["reference"]) == events
+    assert tracks["vectorized"] == tracks["reference"]
 
 
 class TestFallbackSeams:

@@ -170,18 +170,21 @@ class TestInRunTrimEdges:
 
     @pytest.mark.parametrize("scheme", ("baseline", "inline-dedupe"))
     def test_trims_beyond_forward_map(self, scheme):
-        """Trims of never-written LPNs past the forward map are no-ops
-        and never grow it, alone or beside a write that does."""
+        """The forward map spans the device's logical pages and replay
+        never grows it: trims of never-written LPNs up to its edge are
+        no-ops, and a trim past it fails on both kernels at the same
+        request, before the map could grow."""
+        from repro.workloads.trace import TraceError
+
         cfg = fuzz_config()
         cap = cfg.logical_pages
         rows = (
             _Rows()
-            .trim(5 * cap, 3)  # beyond the map, before any growth
-            .write(1, 11).write(cap, 12)  # the second write doubles the map
-            .trim(cap + 3)  # inside the grown map, never written
-            .trim(2 * cap + 1, 2).trim(7 * cap)  # beyond it still
-            .trim(cap - 1, 4)  # straddles the old edge
-            .write(cap + 3, 13)
+            .trim(cap - 3, 3)  # up to the edge, before any write
+            .write(1, 11).write(cap - 1, 12)
+            .trim(cap - 4)  # never written
+            .trim(cap - 2, 2)  # ends at the edge, over a written page
+            .write(cap - 4, 13)
         )
         trace = rows.trace()
         assert diff_kernels(trace, scheme=scheme, config=cfg) is None
@@ -190,10 +193,17 @@ class TestInRunTrimEdges:
             s = build_scheme(scheme, "greedy", replace(cfg, kernel=kernel))
             SSD(s).replay(trace)
             lengths[kernel] = (len(s.mapping._fwd), len(s.mapping))
-        assert lengths["reference"] == lengths["vectorized"] == (2 * cap, 2)
+        assert lengths["reference"] == lengths["vectorized"] == (cap, 2)
         _, fallbacks, io = _kernel_counters(trace, scheme, cfg)
         assert fallbacks == {}
-        assert io.trim_requests == 5
+        assert io.trim_requests == 3
+        past = rows.write(cap - 3, 14).trim(cap - 1, 2).write(2, 15).trace()
+        for kernel in ("reference", "vectorized"):
+            s = build_scheme(scheme, "greedy", replace(cfg, kernel=kernel))
+            with pytest.raises(TraceError) as info:
+                SSD(s).replay(past)
+            assert (info.value.index, info.value.field) == (7, "lpns")
+            assert len(s.mapping._fwd) == cap
 
 
 class TestArrayTrims:

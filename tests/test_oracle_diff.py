@@ -51,13 +51,22 @@ def test_no_divergence_on_fuzz_seeds(scheme, policy, fuzz_cfg, oracle_seeds):
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_no_divergence_preemptive_gc(scheme):
-    """Preemptive-GC configs auto-route to device replay and still agree."""
+    """Preemptive-GC configs auto-route to device replay and still agree,
+    over seeds on which the device reclaims both before writes (the
+    free-block reserve) and in idle gaps."""
+    from repro.device.ssd import SSD
+    from repro.oracle.diff import build_scheme
+
     cfg = fuzz_config(gc_mode="preemptive")
-    for seed in range(4):
-        divergence = diff_trace(
-            fuzz_trace(seed, cfg), scheme=scheme, config=cfg
-        )
+    erased = idle_chunks = 0
+    for seed in range(8):
+        trace = fuzz_trace(seed, cfg)
+        divergence = diff_trace(trace, scheme=scheme, config=cfg)
         assert divergence is None, str(divergence)
+        ssd = SSD(build_scheme(scheme, "greedy", cfg))
+        erased += ssd.replay(trace).gc.blocks_erased
+        idle_chunks += ssd.background_gc_chunks
+    assert erased > idle_chunks > 0
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)

@@ -470,6 +470,72 @@ class TestTraceContract:
                 source()
             assert (info.value.index, info.value.field) == (2, "times_us")
 
+    @pytest.mark.parametrize("op", [int(OpKind.READ), int(OpKind.TRIM)])
+    def test_csv_fingerprint_on_a_non_write_row(self, tmp_path, op):
+        """The CSV reader parses every row's fingerprint field, so a
+        READ or TRIM row carrying one fails as its raw columns do."""
+        from repro.workloads.stream import open_trace
+
+        path = self._write_csv(tmp_path / "t.csv", [0.0, 1.0], [1, op], [0, 0], "ab")
+        raw = _columns([10, 11], [0, 1, 2], ops=(1, op))
+        sources = [lambda: Trace(*raw), lambda: Trace.load_csv(path)] + [
+            lambda k=k: list(open_trace(path, stream=True, chunk_size=k).iter_chunks())
+            for k in (1, 2, 65536)
+        ]
+        for source in sources:
+            with pytest.raises(TraceError) as info:
+                source()
+            assert (info.value.index, info.value.field) == (1, "fps_flat")
+            assert info.value.detail == (
+                f"holds 1 fingerprints for a {OpKind(op).name} row"
+            )
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "4.0,1,952,1,e",  # a write just past the last logical page
+            "4.0,1,951,2,e/f",  # a write whose fingerprint span ends past it
+            "4.0,0,1029,1,",  # a read
+            "4.0,2,950,3,",  # a trim whose extent ends past it
+            "4.0,1,1000000,1,e",
+        ],
+    )
+    @pytest.mark.parametrize("kernel", ["reference", "vectorized"])
+    def test_extent_past_logical_pages(self, tmp_path, kernel, row):
+        """Both kernels reject a request whose extent ends past the
+        device's logical pages, named by its offset in the whole trace,
+        loaded or streamed at any chunk size."""
+        from repro.config import small_config
+        from repro.device.ssd import SSD
+        from repro.schemes import make_scheme
+        from repro.workloads.stream import open_trace
+
+        cfg = small_config(blocks=64, pages_per_block=16, kernel=kernel)
+        assert cfg.logical_pages == 952
+        path = self._write_csv(tmp_path / "t.csv", [0.0, 1.0, 2.0, 3.0], [1] * 4,
+                               [0, 951, 1, 2], "abcd")
+        path.write_text(path.read_text() + "\n" + row + "\n5.0,1,3,1,f\n")
+        sources = [lambda: open_trace(path)] + [
+            lambda k=k: open_trace(path, stream=True, chunk_size=k)
+            for k in (1, 7, 65536)
+        ]
+        for trace in sources:
+            with pytest.raises(TraceError) as info:
+                SSD(make_scheme("cagc", cfg)).replay(trace())
+            assert (info.value.index, info.value.field) == (4, "lpns")
+            assert info.value.detail.endswith("passes the device's 952 logical pages")
+
+    def test_array_pages_per_device_past_logical_pages(self):
+        from repro.array import SSDArray
+        from repro.config import small_config
+        from repro.schemes import make_scheme
+
+        cfg = small_config(blocks=64, pages_per_block=16)
+        schemes = [make_scheme("baseline", cfg) for _ in range(2)]
+        SSDArray(schemes, pages_per_device=cfg.logical_pages)
+        with pytest.raises(ValueError, match="pages_per_device=953 exceeds"):
+            SSDArray(schemes, pages_per_device=cfg.logical_pages + 1)
+
     @pytest.mark.parametrize("kernel", ["reference", "vectorized"])
     def test_negative_lpn_fails_before_either_kernel(self, tmp_path, kernel):
         from repro.config import small_config
