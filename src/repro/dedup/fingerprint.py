@@ -52,15 +52,16 @@ class PageFingerprints:
     8 bytes per physical page, preallocated to the device geometry, in
     place of a dict entry (~100 bytes) per *live* page — smaller beyond
     ~8 % occupancy and O(1) with no rehashing ever.  ``-1`` marks an
-    unmapped page.  The dict protocol subset every call site uses
+    unmapped page; the column never grows, so storing at a PPN past it
+    raises ``KeyError``.  The dict protocol subset every call site uses
     (``[]``, ``get``, ``pop``, ``in``, ``len``, iteration) is preserved,
     so the store drops in for the old ``Dict[int, int]`` unchanged.
     """
 
     __slots__ = ("_col",)
 
-    def __init__(self, physical_pages: int = 0) -> None:
-        self._col = array("q", [_ABSENT]) * max(physical_pages, 16)
+    def __init__(self, physical_pages: int) -> None:
+        self._col = array("q", [_ABSENT]) * physical_pages
 
     # -- dict protocol ---------------------------------------------------------
 
@@ -72,14 +73,11 @@ class PageFingerprints:
         raise KeyError(ppn)
 
     def __setitem__(self, ppn: int, fp: Fingerprint) -> None:
-        if ppn < 0:
-            raise KeyError(f"negative ppn {ppn}")
+        if not 0 <= ppn < len(self._col):
+            raise KeyError(ppn)
         if fp < 0:
             raise ValueError(f"negative fingerprint {fp}")
-        col = self._col
-        if ppn >= len(col):
-            col.extend(array("q", [_ABSENT]) * (max(ppn + 1, 2 * len(col)) - len(col)))
-        col[ppn] = fp
+        self._col[ppn] = fp
 
     def get(self, ppn: int, default: Optional[Fingerprint] = None):
         if 0 <= ppn < len(self._col):
@@ -103,15 +101,11 @@ class PageFingerprints:
 
     def __len__(self) -> int:
         view = np.frombuffer(self._col, dtype=np.int64)
-        n = int(np.count_nonzero(view != _ABSENT))
-        del view  # transient: a live export would pin the buffer
-        return n
+        return int(np.count_nonzero(view != _ABSENT))
 
     def __iter__(self) -> Iterator[int]:
         view = np.frombuffer(self._col, dtype=np.int64)
-        live = np.nonzero(view != _ABSENT)[0].tolist()
-        del view
-        return iter(live)
+        return iter(np.nonzero(view != _ABSENT)[0].tolist())
 
     def items(self) -> Iterator[Tuple[int, Fingerprint]]:
         for ppn in self:
@@ -139,7 +133,4 @@ class PageFingerprints:
         engine in the pipeline chews through the block's pages, instead
         of one store probe per page inside the loop.
         """
-        view = np.frombuffer(self._col, dtype=np.int64)
-        out = view[ppns]  # fancy indexing copies; the view stays transient
-        del view
-        return out
+        return np.frombuffer(self._col, dtype=np.int64)[ppns]

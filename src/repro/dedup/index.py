@@ -195,7 +195,7 @@ class FingerprintIndex:
         "misses",
     )
 
-    def __init__(self, physical_pages: int = 0, initial_slots: int = 256) -> None:
+    def __init__(self, physical_pages: int, initial_slots: int = 256) -> None:
         cap = 1 << max(initial_slots - 1, 15).bit_length()
         self._keys = _filled("q", _EMPTY, cap)
         self._vals = _filled("q", 0, cap)
@@ -203,7 +203,7 @@ class FingerprintIndex:
         self._used = 0  # live entries in the flat table
         self._filled = 0  # live entries + tombstones
         #: PPN -> digest prefix reverse column (-1 = not canonical).
-        self._ppn_fp = _filled("q", _EMPTY, max(physical_pages, 16))
+        self._ppn_fp = _filled("q", _EMPTY, physical_pages)
         self.hits = 0
         self.misses = 0
 
@@ -281,11 +281,6 @@ class FingerprintIndex:
             np.frombuffer(self._keys, dtype=np.int64), self._mask, fps, fps.size + 1
         )
         np.frombuffer(self._vals, dtype=np.int64)[slots] = ppns
-
-    def _grow_ppn(self, ppn: int) -> None:
-        col = self._ppn_fp
-        need = max(ppn + 1, len(col) * 2)
-        col.extend(_filled("q", _EMPTY, need - len(col)))
 
     # -- queries ---------------------------------------------------------------
 
@@ -365,8 +360,9 @@ class FingerprintIndex:
             raise IndexError_(f"fingerprint {fp:#x} already indexed")
         if self.contains_ppn(ppn):
             raise IndexError_(f"ppn {ppn} already canonical for another fp")
-        if ppn < 0:
-            raise IndexError_(f"negative ppn {ppn}")
+        if not 0 <= ppn < len(self._ppn_fp):
+            kind = "negative" if ppn < 0 else "out-of-range"
+            raise IndexError_(f"{kind} ppn {ppn}")
         self._maybe_grow()
         slot = self._insert_slot(fp)
         if self._keys[slot] == _EMPTY:
@@ -374,8 +370,6 @@ class FingerprintIndex:
         self._keys[slot] = fp
         self._vals[slot] = ppn
         self._used += 1
-        if ppn >= len(self._ppn_fp):
-            self._grow_ppn(ppn)
         self._ppn_fp[ppn] = fp
 
     def remove_ppn(self, ppn: int) -> Optional[Fingerprint]:
@@ -410,24 +404,19 @@ class FingerprintIndex:
             return
         # The first item a one-by-one loop rejects: its fp is negative
         # or indexed (before the batch or by an earlier item), its ppn
-        # is canonical (likewise), or its ppn is negative.
+        # is canonical (likewise), or its ppn is out of range.
+        rev = np.frombuffer(self._ppn_fp, dtype=np.int64)
         bad = fps < 0
         bad[~bad] = self._find_slots(fps[~bad]) >= 0
         bad |= _repeats(fps)
         bad |= _repeats(ppns)
-        bad |= ppns < 0
-        rev = np.frombuffer(self._ppn_fp, dtype=np.int64)
-        known = np.flatnonzero((ppns >= 0) & (ppns < rev.size))
-        bad[known] |= rev[ppns[known]] != _EMPTY
-        del rev  # the ppn column may have to grow below
+        bad |= (ppns < 0) | (ppns >= rev.size)
+        bad[~bad] = rev[ppns[~bad]] != _EMPTY
         if bad.any():
             i = int(np.argmax(bad))
             self.insert_many(fps[:i], ppns[:i])
             self.insert(int(fps[i]), int(ppns[i]))  # raises its error
             return
-        for ppn in ppns[ppns >= len(self._ppn_fp)].tolist():
-            if ppn >= len(self._ppn_fp):  # grow where the loop would
-                self._grow_ppn(ppn)
         done = 0
         while done < n:
             lim = (self._mask + 1) * 2 // 3
@@ -443,7 +432,7 @@ class FingerprintIndex:
             self._filled += empties
             self._used += slots.size
             done = end
-        np.frombuffer(self._ppn_fp, dtype=np.int64)[ppns] = fps
+        rev[ppns] = fps
 
     def remove_many(self, ppns: np.ndarray) -> None:
         """:meth:`remove_ppn` each of ``ppns`` in order, in bulk.
@@ -484,14 +473,13 @@ class FingerprintIndex:
             raise IndexError_(f"ppn {old_ppn} is not canonical for any fp")
         if self.contains_ppn(new_ppn):
             raise IndexError_(f"ppn {new_ppn} already canonical")
-        if new_ppn < 0:
-            raise IndexError_(f"negative ppn {new_ppn}")
+        if not 0 <= new_ppn < len(self._ppn_fp):
+            kind = "negative" if new_ppn < 0 else "out-of-range"
+            raise IndexError_(f"{kind} ppn {new_ppn}")
         slot = self._slot_of(fp)
         if slot < 0:
             raise IndexError_(f"ppn {old_ppn} names fp {fp:#x}, which is not indexed")
         self._ppn_fp[old_ppn] = _EMPTY
-        if new_ppn >= len(self._ppn_fp):
-            self._grow_ppn(new_ppn)
         self._ppn_fp[new_ppn] = fp
         self._vals[slot] = new_ppn
 

@@ -63,7 +63,8 @@ class PeakStore:
 
     Peaks are always >= 1, so ``0`` doubles as the absence marker and
     the whole store is one ``array('i')`` over the physical page range —
-    4 bytes per page instead of a dict entry per live page.  Implements
+    4 bytes per page instead of a dict entry per live page.  The column
+    never grows: storing at a key past it raises ``KeyError``.  Implements
     the dict-protocol subset :class:`RefcountTracker` uses, so schemes
     swap it in via the ``peaks`` field; the fingerprint-keyed trace
     analyzer keeps a plain dict (its key space is not dense).
@@ -71,12 +72,8 @@ class PeakStore:
 
     __slots__ = ("_col",)
 
-    def __init__(self, physical_pages: int = 0) -> None:
-        self._col = array("i", [0]) * max(physical_pages, 16)
-
-    def _grow(self, key: int) -> None:
-        col = self._col
-        col.extend(array("i", [0]) * (max(key + 1, 2 * len(col)) - len(col)))
+    def __init__(self, physical_pages: int) -> None:
+        self._col = array("i", [0]) * physical_pages
 
     def __getitem__(self, key: int) -> int:
         if 0 <= key < len(self._col):
@@ -86,11 +83,10 @@ class PeakStore:
         raise KeyError(key)
 
     def __setitem__(self, key: int, peak: int) -> None:
-        if key < 0 or peak < 1:
-            raise ValueError(f"peak store needs key >= 0 and peak >= 1, "
-                             f"got [{key}] = {peak}")
-        if key >= len(self._col):
-            self._grow(key)
+        if not 0 <= key < len(self._col):
+            raise KeyError(key)
+        if peak < 1:
+            raise ValueError(f"peak store needs peak >= 1, got [{key}] = {peak}")
         self._col[key] = peak
 
     def get(self, key: int, default=None):

@@ -24,11 +24,12 @@ scalar access never touches a hash table:
 Invariant: ``_ref[ppn] == 1`` means ``_solo[ppn]`` holds the referrer
 and ``ppn`` is absent from ``_shared``; ``_ref[ppn] >= 2`` means
 ``_shared[ppn]`` holds all referrers (>= 2 of them) and ``_solo`` is
-``-1``.  Arrays grow geometrically on demand, so a no-argument table
-still works for unit tests; schemes pre-size them from the device
-geometry.  Vectorized queries (``mapped_count`` over long extents,
-``mapped_ppns``) run through transient NumPy views of the same buffers
-— zero copies of the hot state.
+``-1``.  The columns are sized once, from the device geometry: ``_fwd``
+holds ``logical_pages`` entries and ``_ref``/``_solo`` hold
+``physical_pages``.  They never grow, so a mutation keyed past a column
+raises :class:`MappingError`.  Vectorized queries (``mapped_count``
+over long extents, ``mapped_ppns``) run through NumPy views of the same
+buffers — zero copies of the hot state.
 """
 
 from __future__ import annotations
@@ -55,29 +56,16 @@ class MappingTable:
 
     __slots__ = ("_fwd", "_ref", "_solo", "_shared", "_len")
 
-    def __init__(self, logical_pages: int = 0, physical_pages: int = 0) -> None:
-        self._fwd = _filled("q", _NO_PPN, max(logical_pages, 16))
-        self._ref = _filled("i", 0, max(physical_pages, 16))
-        self._solo = _filled("q", _NO_LPN, max(physical_pages, 16))
+    def __init__(self, logical_pages: int, physical_pages: int) -> None:
+        self._fwd = _filled("q", _NO_PPN, logical_pages)
+        self._ref = _filled("i", 0, physical_pages)
+        self._solo = _filled("q", _NO_LPN, physical_pages)
         #: PPN -> set of LPNs, only while refcount >= 2.
         self._shared: Dict[int, Set[int]] = {}
         self._len = 0
 
     def __len__(self) -> int:
         return self._len
-
-    # -- growth ------------------------------------------------------------------
-
-    def _grow_lpn(self, lpn: int) -> None:
-        fwd = self._fwd
-        need = max(lpn + 1, len(fwd) * 2)
-        fwd.extend(_filled("q", _NO_PPN, need - len(fwd)))
-
-    def _grow_ppn(self, ppn: int) -> None:
-        ref = self._ref
-        need = max(ppn + 1, len(ref) * 2)
-        ref.extend(_filled("i", 0, need - len(ref)))
-        self._solo.extend(_filled("q", _NO_LPN, need - len(self._solo)))
 
     # -- queries ---------------------------------------------------------------
 
@@ -181,14 +169,9 @@ class MappingTable:
         The caller decides what to do with the previous PPN (it becomes
         invalid only when its reference count drops to zero).
         """
-        if lpn < 0 or ppn < 0:
-            raise MappingError(f"negative lpn/ppn in bind({lpn}, {ppn})")
         fwd = self._fwd
-        if lpn >= len(fwd):
-            self._grow_lpn(lpn)
-            fwd = self._fwd
-        if ppn >= len(self._ref):
-            self._grow_ppn(ppn)
+        if not (0 <= lpn < len(fwd) and 0 <= ppn < len(self._ref)):
+            raise MappingError(f"lpn/ppn out of range in bind({lpn}, {ppn})")
         old = fwd[lpn]
         if old != _NO_PPN:
             self._drop_ref(old, lpn)
@@ -221,10 +204,8 @@ class MappingTable:
             return 0
         if old_ppn == new_ppn:
             raise MappingError("remap_ppn to the same PPN")
-        if new_ppn < 0:
-            raise MappingError(f"negative target ppn {new_ppn}")
-        if new_ppn >= len(self._ref):
-            self._grow_ppn(new_ppn)
+        if not 0 <= new_ppn < len(self._ref):
+            raise MappingError(f"target ppn {new_ppn} out of range")
         ref = self._ref
         solo = self._solo
         fwd = self._fwd

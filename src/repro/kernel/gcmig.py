@@ -93,7 +93,7 @@ def _collect_block_fast(
     # (every baseline victim) scatter unmasked.
     ref_view = views.ref
     solo_view = views.solo
-    fwd_view = views.fwd()
+    fwd_view = views.fwd
     solo_sel = ref_view[valid] == 1
     all_solo = bool(solo_sel.all())
     solo_old = valid if all_solo else valid[solo_sel]
@@ -115,7 +115,6 @@ def _collect_block_fast(
             shared[new] = referrers
             ref_view[new] = len(referrers)
             ref_view[old] = 0
-    del fwd_view
     # Canonical index entries move in-place (victim order, exactly the
     # reference's per-page ``index.move`` calls).  An empty dedup index
     # (always, in baseline) means no page anywhere is canonical: an O(1)

@@ -123,25 +123,15 @@ def plan_inline_run(
     within = np.arange(P_all, dtype=np.int64) - np.repeat(ends - rpages, rpages)
     lpn_p = np.repeat(rlpns, rpages) + within
 
-    # Pre-grow the forward map before the loop reads it (and before
-    # apply's transient scatter view): array.array cannot extend while
-    # exported.  Only writes grow it; trims of LPNs beyond it are no-ops.
     mapping = scheme.mapping
     index = scheme.index
-    wsel = None  # write pages of the stream (None: all of them)
-    if trims.any():
-        wsel = ~np.repeat(trims, rpages)
-    if fps.size:
-        max_lpn = int((lpn_p if wsel is None else lpn_p[wsel]).max())
-        if max_lpn >= len(mapping._fwd):
-            mapping._grow_lpn(max_lpn)
-
     canon0 = index.peek_many(fps)
-    if wsel is None:
+    if not trims.any():
         fps_p = fps
         canon_p = canon0
     else:
         # Page-aligned fingerprint/canonical columns (trim slots unused).
+        wsel = ~np.repeat(trims, rpages)
         fps_p = np.zeros(P_all, dtype=np.int64)
         fps_p[wsel] = fps
         canon_p = np.full(P_all, _NO_PPN, dtype=np.int64)
@@ -151,7 +141,6 @@ def plan_inline_run(
     # never writes: forward map, refcounts, and the index's reverse
     # (ppn -> fp) column.
     fwd = mapping._fwd
-    nfwd = len(fwd)
     ref = mapping._ref
     rev = index._ppn_fp
     nb = plan.nb
@@ -189,8 +178,6 @@ def plan_inline_run(
                 k += 1
                 old = overlay_get(lpn)
                 if old is None:
-                    if lpn >= nfwd:
-                        continue  # beyond the map: nothing to unmap
                     old = fwd[lpn]
                 if old < 0:
                     continue
@@ -253,9 +240,7 @@ def plan_inline_run(
         order = np.argsort(lpns)
         plan.uniq = lpns[order]
         plan.final = np.fromiter(overlay.values(), dtype=np.int64, count=n)[order]
-        fwd_view = views.fwd()
-        plan.old0 = fwd_view[plan.uniq]
-        del fwd_view
+        plan.old0 = views.fwd[plan.uniq]
     return j, plan
 
 
@@ -479,10 +464,8 @@ def apply_inline_run(
         solo_view[pages[(r0 == 1) & (r1 >= 2)]] = -1
         ref_view[pages] = r1
 
-    # Forward map: one scatter (view taken after all growth happened).
-    fwd_view = views.fwd()
-    fwd_view[uniq] = final_p
-    del fwd_view
+    # Forward map: one scatter.
+    views.fwd[uniq] = final_p
     mapping._len += int(np.count_nonzero(final_h >= 0)) - int(
         np.count_nonzero(old0 >= 0)
     )

@@ -145,30 +145,29 @@ class RunColumns:
 
     Built once per chunk (a whole sub-trace for an array lane; the
     chunk's :class:`~repro.workloads.trace.Trace` already checked its
-    arrival order, opcodes and fingerprint spans): write page counts
-    (fingerprint spans are authoritative), the elementwise service
-    durations and the write page prefix sum.  Write durations are state-independent for
-    bulk schemes; for inline-dedupe they depend on the per-request dedup
-    miss count, so :func:`plan_run` scatters them in per run.
+    arrival order, opcodes, extents and fingerprint spans): the
+    elementwise service durations and the write page prefix sum.  Write
+    durations are state-independent for bulk schemes; for inline-dedupe
+    they depend on the per-request dedup miss count, so
+    :func:`plan_run` scatters them in per run.
     """
 
     __slots__ = (
         "n", "times", "ops", "lpns", "npages", "offsets", "fps_flat",
-        "is_read", "is_trim", "is_row", "wn_all",
+        "is_read", "is_trim", "is_row",
         "durations", "write_positions", "wprefix",
     )
 
     def __init__(self, chunk, timing, channels: int):
         times = np.ascontiguousarray(chunk.times_us, dtype=np.float64)
         ops = chunk.ops
-        npages = chunk.npages
-        offsets = chunk.fp_offsets
+        npages = chunk.npages.astype(np.int64)
         self.n = len(times)
         self.times = times
         self.ops = ops
         self.lpns = chunk.lpns
         self.npages = npages
-        self.offsets = offsets
+        self.offsets = chunk.fp_offsets
         self.fps_flat = chunk.fps_flat
         is_write = ops == _OP_WRITE
         is_trim = ops == _OP_TRIM
@@ -176,39 +175,28 @@ class RunColumns:
         self.is_trim = is_trim
         #: state-changing rows: writes and trims.
         self.is_row = is_write | is_trim
-        # Only writes carry fingerprint spans (the trace contract).
-        wn_all = np.diff(offsets)
-        self.wn_all = wn_all
-        slots = (npages.astype(np.int64) + (channels - 1)) // channels
+        # A write's npages is its fingerprint span (the trace contract).
+        slots = (npages + (channels - 1)) // channels
         self.durations = np.where(
             is_write,
-            np.where(
-                wn_all > 0,
-                timing.overhead_us
-                + ((wn_all + (channels - 1)) // channels) * timing.write_us,
-                timing.overhead_us + timing.lookup_us,
-            ),
+            timing.overhead_us + slots * timing.write_us,
             np.where(
                 is_trim,
                 timing.overhead_us + timing.lookup_us * npages,
-                np.where(
-                    npages > 0,
-                    timing.overhead_us + slots * timing.read_us,
-                    timing.overhead_us,
-                ),
+                timing.overhead_us + slots * timing.read_us,
             ),
         ).astype(np.float64, copy=False)
         self.write_positions = np.nonzero(is_write)[0]
-        self.wprefix = write_prefix(wn_all[self.write_positions])
+        self.wprefix = write_prefix(npages[self.write_positions])
 
 
 class RunPlan:
     """One planned run ``[i, e)``: its state-changing rows ``w`` with
-    their page counts ``wn`` (a write's fingerprint span, a trim's
-    extent), trim mask ``wt``, fingerprints ``wfps`` and flash program
-    counts ``progs``; the inline-dedupe ``plan``; and the allocator
-    state it was planned from.  ``boundary`` marks request ``e`` as the
-    write whose pre-write GC check fires."""
+    their page counts ``wn`` (``npages``), trim mask ``wt``,
+    fingerprints ``wfps`` and flash program counts ``progs``; the
+    inline-dedupe ``plan``; and the allocator state it was planned from.
+    ``boundary`` marks request ``e`` as the write whose pre-write GC
+    check fires."""
 
     __slots__ = (
         "e", "boundary", "w", "wn", "wt", "wfps", "progs", "plan",
@@ -251,7 +239,7 @@ def plan_run(
     run.e = e = min(i + window, cols.n)
     run.w = w = i + np.flatnonzero(cols.is_row[i:e])
     run.wt = wt = cols.is_trim[w]
-    run.wn = wn = np.where(wt, cols.npages[w], cols.wn_all[w])
+    run.wn = wn = cols.npages[w]
     # Only writes carry fingerprint spans (the trace contract): the
     # run's write fingerprints are one slice of the flat column.
     run.wfps = cols.fps_flat[cols.offsets[i] : cols.offsets[e]]

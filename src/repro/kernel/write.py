@@ -62,11 +62,10 @@ def apply_write_run(
     """Apply one run of write and trim requests to the scheme's state.
 
     ``rlpns``/``rpages``/``trims``/``rstarts`` are per-request columns
-    in request order (int64 / int64 / bool / float64): a write's page
-    count is its fingerprint span (the authoritative write size in the
-    reference path), a trim's is its extent.  ``fps`` is the
-    concatenated fingerprint stream of the writes alone.  The caller
-    guarantees: bulk scheme, no GC trigger inside the run.
+    in request order (int64 / int64 / bool / float64); a request's page
+    count is its ``npages``, which for a write is its fingerprint span.
+    ``fps`` is the concatenated fingerprint stream of the writes alone.
+    The caller guarantees: bulk scheme, no GC trigger inside the run.
     """
     nreq = len(rlpns)
     mapping = scheme.mapping
@@ -109,24 +108,6 @@ def apply_write_run(
     wsel = None  # write pages of the stream (None: all of them)
     if ntrim:
         wsel = ~trims[req_of_page]
-
-    # Pre-grow the forward map before taking its view: array.array
-    # refuses to extend while a NumPy export is alive.  Only writes
-    # grow it: a trim beyond the map is a no-op (``unbind`` returns
-    # None), and an LPN past the writes' growth was never written, so
-    # those trim pages drop out of the stream.
-    if P:
-        max_lpn = int((lpn_p if wsel is None else lpn_p[wsel]).max())
-        if max_lpn >= len(mapping._fwd):
-            mapping._grow_lpn(max_lpn)
-    if wsel is not None:
-        keep = wsel | (lpn_p < len(mapping._fwd))
-        if not keep.all():
-            lpn_p = lpn_p[keep]
-            req_of_page = req_of_page[keep]
-            wsel = wsel[keep]
-            if not lpn_p.size:
-                return
 
     # ---- placement: one allocate_run call per block stretch --------------
     page_now = rstarts[req_of_page if wsel is None else req_of_page[wsel]]
@@ -187,7 +168,7 @@ def apply_write_run(
     solo_view = views.solo
     fp_view = views.fp
     peak_view = views.peak
-    fwd_view = views.fwd()
+    fwd_view = views.fwd
 
     # Previous mapping of each distinct LPN (gathered before any drop
     # mutates the reverse columns).  Overwrites and trims alike take a
@@ -248,7 +229,6 @@ def apply_write_run(
     fp_view[live_ppns] = fp_p[live_pos]
     peak_view[live_ppns] = np.maximum(peak_view[live_ppns], 1)
     mapping._len += int(live_ppns.size) - int(prev_ppns.size)
-    del fwd_view
 
     # ---- victim-index reconciliation -------------------------------------
     sync = scheme.victim_index.sync_block

@@ -141,9 +141,10 @@ class FTLScheme(abc.ABC):
             WearAwareAllocator if config.wear_aware_allocation else BlockAllocator
         )
         self.allocator = allocator_cls(self.flash)
-        # Columnar state, preallocated to the device geometry: the flat
-        # arrays never rehash or grow during replay, and the footprint
-        # is the geometry-proportional figure a real FTL would budget.
+        # Columnar state, sized once from the device geometry: the
+        # LPN/PPN columns never grow (a key past one raises), and the
+        # footprint is the geometry-proportional figure a real FTL
+        # would budget.
         n_pages = config.geometry.total_pages
         self.mapping = MappingTable(
             logical_pages=config.logical_pages, physical_pages=n_pages

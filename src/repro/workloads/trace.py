@@ -26,11 +26,13 @@ decrease from the clock's start at 0; every op is a known
 :class:`OpKind` (checked before the ``uint8`` cast); every LPN is
 non-negative; ``fp_offsets`` starts at 0, never decreases and ends at
 ``len(fps_flat)``; only WRITE rows carry a non-empty fingerprint span;
-and every fingerprint is non-negative (an opaque content id, see
-:mod:`repro.dedup.fingerprint`).  A column that breaks it, or a CSV
-field that does not parse, raises :class:`TraceError` naming the
-lowest bad request and its field (on a tie, the first of ``ops``,
-``lpns``, ``fp_offsets``, ``fps_flat``, ``times_us``), so the replay
+every fingerprint is non-negative (an opaque content id, see
+:mod:`repro.dedup.fingerprint`); every ``npages`` is at least 1 and
+fits ``int32`` (checked before the cast), and a WRITE's equals its
+fingerprint span, so ``npages`` is every request's extent.  A column that breaks it, or a CSV field that does not parse,
+raises :class:`TraceError` naming the lowest bad request and its field
+(on a tie, the first of ``ops``, ``lpns``, ``fp_offsets``,
+``fps_flat``, ``npages``, ``times_us``), so the replay
 layers below never see an out-of-contract request and a file names
 the same request loaded or streamed at any chunk size.
 """
@@ -96,12 +98,15 @@ class TraceError(ValueError):
 #: Requests per block of the column check: its temporaries stay this
 #: small however long a memory-mapped trace is.
 _CHECK_BLOCK = 1 << 16
+#: The largest ``npages`` the ``int32`` column holds.
+_NPAGES_MAX = int(np.iinfo(np.int32).max)
 
 
 def _check_columns(
     times_us: np.ndarray,
     ops: np.ndarray,
     lpns: np.ndarray,
+    npages: np.ndarray,
     fps_flat: np.ndarray,
     fp_offsets: np.ndarray,
     start_us: float,
@@ -118,6 +123,7 @@ def _check_columns(
         hi = min(lo + _CHECK_BLOCK, n)
         block_ops = np.asarray(ops[lo:hi])
         block_lpns = np.asarray(lpns[lo:hi])
+        block_npages = np.asarray(npages[lo:hi])
         offsets = np.asarray(fp_offsets[lo : hi + 1])
         spans = np.diff(offsets)
         # Each arrival after its predecessor (``start_us`` for row 0).
@@ -140,6 +146,11 @@ def _check_columns(
              lambda i: f"holds {int(spans[i])} fingerprints for a "
                        f"{OpKind(int(block_ops[i])).name} row"),
             (neg, "fps_flat", lambda i: f"holds negative fingerprint {int(fps[k])}"),
+            (_first((block_npages < 1) | (block_npages > _NPAGES_MAX)), "npages",
+             lambda i: f"{int(block_npages[i])} is outside 1..{_NPAGES_MAX}"),
+            (_first((block_npages != spans) & (block_ops == write)), "npages",
+             lambda i: f"{int(block_npages[i])} differs from the WRITE's "
+                       f"{int(spans[i])} fingerprints"),
             (_first(~np.isfinite(times[1:])), "times_us",
              lambda i: f"{times[i + 1]} is not finite"),
             (_first(np.diff(times) < 0), "times_us",
@@ -206,15 +217,17 @@ class Trace:
             raise ValueError("fp_offsets must have n+1 entries")
         self.times_us = np.asarray(times_us, dtype=np.float64)
         ops = np.asarray(ops)  # range-checked before the uint8 cast
+        npages = np.asarray(npages)  # and this before the int32 cast
         self.lpns = np.asarray(lpns, dtype=np.int64)
-        self.npages = np.asarray(npages, dtype=np.int32)
         self.fps_flat = np.asarray(fps_flat, dtype=np.int64)
         self.fp_offsets = np.asarray(fp_offsets, dtype=np.int64)
         self.name = name
         _check_columns(
-            self.times_us, ops, self.lpns, self.fps_flat, self.fp_offsets, start_us
+            self.times_us, ops, self.lpns, npages, self.fps_flat,
+            self.fp_offsets, start_us,
         )
         self.ops = ops.astype(np.uint8, copy=False)
+        self.npages = npages.astype(np.int32, copy=False)
 
     def __len__(self) -> int:
         return len(self.times_us)
@@ -347,17 +360,13 @@ class Trace:
 
     def check_capacity(self, logical_pages: int, offset: int = 0) -> None:
         """Raise :class:`TraceError` (as request ``offset + i``) at the
-        first request whose extent ends past ``logical_pages``: a
-        write's extent is its fingerprint span, a read's or trim's
-        ``npages``."""
-        extents = np.where(
-            self.ops == int(OpKind.WRITE), np.diff(self.fp_offsets), self.npages
-        )
-        i = _first(self.lpns + extents > logical_pages)
+        first request whose extent ``[lpn, lpn + npages)`` ends past
+        ``logical_pages``."""
+        i = _first(self.lpns + self.npages > logical_pages)
         if i is not None:
             raise TraceError(
                 offset + i, "lpns",
-                f"{int(self.lpns[i])} + {int(extents[i])} pages passes the "
+                f"{int(self.lpns[i])} + {int(self.npages[i])} pages passes the "
                 f"device's {logical_pages} logical pages",
             )
 
@@ -531,7 +540,7 @@ def _read_csv_columns(path, chunk_size: int) -> Iterator[Tuple[np.ndarray, ...]]
                 np.asarray(times, dtype=np.float64),
                 np.asarray(ops, dtype=np.int64),
                 np.asarray(lpns, dtype=np.int64),
-                np.asarray(npages, dtype=np.int32),
+                np.asarray(npages, dtype=np.int64),
                 np.asarray(fps, dtype=np.int64),
                 np.asarray(offsets, dtype=np.int64),
             )

@@ -193,7 +193,7 @@ def test_fingerprint_index_matches_dict_reference(seed):
     fps = _fp_pool(rng, 24)
     # Tiny initial table so the run crosses several grow/rehash cycles,
     # and enough churn that tombstones accumulate between them.
-    columnar = FingerprintIndex(initial_slots=4)
+    columnar = FingerprintIndex(ppn_span, initial_slots=4)
     ref = DictIndex()
     for step in range(STEPS):
         op = rng.random()
@@ -240,7 +240,7 @@ def test_fingerprint_index_matches_dict_reference(seed):
 
 
 def test_lookup_counts_hits_and_misses_like_dict_membership():
-    idx = FingerprintIndex(initial_slots=4)
+    idx = FingerprintIndex(16, initial_slots=4)
     ref = DictIndex()
     for i, fp in enumerate((5, 1 << 62, -3)):
         idx.insert(fp, i)

@@ -11,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 from repro.dedup import index as index_mod
 from repro.dedup.index import FingerprintIndex, IndexError_
 
+#: Reverse-column size of every test index: PPNs below it are valid.
+_PAGES = 256
+
 
 class TestBasics:
     def test_lookup_miss_then_hit(self):
-        idx = FingerprintIndex()
+        idx = FingerprintIndex(_PAGES)
         assert idx.lookup(0xAB) is None
         idx.insert(0xAB, 7)
         assert idx.lookup(0xAB) == 7
@@ -23,7 +26,7 @@ class TestBasics:
         assert idx.hit_ratio == 0.5
 
     def test_peek_does_not_count(self):
-        idx = FingerprintIndex()
+        idx = FingerprintIndex(_PAGES)
         idx.insert(1, 2)
         idx.peek(1)
         idx.peek(9)
@@ -31,38 +34,38 @@ class TestBasics:
         assert idx.misses == 0
 
     def test_fp_of_reverse_lookup(self):
-        idx = FingerprintIndex()
+        idx = FingerprintIndex(_PAGES)
         idx.insert(0xCD, 3)
         assert idx.fp_of(3) == 0xCD
         assert idx.fp_of(4) is None
         assert idx.contains_ppn(3)
 
     def test_len(self):
-        idx = FingerprintIndex()
+        idx = FingerprintIndex(_PAGES)
         idx.insert(1, 10)
         idx.insert(2, 20)
         assert len(idx) == 2
 
     def test_hit_ratio_empty(self):
-        assert FingerprintIndex().hit_ratio == 0.0
+        assert FingerprintIndex(_PAGES).hit_ratio == 0.0
 
 
 class TestMutations:
     def test_duplicate_fp_insert_rejected(self):
-        idx = FingerprintIndex()
+        idx = FingerprintIndex(_PAGES)
         idx.insert(1, 10)
         with pytest.raises(IndexError_):
             idx.insert(1, 11)
 
     def test_duplicate_ppn_insert_rejected(self):
-        idx = FingerprintIndex()
+        idx = FingerprintIndex(_PAGES)
         idx.insert(1, 10)
         with pytest.raises(IndexError_):
             idx.insert(2, 10)
 
     @pytest.mark.parametrize("fp", [-1, -2, -(1 << 62)])
     def test_negative_fp_rejected(self, fp):
-        idx = FingerprintIndex()
+        idx = FingerprintIndex(_PAGES)
         with pytest.raises(IndexError_, match="negative fingerprint"):
             idx.insert(fp, 10)
         assert idx.peek(fp) is None  # a sentinel key never matches
@@ -70,17 +73,17 @@ class TestMutations:
         assert len(idx) == 0 and not idx.contains_ppn(10)
 
     def test_remove_ppn(self):
-        idx = FingerprintIndex()
+        idx = FingerprintIndex(_PAGES)
         idx.insert(1, 10)
         assert idx.remove_ppn(10) == 1
         assert idx.peek(1) is None
         assert len(idx) == 0
 
     def test_remove_unknown_ppn_is_noop(self):
-        assert FingerprintIndex().remove_ppn(42) is None
+        assert FingerprintIndex(_PAGES).remove_ppn(42) is None
 
     def test_move_repoints_entry(self):
-        idx = FingerprintIndex()
+        idx = FingerprintIndex(_PAGES)
         idx.insert(5, 10)
         idx.move(10, 99)
         assert idx.peek(5) == 99
@@ -89,17 +92,17 @@ class TestMutations:
 
     def test_move_unknown_rejected(self):
         with pytest.raises(IndexError_):
-            FingerprintIndex().move(1, 2)
+            FingerprintIndex(_PAGES).move(1, 2)
 
     def test_move_onto_occupied_rejected(self):
-        idx = FingerprintIndex()
+        idx = FingerprintIndex(_PAGES)
         idx.insert(1, 10)
         idx.insert(2, 20)
         with pytest.raises(IndexError_):
             idx.move(10, 20)
 
     def test_invariants_after_churn(self):
-        idx = FingerprintIndex()
+        idx = FingerprintIndex(_PAGES)
         for i in range(20):
             idx.insert(i, 100 + i)
         for i in range(0, 20, 2):
@@ -114,7 +117,7 @@ class TestCorruptReverseEntry:
     overwrite the last slot through ``_slot_of``'s -1."""
 
     def corrupt(self):
-        idx = FingerprintIndex(initial_slots=4)
+        idx = FingerprintIndex(_PAGES, initial_slots=4)
         for i in range(20):
             idx.insert(i, i)
         idx._ppn_fp[7] = 999  # fp 999 is not in the table
@@ -178,7 +181,8 @@ _FPS = st.one_of(
     st.integers(0, (1 << 63) - 1),
     st.integers(-(1 << 62), -1),
 )
-_PPNS = st.integers(-2, 90)  # past the 16-entry reverse column: it grows
+# _PAGES is past the reverse column: inserting or moving to it raises.
+_PPNS = st.integers(-2, 90) | st.just(_PAGES)
 _CHURN = st.lists(
     st.tuples(st.sampled_from("iiirm"), _FPS, _PPNS, st.integers(0, 90)),
     max_size=120,
@@ -189,7 +193,7 @@ _BATCH = st.lists(st.tuples(_FPS, _PPNS), max_size=60)
 def _churn(ops):
     """A small index after random insert/remove/move traffic: tombstones,
     grow and same-capacity rehashes (initial capacity is 16 slots)."""
-    idx = FingerprintIndex(physical_pages=16, initial_slots=4)
+    idx = FingerprintIndex(_PAGES, initial_slots=4)
     for op, fp, ppn, other in ops:
         try:
             if op == "i":
@@ -310,7 +314,7 @@ class TestBulkInsertEdges:
         return got
 
     def test_growth_inside_batch(self):
-        idx = FingerprintIndex(initial_slots=4)
+        idx = FingerprintIndex(_PAGES, initial_slots=4)
         self.run_both(idx, list(range(100)), list(range(100)))
         assert idx._mask + 1 == 256
 
@@ -342,7 +346,7 @@ class TestBulkInsertEdges:
         assert caps == [(15, 15)] * 2  # once in the bulk op, once in the loop
 
     def test_in_batch_probe_collisions(self):
-        idx = FingerprintIndex(initial_slots=4)
+        idx = FingerprintIndex(_PAGES, initial_slots=4)
         mask = idx._mask
         homes = index_mod._homes(np.arange(400), mask)
         fps = np.flatnonzero(homes == 3)[:6].tolist()  # one home slot
@@ -358,10 +362,11 @@ class TestBulkInsertEdges:
             ([1, 2, 3, 4], [10, 11, 50, 13], "already canonical", 2),  # ppn 50
             ([1, 2, 3, 4], [10, 11, -1, 13], "negative ppn", 2),
             ([1, 2, -3, 4], [10, 11, 12, 13], "negative fingerprint", 2),
+            ([1, 2, 3, 4], [10, 11, _PAGES, 13], "out-of-range ppn", 2),
         ],
     )
     def test_error_after_prefix(self, fps, ppns, error, prefix):
-        idx = FingerprintIndex(initial_slots=4)
+        idx = FingerprintIndex(_PAGES, initial_slots=4)
         idx.insert(5, 50)
         got = self.run_both(idx, fps, ppns)
         assert error in got

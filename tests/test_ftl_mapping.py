@@ -8,19 +8,19 @@ from repro.ftl.mapping import MappingError, MappingTable
 
 class TestBind:
     def test_bind_and_lookup(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         assert m.lookup(5) is None
         m.bind(5, 100)
         assert m.lookup(5) == 100
 
     def test_bind_returns_previous(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         assert m.bind(1, 10) is None
         assert m.bind(1, 20) == 10
         assert m.lookup(1) == 20
 
     def test_refcount_counts_sharers(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         m.bind(1, 10)
         m.bind(2, 10)
         m.bind(3, 10)
@@ -28,14 +28,14 @@ class TestBind:
         assert sorted(m.lpns_of(10)) == [1, 2, 3]
 
     def test_rebind_same_lpn_same_ppn_keeps_refcount(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         m.bind(1, 10)
         old = m.bind(1, 10)
         assert old == 10
         assert m.refcount(10) == 1
 
     def test_old_ppn_loses_reference(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         m.bind(1, 10)
         m.bind(2, 10)
         m.bind(1, 20)
@@ -43,7 +43,7 @@ class TestBind:
         assert m.refcount(20) == 1
 
     def test_len_counts_lpns(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         m.bind(1, 10)
         m.bind(2, 10)
         assert len(m) == 2
@@ -51,17 +51,17 @@ class TestBind:
 
 class TestUnbind:
     def test_unbind_returns_ppn(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         m.bind(1, 10)
         assert m.unbind(1) == 10
         assert m.lookup(1) is None
         assert m.refcount(10) == 0
 
     def test_unbind_unknown_returns_none(self):
-        assert MappingTable().unbind(99) is None
+        assert MappingTable(64, 128).unbind(99) is None
 
     def test_unbind_keeps_other_sharers(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         m.bind(1, 10)
         m.bind(2, 10)
         m.unbind(1)
@@ -71,7 +71,7 @@ class TestUnbind:
 
 class TestRemap:
     def test_remap_moves_all_referrers(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         m.bind(1, 10)
         m.bind(2, 10)
         moved = m.remap_ppn(10, 50)
@@ -82,24 +82,24 @@ class TestRemap:
         assert m.refcount(50) == 2
 
     def test_remap_merges_into_existing(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         m.bind(1, 10)
         m.bind(2, 20)
         m.remap_ppn(10, 20)
         assert m.refcount(20) == 2
 
     def test_remap_unmapped_is_noop(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         assert m.remap_ppn(10, 20) == 0
 
     def test_remap_to_self_rejected(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         m.bind(1, 10)
         with pytest.raises(MappingError):
             m.remap_ppn(10, 10)
 
     def test_is_mapped(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         assert not m.is_mapped(10)
         m.bind(1, 10)
         assert m.is_mapped(10)
@@ -118,7 +118,7 @@ class TestInvariantsProperty:
     )
     @settings(max_examples=60, deadline=None)
     def test_random_ops_keep_forward_reverse_consistent(self, ops):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         for op, lpn, ppn in ops:
             if op == 0:
                 m.bind(lpn, ppn)
@@ -137,7 +137,7 @@ class TestInvariantsProperty:
     )
     @settings(max_examples=60, deadline=None)
     def test_refcounts_sum_to_lpn_count(self, binds):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         for lpn, ppn in binds:
             m.bind(lpn, ppn)
         total = sum(m.refcount(p) for p in set(m.mapped_ppns()))
@@ -152,7 +152,7 @@ class TestCompactReverseMap:
     check the table against a plain dict model."""
 
     def test_promote_on_second_sharer_demote_on_unbind(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         m.bind(1, 10)
         assert 10 not in m._shared  # sole referrer stays in the solo column
         assert m._solo[10] == 1
@@ -167,7 +167,7 @@ class TestCompactReverseMap:
     def test_lpn_zero_is_a_valid_sole_referrer(self):
         # LPN 0 is falsy; the int representation must not confuse it
         # with "absent".
-        m = MappingTable()
+        m = MappingTable(64, 128)
         m.bind(0, 10)
         assert m.refcount(10) == 1
         assert list(m.lpns_of(10)) == [0]
@@ -176,7 +176,7 @@ class TestCompactReverseMap:
         m.check_invariants()
 
     def test_remap_merges_int_into_int(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         m.bind(1, 10)
         m.bind(2, 20)
         assert m.remap_ppn(10, 20) == 1
@@ -185,7 +185,7 @@ class TestCompactReverseMap:
         m.check_invariants()
 
     def test_remap_transfers_set_wholesale(self):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         m.bind(1, 10)
         m.bind(2, 10)
         assert m.remap_ppn(10, 50) == 2
@@ -206,7 +206,7 @@ class TestCompactReverseMap:
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_reference_model(self, ops):
-        m = MappingTable()
+        m = MappingTable(64, 128)
         model = {}  # lpn -> ppn, the obviously-correct forward map
         for op, lpn, ppn, target in ops:
             if op == 0:

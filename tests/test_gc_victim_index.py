@@ -275,7 +275,7 @@ class TestBulkWritePath:
         cfg = small_config(blocks=16, pages_per_block=4)
         scheme = make_scheme("baseline", cfg)
         npages = 11  # crosses two block boundaries
-        out = scheme.write_request(100, list(range(npages)), 0.0)
+        out = scheme.write_request(40, list(range(npages)), 0.0)  # of 59 LPNs
         assert out.programs == npages
         assert scheme.live_logical_pages() == npages
         assert scheme.flash.total_programs == npages

@@ -161,13 +161,14 @@ class TestCSV:
 
 
 def _columns(fps, offsets, ops=(1, 0, 1)):
-    """Three-request columns with the given fingerprint column."""
+    """Three-request columns with the given fingerprint column; each
+    row's ``npages`` is its fingerprint span, or 1 where that is < 1."""
     n = len(ops)
     return (
         np.arange(n, dtype=np.float64),
         np.asarray(ops, dtype=np.uint8),
         np.zeros(n, dtype=np.int64),
-        np.ones(n, dtype=np.int32),
+        np.maximum(np.diff(offsets), 1).astype(np.int32),
         np.asarray(fps, dtype=np.int64),
         np.asarray(offsets, dtype=np.int64),
     )
@@ -182,7 +183,7 @@ class TestTraceContract:
         [
             ([5, -3], [0, 1, 1, 2], 2, "fps_flat", "negative fingerprint -3"),
             ([5, 6], [1, 1, 1, 2], 0, "fp_offsets", "starts at 1"),
-            ([5, 6], [0, 1, 1, 1], 2, "fp_offsets", "ends at 1"),
+            ([5, 6, 7], [0, 1, 1, 2], 2, "fp_offsets", "ends at 2"),
             ([5, 6, 7], [0, 2, 1, 3], 1, "fp_offsets", "decreases by 1"),
             ([5, 6, 7], [0, 1, 2, 3], 1, "fps_flat", "for a READ row"),
         ],
@@ -198,9 +199,59 @@ class TestTraceContract:
         with pytest.raises(TraceError, match="request 1: ops unknown opcode 3"):
             Trace(*_columns([5, 6], [0, 1, 1, 2], ops=(1, 3, 1)))
 
-    def test_empty_and_fingerprintless_writes_pass(self):
+    def test_empty_trace_passes_and_fingerprintless_write_fails(self):
         Trace(*_columns([], [0], ops=()))
-        Trace(*_columns([], [0, 0, 0, 0]))
+        with pytest.raises(TraceError) as info:
+            Trace(*_columns([], [0, 0, 0, 0]))
+        assert (info.value.index, info.value.field) == (0, "npages")
+        assert info.value.detail == "1 differs from the WRITE's 0 fingerprints"
+
+    @pytest.mark.parametrize("npages", [0, -2, 2**31, 2**32 + 1])
+    @pytest.mark.parametrize("op", [0, 1, 2])
+    def test_npages_outside_the_int32_column(self, op, npages):
+        columns = list(_columns([5], [0, 1, 1, 1], ops=(1, op, 0)))
+        columns[3] = np.array([1, npages, 1], dtype=np.int64)
+        with pytest.raises(TraceError) as info:
+            Trace(*columns)  # checked before the int32 cast can wrap it
+        assert (info.value.index, info.value.field) == (1, "npages")
+        assert info.value.detail == f"{npages} is outside 1..2147483647"
+
+    def test_npages_ties_after_fps_flat_before_times_us(self):
+        columns = list(_columns([5, 6], [0, 1, 2, 2]))
+        columns[3] = np.array([1, 0, 1], dtype=np.int32)
+        with pytest.raises(TraceError, match="request 1: fps_flat"):
+            Trace(*columns)  # row 1: a READ with a fingerprint, npages 0
+        columns = list(_columns([5, 6], [0, 1, 1, 2]))
+        columns[3] = np.array([1, 0, 1], dtype=np.int32)
+        columns[0] = np.array([0.0, -1.0, 2.0])
+        with pytest.raises(TraceError, match="request 1: npages"):
+            Trace(*columns)  # row 1: npages 0 and an arrival before row 0
+
+    #: Writes of npages 5 with one fingerprint and npages 0 with two:
+    #: 3 fingerprinted pages under a claimed 5 written pages.
+    _NPAGES_CSV = (
+        "time_us,op,lpn,npages,fingerprints\n0.0,1,0,5,a\n1.0,1,8,0,b/c\n"
+    )
+
+    def test_write_npages_differs_from_its_fingerprint_span(self, tmp_path):
+        from repro.workloads.stream import open_trace
+
+        path = tmp_path / "npages.csv"
+        path.write_text(self._NPAGES_CSV)
+        raw = (
+            np.array([0.0, 1.0]), np.array([1, 1], dtype=np.uint8),
+            np.array([0, 8]), np.array([5, 0], dtype=np.int32),
+            np.array([0xA, 0xB, 0xC]), np.array([0, 1, 3]),
+        )
+        for source in (
+            lambda: Trace(*raw),
+            lambda: Trace.load_csv(path),
+            lambda: list(open_trace(path, stream=True, chunk_size=1).iter_chunks()),
+        ):
+            with pytest.raises(TraceError) as info:
+                source()
+            assert (info.value.index, info.value.field) == (0, "npages")
+            assert info.value.detail == "5 differs from the WRITE's 1 fingerprints"
 
     def test_negative_fp_past_a_check_block(self, monkeypatch):
         monkeypatch.setattr(trace_mod, "_CHECK_BLOCK", 2)
@@ -301,13 +352,32 @@ class TestTraceContract:
                 source()
             assert (info.value.index, info.value.field) == (3, field)
 
-    def test_csv_round_trips_a_fingerprintless_write(self, tmp_path):
+    def test_csv_npages_past_int32_names_its_request(self, tmp_path):
+        from repro.workloads.stream import open_trace
+
         path = tmp_path / "t.csv"
-        t = Trace(*_columns([7], [0, 0, 0, 1]))
-        t.save_csv(path)
-        back = Trace.load_csv(path)
-        for field in Trace._NPZ_FIELDS:
-            assert np.array_equal(getattr(back, field), getattr(t, field)), field
+        path.write_text("time_us,op,lpn,npages,fingerprints\n0.0,1,0,1,a\n1.0,0,0,99999999999,\n")
+        for source in [lambda: Trace.load_csv(path)] + [
+            lambda k=k: list(open_trace(path, stream=True, chunk_size=k).iter_chunks())
+            for k in (1, 2)
+        ]:
+            with pytest.raises(TraceError) as info:
+                source()
+            assert (info.value.index, info.value.field) == (1, "npages")
+
+    def test_csv_rejects_a_fingerprintless_write(self, tmp_path):
+        from repro.workloads.stream import open_trace
+
+        path = tmp_path / "t.csv"
+        path.write_text("time_us,op,lpn,npages,fingerprints\n0.0,0,0,1,\n1.0,1,0,1,\n")
+        for source in [lambda: Trace.load_csv(path)] + [
+            lambda k=k: list(open_trace(path, stream=True, chunk_size=k).iter_chunks())
+            for k in (1, 2, 65536)
+        ]:
+            with pytest.raises(TraceError) as info:
+                source()
+            assert (info.value.index, info.value.field) == (1, "npages")
+            assert info.value.detail == "1 differs from the WRITE's 0 fingerprints"
 
     def test_decreasing_arrival(self):
         columns = list(_columns([5, 6], [0, 1, 1, 2]))
