@@ -2,15 +2,16 @@
 
 The kernel/orchestrator split behind ``config.kernel = "vectorized"``:
 
-* :mod:`repro.kernel.orchestrator` — chunked replay driver and the run
-  step it shares with the coordinated array lanes: per-chunk columns,
-  the run planner (GC-trigger or reserve boundaries, adaptive window),
-  the run and scalar-boundary commits; everything between boundaries
-  goes through the batched kernels, everything else through the
-  reference per-request path;
-* :mod:`repro.kernel.arrayepoch` — the epoch-batched array replay: a
-  thin loop around the same run step per lane, plus the array-only
-  barriers, deferral counts and NCQ counters;
+* :mod:`repro.kernel.orchestrator` — the run step's parts: per-chunk
+  columns, the run planner (GC-trigger or reserve boundaries, adaptive
+  window), the completion recurrence, the run and scalar-boundary
+  commits; everything between boundaries goes through the batched
+  kernels, the boundary write through the reference write path;
+* :mod:`repro.kernel.arrayepoch` — the one replay runner: lanes (a bare
+  SSD is one, each array device another) stepping through that run
+  step, uncoordinated lanes to the end with no engine event,
+  coordinated lanes in epochs on the shared event heap, plus the
+  array-only barriers, deferral counts and NCQ counters;
 * :mod:`repro.kernel.write` — the write-service kernel: one run of
   bulk-scheme writes as column scatters;
 * :mod:`repro.kernel.inline` — the inline-dedupe foreground kernel:
@@ -22,9 +23,7 @@ The kernel/orchestrator split behind ``config.kernel = "vectorized"``:
 * :mod:`repro.kernel.cagcmig` — the lean CAGC victim collection (the
   reference dedup/promotion walk with the no-op work stripped);
 * :mod:`repro.kernel.views` — cached zero-copy NumPy views over the
-  columnar FTL/dedup stores the kernels scatter into;
-* :mod:`repro.kernel._njit` — optional numba tier for the irreducibly
-  sequential completion recurrence.
+  columnar FTL/dedup stores the kernels scatter into.
 
 Every path is bit-identical to ``kernel = "reference"`` — the
 differential oracle diffs the two continuously (the

@@ -1,39 +1,47 @@
-"""Epoch-batched array replay: vectorized kernels across N lanes.
+"""The epoch runner: one run step per lane, two schedulers.
 
-``replay_array_vectorized`` reproduces :meth:`repro.array.SSDArray
-.replay` bit for bit without running every request through the shared
-event loop.  The array's coupling surface is narrow by construction:
+Every vectorized replay runs through :class:`_EpochRunner`: a bare SSD
+(:func:`repro.kernel.orchestrator.replay_vectorized`) is one lane, each
+device of an array (:func:`replay_array_vectorized`) another.  A lane
+is a device, an observer, a chunk source, a free-block floor and a
+fallback reason:
+
+* a bare SSD takes its chunks lazily from ``SSD.take_chunks`` (a
+  streamed source keeps one chunk in memory), folds into its metrics
+  bundle and ends runs at the GC trigger (``gc-trigger``);
+* an array lane's one chunk is its whole sub-trace and its observer
+  its :class:`_LaneFold`; it ends runs at the GC trigger under
+  ``independent``, at the coordinator's reserve
+  (``array-coord-grant``) otherwise.
+
+Every lane takes the same step — :func:`~repro.kernel.orchestrator
+.plan_run` from its floor, the completion recurrence, then
+:meth:`_EpochRunner._commit_run` and, for a boundary write,
+:meth:`_EpochRunner._commit_scalar` — with an adaptive run window
+that carries over from chunk to chunk.  The scheduler depends on
+whether a coordinator exists:
+
+* without one, lanes never interact: each loops its step to the end on
+  its own clock, serving a boundary write in the step whose plan ended
+  at it, and no engine event is scheduled;
+* with one, each lane replays *epochs*: batched runs up to the next
+  cross-device synchronization point — the predicted foreground GC
+  grant (the first write that would drop free blocks below the
+  reserve), or an idle gap with background reclamation pending in
+  which the coordinator may act (:meth:`_EpochRunner._bg_gap_cut`) —
+  then advances the shared clock to that barrier through the ordinary
+  event heap, so window ticks, token grants and idle bursts fire
+  through the stock coordinator code, and plans again.
+
+The array's remaining coupling surface is narrow by construction:
 
 * the :class:`~repro.array.router.RangeRouter` is a pure function of
   the LPN, so the merged multi-tenant stream splits into per-device
   sub-streams in one vectorized pass (:func:`split_epoch_streams`);
-* NCQ admission is trajectory-transparent — a bounded queue ahead of a
-  FIFO work-conserving server never changes completion times — so the
-  gate's ``peak``/``held`` counters are recomputed analytically from
-  the per-device arrival/completion columns after the fact;
-* devices interact only through the GC-coordination policy.  Under
-  ``independent`` there is no interaction at all and the epochs
-  degenerate to full-trace per-device runs through the existing
-  single-device kernel (:func:`repro.kernel.orchestrator
-  .replay_vectorized`).  Under ``staggered``/``global-token`` each
-  lane replays *epochs*: batched runs up to the next cross-device
-  synchronization point — the predicted foreground GC grant (the first
-  write that would drop free blocks below the reserve), or an idle gap
-  with background reclamation pending in which the coordinator may act
-  (where the real coordinator gets to decide about windows and tokens)
-  — then advances the shared clock to that barrier through the
-  ordinary event heap and repeats.
-
-A coordinated lane takes the single-device kernel's run step as is:
-:class:`~repro.kernel.orchestrator.RunColumns` over its sub-trace,
-:func:`~repro.kernel.orchestrator.plan_run` with the coordinator's
-reserve as the free-block floor, :func:`~repro.kernel.orchestrator
-.commit_run` through its :class:`_LaneFold`, the same adaptive run
-window, and :meth:`SSD._serve_write <repro.device.ssd.SSD._serve_write>`
-plus :func:`~repro.kernel.orchestrator.commit_scalar` for a grant
-boundary.  What is array-only lives here: idle-gap cuts, batched
-deferral counts, and the two-hop completion scheduling on the shared
-event heap.
+* NCQ admission never changes completion times — a bounded queue ahead
+  of a FIFO work-conserving server — so the gate's ``peak``/``held``
+  counters are recomputed analytically from the per-device
+  arrival/completion columns after the fact.
 
 The coordinated epoch planner leans on one watermark fact: a deferred
 foreground GC (``GCCoordinator._defer`` -> ``FTLScheme.reclaim``) does
@@ -50,8 +58,7 @@ once ``needs_background_gc()`` is true (before that, ``on_idle`` and
 (a staggered lane that owns no window edge in the gap, or a gap opening
 while another lane's token burst is still running, stays in the run).
 
-Fallback stays reason-tagged at the same three granularities the
-single-device kernel established:
+Array fallback stays reason-tagged at three granularities:
 
 * ``array-unmodelled`` — whole-array: a feature the epoch model does
   not cover (preemptive lanes, heartbeat observers, streaming traces);
@@ -72,26 +79,27 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.kernel._njit import completion_recurrence
 from repro.kernel.inline import plan_inline_run
 from repro.kernel.orchestrator import (
     _WINDOW_MAX,
     RunColumns,
     commit_run,
     commit_scalar,
+    completion_recurrence,
     device_eligible,
     kernel_views,
     next_window,
     plan_run,
-    replay_vectorized,
 )
-from repro.obs.trace import TRACK_ARRAY
+from repro.obs.trace import TRACK_ARRAY, TRACK_KERNEL
 from repro.sim.events import EventKind
 
 # Unused here: commit_run applies runs through the orchestrator's
-# bindings.  Kept only so bench/tracing.py's sites for this module
-# resolve; drop with them at the next benchmark change.
+# bindings, and replay_vectorized is the bare SSD's entry.  Kept only
+# so bench/tracing.py's sites for this module resolve; drop with them
+# at the next benchmark change.
 from repro.kernel.inline import apply_inline_run  # noqa: F401,E402
+from repro.kernel.orchestrator import replay_vectorized  # noqa: F401,E402
 from repro.kernel.write import apply_write_run  # noqa: F401,E402
 
 #: Whole-array fallback reason: some device or observer feature is
@@ -232,9 +240,9 @@ def _gate_replay(a: np.ndarray, c: np.ndarray, depth: int) -> Tuple[int, int]:
 class _LaneFold:
     """Per-lane metrics adapter: batched folds into ArrayTelemetry.
 
-    Quacks like :class:`~repro.obs.metrics.DeviceMetrics` for the
-    single-device kernel hooks (``on_batch``/``on_complete``/
-    ``on_fallback``/``finish``/``snapshot``) but lands every latency
+    Quacks like :class:`~repro.obs.metrics.DeviceMetrics` for the run
+    step's observer hooks (``on_batch``/``on_complete``/
+    ``on_fallback``) but lands every latency
     once in the array's global, per-device and per-tenant histograms —
     the exact counts the reference's per-completion
     ``ArrayTelemetry.on_complete`` calls produce, folded per batch.
@@ -299,12 +307,6 @@ class _LaneFold:
         if self.metrics is not None:
             self.metrics.on_fallback(reason)
 
-    def finish(self, now_us: float, ssd) -> None:
-        pass  # the array finishes its own metrics bundle
-
-    def snapshot(self) -> None:
-        return None  # per-device RunResult.metrics stays None
-
     def latencies(self) -> np.ndarray:
         return self.column[: self.cursor]
 
@@ -356,68 +358,49 @@ def _ncq_counters(array, lane, sub, latencies: np.ndarray) -> None:
         )
 
 
-# -------------------------------------------------------- independent N
-
-
-def _replay_independent(array, subs) -> None:
-    """Degenerate epochs: one full-trace kernel run per lane.
-
-    Lanes never interact under ``independent`` coordination (no
-    coordinator, NCQ trajectory-transparent), so each lane replays its
-    sub-stream through the single-device vectorized kernel on its own
-    clock; the shared clock only has to end at the latest lane.
-    """
-    sim = array.sim
-    for lane, (sub, tenants) in zip(array.lanes, subs):
-        fold = _LaneFold(
-            array.telemetry, lane.index, tenants, len(sub), array.metrics
-        )
-        # Assigned post-construction on purpose: the constructor would
-        # bind it as a DeviceMetrics bundle.
-        lane.metrics = fold
-        lane._trace_name = sub.name
-        sim.now = 0.0  # each lane replays on its own clock segment
-        result = replay_vectorized(lane, sub)
-        lane.metrics = None
-        lane.last_event_us = result.simulated_us if len(sub) else 0.0
-        lane.rows_done = True
-        _ncq_counters(array, lane, sub, fold.latencies())
-    sim.now = max([lane.last_event_us for lane in array.lanes] + [0.0])
-
-
-# -------------------------------------------------------- coordinated N
+# ----------------------------------------------------------------- lanes
 
 
 class _LaneState:
-    """One lane's replay cursor for the coordinated epoch runner: the
-    sub-trace's :class:`~repro.kernel.orchestrator.RunColumns` (one
-    chunk), the next request ``i``, the previous completion ``t`` and
-    the adaptive run window."""
+    """One lane: a device, its observer (a ``DeviceMetrics`` bundle or a
+    :class:`_LaneFold`), a chunk source, the free-block floor that ends
+    a run and the reason its boundary writes' fallbacks carry.  Its
+    cursor is the current chunk's
+    :class:`~repro.kernel.orchestrator.RunColumns`, the next request
+    ``i``, the previous completion ``t`` and the adaptive run window."""
 
     __slots__ = (
-        "lane", "sub", "fold", "cols", "n", "i", "t", "views", "window",
-        "resume_pending", "run_end",
+        "lane", "observer", "chunks", "floor", "reason", "views", "cols",
+        "n", "i", "t", "window", "fallbacks", "resume_pending",
     )
 
-    def __init__(self, lane, sub, tenants, telemetry, metrics=None) -> None:
+    def __init__(self, lane, observer, chunks, floor: int, reason: str) -> None:
         self.lane = lane
-        self.sub = sub
-        self.fold = _LaneFold(
-            telemetry, lane.index, tenants, len(sub), metrics
-        )
-        lane._trace_name = sub.name
-        lane.rows_done = False
-        scheme = lane.scheme
-        self.views = kernel_views(scheme)
-        self.cols = RunColumns(
-            sub, scheme.timing, scheme.flash.geometry.channels
-        )
-        self.n = self.cols.n
+        self.observer = observer
+        self.chunks = iter(chunks)
+        self.floor = floor
+        self.reason = reason
+        self.views = kernel_views(lane.scheme)
+        self.cols: Optional[RunColumns] = None
+        self.n = 0
         self.i = 0
         self.t = 0.0  # completion time of this lane's previous request
         self.window = _WINDOW_MAX
+        self.fallbacks = 0
         self.resume_pending = False
-        self.run_end = 0.0
+
+    def next_chunk(self) -> bool:
+        """Load the source's next non-empty chunk; False once it is dry."""
+        scheme = self.lane.scheme
+        for chunk in self.chunks:
+            if len(chunk):
+                self.cols = RunColumns(
+                    chunk, scheme.timing, scheme.flash.geometry.channels
+                )
+                self.n = self.cols.n
+                self.i = 0
+                return True
+        return False
 
 
 def _pulls(cum: np.ndarray, af0: int, ppb: int) -> np.ndarray:
@@ -426,11 +409,13 @@ def _pulls(cum: np.ndarray, af0: int, ppb: int) -> np.ndarray:
 
 
 class _EpochRunner:
-    """Coordinated replay: batched epochs on the real event heap.
+    """Every vectorized replay: each lane's run step, on one of two
+    schedulers (see module docs).
 
-    Each lane alternates between (a) committing one *run* — a batch of
-    requests with no working GC grant and no idle gap with background
-    need — through the vectorized kernels, and (b) handing
+    Without a coordinator each lane loops its step to the end.  With
+    one, each lane alternates between (a) committing one *run* — a
+    batch of requests with no working GC grant and no idle gap with
+    background need — through the vectorized kernels, and (b) handing
     control back to the shared event heap until the run's completion
     time, so window ticks, token grants and idle bursts fire through
     the stock coordinator code at exactly the reference instants.
@@ -440,21 +425,23 @@ class _EpochRunner:
     on ``busy``.
     """
 
-    def __init__(self, array, subs) -> None:
-        self.array = array
-        self.sim = array.sim
-        self.tracer = array.tracer
-        self.states: List[_LaneState] = []
-        for lane, (sub, tenants) in zip(array.lanes, subs):
-            state = _LaneState(
-                lane, sub, tenants, array.telemetry, array.metrics
-            )
-            lane._epoch = self
-            self.states.append(state)
+    def __init__(self, sim, tracer, coordinator, states) -> None:
+        self.sim = sim
+        self.tracer = tracer
+        self.coordinator = coordinator
+        self.states: List[_LaneState] = states
 
     def run(self) -> None:
+        if self.coordinator is None:
+            for state in self.states:
+                while state.next_chunk():
+                    while state.i < state.n:
+                        self._step(state)
+            return
+        # A coordinated lane's source is one chunk, its whole sub-trace.
         for state in self.states:
-            if state.n:
+            state.lane._epoch = self
+            if state.next_chunk():
                 self.advance(state)
             else:
                 state.lane.rows_done = True
@@ -475,7 +462,7 @@ class _EpochRunner:
         if (
             arrival > now
             and lane.scheme.needs_background_gc()
-            and self.array.coordinator.may_act_in_gap(lane, now, arrival)
+            and self.coordinator.may_act_in_gap(lane, now, arrival)
         ):
             # Genuine idle gap with reclamation pending and a
             # coordinator that may act in it: stay idle so window ticks
@@ -488,7 +475,7 @@ class _EpochRunner:
                     arrival, EventKind.GENERIC, state, self._on_resume
                 )
             return
-        self._commit_next(state)
+        self._step(state)
 
     def _on_resume(self, event) -> None:
         state = event.payload
@@ -505,7 +492,7 @@ class _EpochRunner:
         # heap order as the reference.
         state = event.payload
         self.sim.schedule_at(
-            state.run_end, EventKind.OP_COMPLETE, state, self._on_run_done
+            state.t, EventKind.OP_COMPLETE, state, self._on_run_done
         )
 
     def _on_run_done(self, event) -> None:
@@ -523,7 +510,7 @@ class _EpochRunner:
             if not lane.busy:
                 self.advance(state)
             return
-        self._commit_next(state)
+        self._step(state)
 
     def on_bg_gc_done(self, lane) -> None:
         """Idle-burst completion for an epoch-mode lane.
@@ -546,32 +533,40 @@ class _EpochRunner:
             lane._maybe_background_gc()
             return
         if state.cols.times[state.i] <= now:
-            self._commit_next(state)
+            self._step(state)
             return
         lane._maybe_background_gc()
         if not lane.busy:
             self.advance(state)
 
-    # ------------------------------------------------------------ commit
+    # -------------------------------------------------------------- step
 
-    def _commit_next(self, state: _LaneState) -> None:
-        """Commit one batched run (or one scalar boundary request)."""
+    def _step(self, state: _LaneState) -> None:
+        """Commit the lane's next run; a plan that is empty (request
+        ``i`` is itself the boundary) commits just that write.
+
+        An uncoordinated lane serves the boundary that ends its run in
+        the same step: planning again at it would only find it again.
+        A coordinated lane plans again after the run's completion hop,
+        because an idle burst may run in between.
+        """
         scheme = state.lane.scheme
         cols = state.cols
         i = state.i
         wall0 = time.perf_counter()
-        run = plan_run(
-            scheme, state.views, cols, i, state.window, scheme.reserve_blocks()
-        )
+        run = plan_run(scheme, state.views, cols, i, state.window, state.floor)
         e = run.e
         if e == i:
-            # Empty run: request i itself is the boundary (a working
-            # grant) and goes through the reference scheme calls.
-            self._commit_scalar(state, FALLBACK_COORD_GRANT, wall0)
+            self._commit_scalar(state, state.reason, wall0)
             return
         completions, t_end = completion_recurrence(
             cols.times[i:e], cols.durations[i:e], state.t
         )
+        if self.coordinator is None:
+            self._commit_run(state, i, e, completions, t_end, run, wall0)
+            if run.boundary:
+                self._commit_scalar(state, state.reason, time.perf_counter())
+            return
         # Idle-gap barrier: the first completion that strictly precedes
         # the next arrival *while background reclamation is needed*, in
         # a gap the coordinator may act in, hands control to the
@@ -637,7 +632,7 @@ class _EpochRunner:
         (gaps,) = np.nonzero(starts < arrivals)
         if not gaps.size:
             return None
-        act = self.array.coordinator.may_act_in_gap(
+        act = self.coordinator.may_act_in_gap(
             state.lane, starts[gaps], arrivals[gaps]
         )
         if not act.any():
@@ -648,28 +643,19 @@ class _EpochRunner:
         lane = state.lane
         starts = commit_run(
             lane, state.views, state.cols, run, i, completions, t_end,
-            state.fold, self.tracer, wall0,
+            state.observer, self.tracer, wall0,
         )
+        state.i = e
+        state.t = float(t_end)
+        state.window = next_window(state.window, e - i)
+        if self.coordinator is None:
+            return
         if run.w.size:
             wm = ~run.wt  # only writes run the (deferred) GC check
             self._count_deferrals(
                 state, run.progs[wm], starts[wm], run.af0, run.free0
             )
-        state.i = e
-        state.t = float(t_end)
-        state.run_end = float(t_end)
-        state.window = next_window(state.window, e - i)
-        lane._busy = True
-        # Two-hop completion scheduling: hop to the last request's
-        # service start first so same-time completion ties across lanes
-        # drain in the reference heap's schedule order (the reference
-        # schedules each completion event at its service start).
-        last_start = float(t_end - state.cols.durations[e - 1])
-        now = self.sim.now
-        self.sim.schedule_at(
-            last_start if last_start > now else now,
-            EventKind.GENERIC, state, self._on_run_start,
-        )
+        self._hop(state, float(t_end - state.cols.durations[e - 1]))
 
     def _count_deferrals(self, state, progs, starts, af0, free0) -> None:
         """Batch the no-op deferrals the committed writes would log.
@@ -688,8 +674,7 @@ class _EpochRunner:
         count = int(deferred.sum())
         if not count:
             return
-        coord = self.array.coordinator
-        coord.deferrals += count
+        self.coordinator.deferrals += count
         if self.tracer is not None:
             device = state.lane.index
             for ts in starts[deferred]:
@@ -702,28 +687,46 @@ class _EpochRunner:
                 )
 
     def _commit_scalar(self, state, reason: str, wall0: float) -> None:
-        """One boundary request — the write whose working grant must
-        reclaim — through the reference scheme calls."""
+        """One boundary write — the GC-triggering write, or the write
+        whose working grant must reclaim — through
+        :meth:`SSD._serve_write <repro.device.ssd.SSD._serve_write>`."""
         lane = state.lane
         cols = state.cols
         i = state.i
         arrival = float(cols.times[i])
         start = arrival if arrival > state.t else state.t
+        if self.coordinator is None:
+            # No event moves this clock: set it to the service start,
+            # which post-GC hooks read as they do on the event loop.
+            self.sim.now = start
         duration = lane._serve_write(
             int(cols.lpns[i]), cols.fps_flat[cols.offsets[i] : cols.offsets[i + 1]],
             start,
         )
-        completion = commit_scalar(
-            lane, state.fold, self.tracer, arrival, start, duration, reason,
+        state.i = i + 1
+        state.t = commit_scalar(
+            lane, state.observer, self.tracer, arrival, start, duration, reason,
             wall0,
         )
-        state.i = i + 1
-        state.t = completion
-        state.run_end = completion
-        lane._busy = True
+        state.fallbacks += 1
+        if self.coordinator is not None:
+            self._hop(state, start)
+        elif self.tracer is not None:
+            self.tracer.counter(
+                TRACK_KERNEL, "fallback_requests", state.t, state.fallbacks
+            )
+
+    def _hop(self, state: _LaneState, last_start: float) -> None:
+        """Two-hop completion scheduling for a committed run ending at
+        ``state.t``: hop to its last request's service start first, so
+        same-time completion ties across lanes drain in the reference
+        heap's schedule order (the reference schedules each completion
+        event at its service start)."""
+        state.lane._busy = True
+        now = self.sim.now
         self.sim.schedule_at(
-            max(start, self.sim.now), EventKind.GENERIC, state,
-            self._on_run_start,
+            last_start if last_start > now else now,
+            EventKind.GENERIC, state, self._on_run_start,
         )
 
 
@@ -740,20 +743,35 @@ def replay_array_vectorized(array, trace, tenants: int):
     """
     from repro.array.coord import StaggeredCoordinator
 
+    coord = array.coordinator
     subs = split_epoch_streams(array.router, trace)
-    if array.coordinator is None:
-        _replay_independent(array, subs)
-    else:
-        runner = _EpochRunner(array, subs)
-        if isinstance(array.coordinator, StaggeredCoordinator):
-            array._schedule_window(array.coordinator.window_us)
-        runner.run()
-        for lane, state in zip(array.lanes, runner.states):
-            _ncq_counters(array, lane, state.sub, state.fold.latencies())
+    states = []
+    for lane, (sub, lane_tenants) in zip(array.lanes, subs):
+        lane._trace_name = sub.name
+        lane.rows_done = False
+        scheme = lane.scheme
+        if coord is None:
+            floor, reason = scheme._gc_trigger_blocks, "gc-trigger"
+        else:
+            floor, reason = scheme.reserve_blocks(), FALLBACK_COORD_GRANT
+        fold = _LaneFold(
+            array.telemetry, lane.index, lane_tenants, len(sub), array.metrics
+        )
+        states.append(_LaneState(lane, fold, (sub,), floor, reason))
+    if isinstance(coord, StaggeredCoordinator):
+        array._schedule_window(coord.window_us)
+    _EpochRunner(array.sim, array.tracer, coord, states).run()
+    for state, (sub, _) in zip(states, subs):
+        if coord is None:
+            # Each lane ran on its own clock: no event marked its end.
+            state.lane.last_event_us = state.t
+            state.lane.rows_done = True
+        _ncq_counters(array, state.lane, sub, state.observer.latencies())
+    if coord is None:
+        array.sim.now = array.simulated_us()
     if array.metrics is not None:
         array.metrics.finish(array.simulated_us(), array)
     return array.result(trace.name, tenants)
-
 
 __all__ = [
     "ARRAY_FALLBACK_REASONS",

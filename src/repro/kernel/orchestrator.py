@@ -1,6 +1,6 @@
-"""Batch replay orchestrator: chunked trace -> vectorized kernels.
+"""The run step of the vectorized replay: chunked trace -> batched kernels.
 
-``replay_vectorized`` reproduces :meth:`repro.device.ssd.SSD.replay`
+The vectorized replay reproduces :meth:`repro.device.ssd.SSD.replay`
 bit for bit without the event engine.  The FIFO single-server device
 makes request timing a pure recurrence — ``completion_i =
 max(arrival_i, completion_{i-1}) + duration_i`` — and the replay
@@ -21,24 +21,22 @@ factors into *runs* of requests with no GC trigger between them:
    resolves the window's dedup outcomes read-only — one vectorized index
    probe plus a dict loop — with the same watermark check fused in;
 3. everything before that boundary is one run: completions come from
-   the sequential recurrence (njit-compiled when numba is importable),
-   and :func:`commit_run` lands it — latencies via
-   ``LatencyRecorder.record_many`` (and, when metrics are attached, one
-   exact histogram fold plus a boundary-clocked series sample through
-   the observer's ``on_batch``), the writes' and trims' state effects
-   net-final and in request order through
+   :func:`completion_recurrence`, and :func:`commit_run` lands it —
+   latencies via ``LatencyRecorder.record_many`` (and, when metrics are
+   attached, one exact histogram fold plus a boundary-clocked series
+   sample through the observer's ``on_batch``), the writes' and trims'
+   state effects net-final and in request order through
    :func:`repro.kernel.write.apply_write_run` or
    :func:`repro.kernel.inline.apply_inline_run`;
 4. the boundary request (the GC-triggering write) goes through the
-   reference scheme calls — same ``run_gc`` / ``write_request``, same
-   post-GC hook and metrics accounting — and the scan restarts behind
-   it.
+   reference write path, ``SSD._serve_write`` — same ``run_gc`` /
+   ``write_request``, same post-GC hook — accounted by
+   :func:`commit_scalar`, and the scan restarts behind it.
 
-Steps 1-3 and the scalar bookkeeping of step 4 (:func:`commit_scalar`)
-are the run step the coordinated array lanes of
-:mod:`repro.kernel.arrayepoch` share; the two drivers differ only in
-the free-block floor that ends a run (the GC trigger here, the
-coordinator's reserve there) and in what they do between runs.
+This module holds those parts; the loop that strings them together
+is :class:`repro.kernel.arrayepoch._EpochRunner`, for a bare SSD (one
+uncoordinated lane, :func:`replay_vectorized`) and for every array
+lane alike.
 
 The trace contract (:class:`repro.workloads.trace.Trace` checks it at
 construction) leaves no request the batched kernels cannot model: the
@@ -53,14 +51,12 @@ per-reason fallbacks, and those counters feed the report rows.
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 import numpy as np
 
 from repro.device.parallel import ParallelSSD
 from repro.device.ssd import RunResult, SSD, make_run_result
 from repro.ftl.allocator import Region
-from repro.kernel._njit import completion_recurrence
 from repro.kernel.cagcmig import install_fast_cagc
 from repro.kernel.gcmig import install_fast_gc
 from repro.kernel.inline import (
@@ -100,6 +96,23 @@ def next_window(window: int, run_len: int) -> int:
     if run_len >= window:
         return min(_WINDOW_MAX, 2 * window)
     return min(_WINDOW_MAX, max(_WINDOW_MIN, 2 * run_len))
+
+
+def completion_recurrence(arrivals, durations, t_prev):
+    """FIFO single-server completions ``t_i = max(a_i, t_{i-1}) + d_i``
+    from ``t_prev``; returns ``(completions, t_final)``.
+
+    Exactly what the event engine computes one event at a time.  Float
+    addition is not associative, so a cumsum reformulation would not be
+    bit-identical: the recurrence runs sequentially over ``tolist()``
+    floats (no per-element ndarray boxing).
+    """
+    comp = []
+    t = t_prev
+    for a, d in zip(arrivals.tolist(), durations.tolist()):
+        t = (a if a > t else t) + d
+        comp.append(t)
+    return np.array(comp, dtype=np.float64), t
 
 
 def write_prefix(wpages: np.ndarray) -> np.ndarray:
@@ -355,7 +368,7 @@ def commit_scalar(
     return completion
 
 
-# --------------------------------------------------------------- driver
+# ---------------------------------------------------------------- entry
 
 
 def device_eligible(ssd: SSD) -> bool:
@@ -382,93 +395,32 @@ def device_eligible(ssd: SSD) -> bool:
 
 def replay_vectorized(ssd: SSD, trace) -> RunResult:
     """Replay ``trace`` through the batched kernels; see module docs."""
+    # Imported here: the epoch runner's module imports this one.
+    from repro.kernel.arrayepoch import _EpochRunner, _LaneState
+
     scheme = ssd.scheme
-    views = kernel_views(scheme)
-    timing = scheme.timing
-    channels = scheme.flash.geometry.channels
-    trigger_blocks = scheme._gc_trigger_blocks
-    tracer = ssd.tracer
-    metrics = ssd.metrics
-    heartbeat = ssd.heartbeat
-
-    t = 0.0  # completion time of the previous request
-    served = False  # at least one request completed (sim clock moved)
-    fallback_requests = 0
-    window = _WINDOW_MAX
-
-    for chunk in ssd.take_chunks(trace):
-        if len(chunk) == 0:
-            continue
-        cols = RunColumns(chunk, timing, channels)
-        n = cols.n
-        times = cols.times
-        lpns = cols.lpns
-        offsets = cols.offsets
-        fps_flat = cols.fps_flat
-        i = 0
-        while i < n:
-            wall0 = time.perf_counter()
-            run = plan_run(scheme, views, cols, i, window, trigger_blocks)
-            e = run.e
-            if e > i:
-                completions, t = completion_recurrence(
-                    times[i:e], cols.durations[i:e], t
-                )
-                commit_run(
-                    ssd, views, cols, run, i, completions, t, metrics,
-                    tracer, wall0,
-                )
-                served = True
-                window = next_window(window, e - i)
-            i = e
-            if run.boundary:
-                # The GC-triggering write: reference scheme calls.
-                t = _slow_request(
-                    ssd, float(times[e]), _OP_WRITE, int(lpns[e]),
-                    int(cols.npages[e]), fps_flat[offsets[e] : offsets[e + 1]],
-                    t, tracer, "gc-trigger",
-                )
-                fallback_requests += 1
-                served = True
-                if tracer is not None:
-                    tracer.counter(
-                        TRACK_KERNEL, "fallback_requests", t, fallback_requests
-                    )
-                i = e + 1
-
-    ssd.sim.now = t if served else ssd.sim.now
-    if metrics is not None:
-        metrics.finish(ssd.sim.now, ssd)
-    if heartbeat is not None:
-        heartbeat.finish(
+    state = _LaneState(
+        ssd, ssd.metrics, ssd.take_chunks(trace), scheme._gc_trigger_blocks,
+        "gc-trigger",
+    )
+    _EpochRunner(ssd.sim, ssd.tracer, None, [state]).run()
+    if state.cols is not None:  # at least one request completed
+        ssd.sim.now = state.t
+    if ssd.metrics is not None:
+        ssd.metrics.finish(ssd.sim.now, ssd)
+    if ssd.heartbeat is not None:
+        ssd.heartbeat.finish(
             ssd.sim.now,
             len(ssd.latency),
             len(ssd.latency),
             gc_collects=scheme.gc_counters.gc_invocations,
         )
     return make_run_result(
-        scheme, trace.name, ssd.latency, ssd.sim.now, metrics=metrics
+        scheme, trace.name, ssd.latency, ssd.sim.now, metrics=ssd.metrics
     )
 
 
-def _slow_request(
-    ssd: SSD,
-    arrival: float,
-    op: int,
-    lpn: int,
-    npages: int,
-    fps: Optional[np.ndarray],
-    t_prev: float,
-    tracer,
-    reason: str,
-) -> float:
-    """One request through :meth:`SSD._service` — a GC-triggering
-    write — accounted by :func:`commit_scalar`.  Returns the completion
-    time."""
-    wall0 = time.perf_counter()
-    now = arrival if arrival > t_prev else t_prev
-    ssd.sim.now = now  # _service and post-GC hooks read the start clock
-    duration = ssd._service((arrival, op, lpn, npages, fps))
-    return commit_scalar(
-        ssd, ssd.metrics, tracer, arrival, now, duration, reason, wall0
-    )
+# Unused: boundary writes go through _EpochRunner._commit_scalar.  Kept
+# only so bench/tracing.py's sites for this module resolve; drop with
+# them at the next benchmark change.
+_slow_request = commit_scalar

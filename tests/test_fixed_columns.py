@@ -16,7 +16,7 @@ from repro.dedup.index import FingerprintIndex, IndexError_
 from repro.dedup.refcount import PeakStore
 from repro.device.ssd import SSD
 from repro.ftl.mapping import MappingError, MappingTable
-from repro.kernel import orchestrator
+from repro.kernel import arrayepoch
 from repro.schemes import make_scheme
 from repro.workloads import synth
 from repro.workloads.fiu import FIU_PRESETS
@@ -106,9 +106,9 @@ def test_kernel_replay_keeps_every_column_in_place(name, monkeypatch):
     before = _infos(*_columns(scheme))
     assert [n for _, n in before] == [cfg.logical_pages] + [cfg.geometry.total_pages] * 5
     taken = []
-    real = orchestrator.kernel_views
+    real = arrayepoch.kernel_views
     monkeypatch.setattr(
-        orchestrator, "kernel_views", lambda s: taken.append(real(s)) or taken[-1]
+        arrayepoch, "kernel_views", lambda s: taken.append(real(s)) or taken[-1]
     )
     result = SSD(scheme).replay(trace)
     assert result.io.trim_requests > 0 and result.gc.blocks_erased > 0
