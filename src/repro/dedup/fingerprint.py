@@ -116,15 +116,6 @@ class PageFingerprints:
 
     # -- columnar extras -------------------------------------------------------
 
-    def column(self) -> array:
-        """The raw fingerprint column, for trusted hot-path writers.
-
-        Direct indexing skips the dict-protocol dispatch on the per-page
-        program path; callers must only store in-range PPNs (trace
-        fingerprints are non-negative by the trace contract).
-        """
-        return self._col
-
     def gather(self, ppns: np.ndarray) -> np.ndarray:
         """Fingerprints of ``ppns`` in one vectorized pass.
 

@@ -115,11 +115,6 @@ class PeakStore:
     def __iter__(self) -> Iterator[int]:
         return (key for key, peak in enumerate(self._col) if peak)
 
-    def column(self) -> array:
-        """The raw column for trusted hot-path writers (bulk program
-        loop); callers must only store peaks >= 1 at in-range keys."""
-        return self._col
-
 
 @dataclass
 class RefcountTracker:

@@ -18,10 +18,10 @@ The kernel/orchestrator split behind ``config.kernel = "vectorized"``:
   plan/apply split over a window of hashed writes (bulk index probe,
   integer-handle resolution loop, net-final state scatters and bulk
   index updates);
-* :mod:`repro.kernel.gcmig` — the GC-migration kernel for plain-copy
-  victim collection (baseline and inline-dedupe metadata moves);
-* :mod:`repro.kernel.cagcmig` — the lean CAGC victim collection (the
-  reference dedup/promotion walk with the no-op work stripped);
+* :mod:`repro.kernel.burst` — the GC burst pass: each ``run_gc`` /
+  ``reclaim`` call of the baseline, inline-dedupe and CAGC schemes
+  collects its victims in one call over the raw columns (plain-copy
+  metadata moves as one scatter set; CAGC as one dedup/promotion walk);
 * :mod:`repro.kernel.views` — cached zero-copy NumPy views over the
   columnar FTL/dedup stores the kernels scatter into.
 

@@ -57,8 +57,7 @@ import numpy as np
 from repro.device.parallel import ParallelSSD
 from repro.device.ssd import RunResult, SSD, make_run_result
 from repro.ftl.allocator import Region
-from repro.kernel.cagcmig import install_fast_cagc
-from repro.kernel.gcmig import install_fast_gc
+from repro.kernel.burst import install_burst_pass
 from repro.kernel.inline import (
     apply_inline_run,
     inline_write_durations,
@@ -147,9 +146,9 @@ def gc_trigger_ordinal(
 
 
 def kernel_views(scheme) -> ColumnViews:
-    """The scheme's column views, with its fast GC collect installed."""
+    """The scheme's column views, with its GC burst pass installed."""
     views = ColumnViews(scheme)
-    install_fast_gc(scheme, views) or install_fast_cagc(scheme)
+    install_burst_pass(scheme, views)
     return views
 
 

@@ -21,10 +21,9 @@ from repro.schemes.base import FTLScheme
 class ColumnViews:
     """Cached views over the scheme's fixed-size columns."""
 
-    __slots__ = ("scheme", "fwd", "ref", "solo", "fp", "peak", "rev")
+    __slots__ = ("fwd", "ref", "solo", "fp", "peak", "rev")
 
     def __init__(self, scheme: FTLScheme) -> None:
-        self.scheme = scheme
         mapping = scheme.mapping
         self.fwd = np.frombuffer(mapping._fwd, dtype=np.int64)
         self.ref = np.frombuffer(mapping._ref, dtype=np.int32)

@@ -24,11 +24,15 @@ an arbitrarily long replay yields a compact, uniformly-spaced series.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.telemetry import LatencyHistogram, percentile_from_counts
+from repro.obs.telemetry import (
+    LatencyHistogram,
+    percentile_from_counts,
+    percentiles_from_counts,
+)
 
 from repro.obs.metrics import DEFAULT_INTERVAL_US
 
@@ -37,7 +41,11 @@ MAX_SAMPLES = 4096
 
 
 class TimeSeriesRecorder:
-    """Columnar simulated-time series over a metrics registry."""
+    """Columnar simulated-time series over a metrics registry.
+
+    One float64 row per sample — the time, every frozen column, then
+    the three window columns — written with one assignment.
+    """
 
     def __init__(
         self,
@@ -58,10 +66,12 @@ class TimeSeriesRecorder:
         self._window_hist: Optional[LatencyHistogram] = None
         self._last_counts: Optional[np.ndarray] = None
         self._last_total = 0
-        #: (column name, instrument) pairs, frozen at the first sample.
-        self._columns: Optional[List[Tuple[str, object]]] = None
-        self._times = np.zeros(64)
-        self._data: Dict[str, np.ndarray] = {}
+        #: column names and their instruments' ``sample`` methods,
+        #: frozen at the first sample.
+        self._names: Optional[List[str]] = None
+        self._samplers: List[Callable[[], float]] = []
+        #: rows x (time + columns) sample matrix.
+        self._rows = np.zeros((64, 1))
 
     def bind(self, registry, window_hist: Optional[LatencyHistogram] = None) -> None:
         self._registry = registry
@@ -80,70 +90,60 @@ class TimeSeriesRecorder:
         which would tear the columnar layout; their finals live in the
         snapshot's values dict instead.
         """
-        from repro.obs.metrics import Counter, Gauge
+        from repro.obs.metrics import Counter, Gauge, sample_id
 
-        columns: List[Tuple[str, object]] = []
+        names: List[str] = []
         if self._registry is not None:
             for instrument in self._registry._instruments.values():
                 if isinstance(instrument, Counter):
-                    columns.append((instrument.name, instrument))
+                    names.append(instrument.name)
                 elif isinstance(instrument, Gauge) and instrument.sampled:
-                    from repro.obs.metrics import sample_id
-
-                    columns.append(
-                        (sample_id(instrument.name, instrument.labels), instrument)
-                    )
-        self._columns = columns
-        size = self._times.size
-        for name, _ in columns:
-            self._data[name] = np.zeros(size)
+                    names.append(sample_id(instrument.name, instrument.labels))
+                else:
+                    continue
+                self._samplers.append(instrument.sample)
         if self._window_hist is not None:
-            for name in ("window_ops", "window_p99_us", "window_p999_us"):
-                self._data[name] = np.zeros(size)
+            names += ["window_ops", "window_p99_us", "window_p999_us"]
+        self._names = names
+        self._rows = np.zeros((self._rows.shape[0], 1 + len(names)))
 
     def sample(self, now_us: float) -> None:
         """Append one row and re-arm the cadence."""
-        if self._columns is None:
+        if self._names is None:
             self._freeze_columns()
         n = self.samples
-        if n == self._times.size:
+        if n == self._rows.shape[0]:
             self._grow_or_decimate()
             n = self.samples
-        self._times[n] = now_us
-        for name, instrument in self._columns:
-            self._data[name][n] = instrument.sample()
+        row = [now_us]
+        row += [sample() for sample in self._samplers]
         hist = self._window_hist
         if hist is not None:
             delta = hist.counts - self._last_counts
             ops = hist.total - self._last_total
-            self._data["window_ops"][n] = float(ops)
-            self._data["window_p99_us"][n] = percentile_from_counts(
-                delta, ops, hist.max_us, 99.0
-            )
-            self._data["window_p999_us"][n] = percentile_from_counts(
-                delta, ops, hist.max_us, 99.9
-            )
+            row.append(float(ops))
+            row += percentiles_from_counts(delta, ops, hist.max_us, (99.0, 99.9))
             self._last_counts = hist.counts.copy()
             self._last_total = hist.total
+        self._rows[n] = row
         self.samples = n + 1
         self.next_due_us = now_us + self.interval_us
 
     def _grow_or_decimate(self) -> None:
-        size = self._times.size
+        rows = self._rows
+        size = rows.shape[0]
         if size < self.max_samples:
+            # In place (rows are C-ordered, so the old ones keep their
+            # place): no second matrix alive during the copy.  Nothing
+            # holds a view of the matrix; arrays() hands out copies.
             new = min(size * 2, self.max_samples)
-            self._times = np.resize(self._times, new)
-            for name in self._data:
-                self._data[name] = np.resize(self._data[name], new)
+            rows.resize((new, rows.shape[1]), refcheck=False)
             return
         # At the bound: halve resolution in place.  Keeping the odd
         # rows (1, 3, 5, ...) preserves the most recent sample and the
         # doubled-interval spacing.
         half = size // 2
-        self._times[:half] = self._times[1::2]
-        for name in self._data:
-            col = self._data[name]
-            col[:half] = col[1::2]
+        rows[:half] = rows[1::2]
         self.samples = half
         self.interval_us *= 2.0
 
@@ -151,10 +151,10 @@ class TimeSeriesRecorder:
 
     def arrays(self) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
         """Trimmed copies: ``(times_us, {column: values})``."""
-        n = self.samples
+        rows = self._rows[: self.samples]
         return (
-            self._times[:n].copy(),
-            {name: col[:n].copy() for name, col in self._data.items()},
+            rows[:, 0].copy(),
+            {name: rows[:, j].copy() for j, name in enumerate(self._names or (), 1)},
         )
 
 

@@ -7,7 +7,7 @@ width (~7%) — p50/p95/p99/p999 without storing half a million floats.
 The metrics registry's :class:`~repro.obs.metrics.Histogram` handles,
 the array tier's SLO histograms and a sample-less
 :class:`~repro.metrics.latency.LatencyRecorder` are all this one type,
-and :func:`percentile_from_counts` is the one percentile rule.
+and :func:`percentiles_from_counts` is the one percentile rule.
 """
 
 from __future__ import annotations
@@ -32,22 +32,30 @@ def _bucket_edges() -> np.ndarray:
 _EDGES = _bucket_edges()
 
 
+def percentiles_from_counts(
+    counts: np.ndarray, total: int, max_us: float, ps: Sequence[float]
+) -> List[float]:
+    """Values at percentiles ``ps`` of a bucket-count vector over the
+    shared log-bucket geometry, from one cumulative sum: the upper edge
+    of the bucket holding the p-th sample, capped at ``max_us`` (the
+    overflow bucket reports ``max_us`` itself); 0.0 for an empty
+    vector.  ``counts`` may be a window delta between two snapshots of
+    one histogram, with ``max_us`` that histogram's running max."""
+    if total <= 0:
+        return [0.0] * len(ps)
+    ranks = [max(math.ceil(total * p / 100.0), 1) for p in ps]
+    idxs = np.searchsorted(np.cumsum(counts), ranks, side="left").tolist()
+    return [
+        max_us if idx >= _BUCKETS else float(min(_EDGES[idx], max_us))
+        for idx in idxs
+    ]
+
+
 def percentile_from_counts(
     counts: np.ndarray, total: int, max_us: float, p: float
 ) -> float:
-    """Value at percentile ``p`` of a bucket-count vector over the
-    shared log-bucket geometry: the upper edge of the bucket holding
-    the p-th sample, capped at ``max_us`` (the overflow bucket reports
-    ``max_us`` itself); 0.0 for an empty vector.  ``counts`` may be a
-    window delta between two snapshots of one histogram, with
-    ``max_us`` that histogram's running max."""
-    if total <= 0:
-        return 0.0
-    rank = max(math.ceil(total * p / 100.0), 1)
-    idx = int(np.searchsorted(np.cumsum(counts), rank, side="left"))
-    if idx >= _BUCKETS:
-        return max_us
-    return float(min(_EDGES[idx], max_us))
+    """:func:`percentiles_from_counts` at the one percentile ``p``."""
+    return percentiles_from_counts(counts, total, max_us, (p,))[0]
 
 
 class LatencyHistogram:

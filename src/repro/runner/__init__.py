@@ -13,7 +13,7 @@ schedulable fan-out:
 """
 
 from repro.runner.cache import RunCache, cache_enabled, default_cache_root
-from repro.runner.executor import execute_spec, resolve_jobs, run_specs
+from repro.runner.executor import SpecError, execute_spec, resolve_jobs, run_specs
 from repro.runner.serialize import (
     SCHEMA_VERSION,
     SchemaMismatchError,
@@ -28,6 +28,7 @@ __all__ = [
     "freeze_overrides",
     "SCHEMA_VERSION",
     "SchemaMismatchError",
+    "SpecError",
     "cache_enabled",
     "default_cache_root",
     "execute_spec",

@@ -11,6 +11,8 @@ the runner test suite asserts per scheme.
 Workers return serialized results (the parent deserializes and writes
 the cache), which keeps cache writes single-writer/atomic and avoids
 pickling ``RunResult`` dataclasses across the process boundary twice.
+A spec that raises, serially or in a worker, surfaces as a
+:class:`SpecError` naming its label, chained from the original error.
 """
 
 from __future__ import annotations
@@ -25,6 +27,15 @@ from repro.runner.spec import RunSpec
 
 #: progress callback: (spec, source) with source in {"cache", "run"}.
 ProgressFn = Callable[[RunSpec, str], None]
+
+
+class SpecError(RuntimeError):
+    """A spec's execution raised; the message leads with its label and
+    ``__cause__`` holds the original exception."""
+
+    def __init__(self, spec: RunSpec, error: BaseException) -> None:
+        super().__init__(f"{spec.label()}: {type(error).__name__}: {error}")
+        self.spec = spec
 
 
 def execute_spec(spec: RunSpec):
@@ -88,12 +99,24 @@ def run_specs(
 
 def _execute_misses(misses: List[RunSpec], jobs: int) -> List[object]:
     if jobs <= 1 or len(misses) == 1:
-        return [execute_spec(spec) for spec in misses]
+        return [_named(spec, execute_spec, spec) for spec in misses]
     try:
         with ProcessPoolExecutor(max_workers=min(jobs, len(misses))) as pool:
-            payloads = list(pool.map(_execute_spec_bytes, misses))
+            futures = [pool.submit(_execute_spec_bytes, spec) for spec in misses]
+            payloads = [
+                _named(spec, future.result) for future, spec in zip(futures, misses)
+            ]
     except (OSError, PermissionError):
         # Restricted environments (no /dev/shm, forbidden fork) fall
         # back to serial execution; results are identical by design.
-        return [execute_spec(spec) for spec in misses]
+        return [_named(spec, execute_spec, spec) for spec in misses]
     return [result_from_bytes(payload) for payload in payloads]
+
+
+def _named(spec: RunSpec, fn: Callable, *args):
+    """``fn(*args)``, with any error re-raised as a :class:`SpecError`
+    naming ``spec``."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise SpecError(spec, exc) from exc

@@ -165,6 +165,12 @@ class FTLScheme(abc.ABC):
         self.flash.victim_index = self.victim_index
         self.gc_counters = GCCounters()
         self.io_counters = IOCounters()
+        #: The vectorized kernel's burst pass
+        #: (:class:`repro.kernel.burst.BurstPass`), or ``None``.  When
+        #: set, :meth:`run_gc` and :meth:`reclaim` hand their whole
+        #: select -> collect loop to it; otherwise they run the
+        #: reference loops below, one :meth:`collect_block` per victim.
+        self.burst_pass = None
         # Integer free-block thresholds equivalent to the configured
         # watermark fractions (checked on every write; see needs_gc).
         blocks = self.flash.blocks
@@ -204,32 +210,67 @@ class FTLScheme(abc.ABC):
 
         The fast path for schemes without foreground hashing: the flash
         programs land as one :meth:`BlockAllocator.allocate_run` sweep
-        per active-block stretch, then a single loop binds mappings,
-        records fingerprints and releases overwritten pages — the same
-        state transitions as per-page :meth:`write_page` calls, minus
-        the per-page call chain and NumPy scalar traffic.
+        per active-block stretch, then a single loop over the raw
+        columns binds mappings, records fingerprints and releases
+        overwritten pages — the state transitions of per-page
+        :meth:`write_page` calls (``mapping.bind``, ``_release_if_dead``)
+        without their per-page call chain.
         """
         n = len(values)
         self._note_user_writes(lpn, n)
         allocator = self.allocator
-        bind = self.mapping.bind
-        # Raw columns: allocated PPNs are in range by construction and
-        # trace fingerprints are non-negative, so the flat stores can be
-        # indexed directly instead of through their dict-protocol shims.
-        fp_col = self.page_fp.column()
-        peak_col = self.tracker.peaks.column()
-        release_if_dead = self._release_if_dead
+        mapping = self.mapping
+        fwd = mapping._fwd
+        ref = mapping._ref
+        solo = mapping._solo
+        n_lpns = len(fwd)
+        # Allocated PPNs are in range by construction and trace
+        # fingerprints are non-negative, so the flat stores are indexed
+        # directly instead of through their dict-protocol shims.
+        fp_col = self.page_fp._col
+        peak_col = self.tracker.peaks._col
+        rev = self.index._ppn_fp
+        invalidate = self.flash.invalidate
+        record = self.tracker.histogram.record
         done = 0
         while done < n:
             base, count = allocator.allocate_run(Region.HOT, n - done, now_us)
             for i in range(count):
                 ppn = base + i
-                old = bind(lpn + done + i, ppn)
+                page_lpn = lpn + done + i
+                if not 0 <= page_lpn < n_lpns:
+                    mapping.bind(page_lpn, ppn)  # raises its MappingError
+                # mapping.bind(page_lpn, ppn): drop the old referrer,
+                # then add ppn's first one.
+                old = fwd[page_lpn]
+                if old < 0:
+                    mapping._len += 1
+                else:
+                    refs = ref[old]
+                    if refs == 1:
+                        if solo[old] == page_lpn:
+                            ref[old] = 0
+                            solo[old] = -1
+                    elif refs:
+                        mapping._drop_ref(old, page_lpn)
+                fwd[page_lpn] = ppn
+                if ref[ppn] == 0:
+                    ref[ppn] = 1
+                    solo[ppn] = page_lpn
+                else:
+                    mapping._add_ref(ppn, page_lpn)
                 fp_col[ppn] = values[done + i]
-                if peak_col[ppn] < 1:  # tracker.observe(ppn, 1), inlined
+                if peak_col[ppn] < 1:  # tracker.observe(ppn, 1)
                     peak_col[ppn] = 1
-                if old is not None and old != ppn:
-                    release_if_dead(old)
+                if old >= 0 and ref[old] == 0:
+                    # _release_if_dead(old)
+                    invalidate(old)
+                    if rev[old] >= 0:
+                        self.index.remove_ppn(old)
+                    peak = peak_col[old]  # tracker.invalidated(old)
+                    peak_col[old] = 0
+                    record(peak if peak else 1)
+                    fp_col[old] = -1
             done += count
         return n
 
@@ -290,30 +331,43 @@ class FTLScheme(abc.ABC):
         return self.allocator.free_blocks < self._gc_stop_blocks
 
     def run_gc(self, now_us: float) -> float:
-        """Run a GC burst until the stop watermark; returns busy time."""
+        """Run a GC burst until the stop watermark; returns busy time.
+
+        A burst collects at most ``gc_burst_blocks`` victims.  Each is
+        the policy's pick at ``now_us`` plus the time already spent.
+        An installed :attr:`burst_pass` runs the select -> collect loop
+        in one call, with the same stop rule, victims and trace events.
+        """
         if not self.needs_gc():
             return 0.0
         self.gc_counters.gc_invocations += 1
         tracer = self.tracer
         if tracer is not None:
             tracer.begin("gc", "gc-burst", now_us, free_blocks=self.allocator.free_blocks)
-        duration = 0.0
         stop = self._gc_stop_blocks
-        burst = 0
-        while (
-            self.allocator.free_blocks < stop
-            and burst < self.config.gc_burst_blocks
-        ):
-            burst += 1
-            victim = self.policy.select_indexed(
-                self.flash, self.victim_index, now_us + duration
+        if self.burst_pass is not None:
+            duration, burst = self.burst_pass(
+                self, now_us, stop, self.config.gc_burst_blocks, False
             )
-            if victim is None:
-                break
-            if tracer is not None:
-                tracer.instant("gc", "victim-select", now_us + duration, victim=victim)
-            outcome = self.collect_block(victim, now_us + duration)
-            duration += outcome.duration_us
+        else:
+            duration = 0.0
+            burst = 0
+            while (
+                self.allocator.free_blocks < stop
+                and burst < self.config.gc_burst_blocks
+            ):
+                burst += 1
+                victim = self.policy.select_indexed(
+                    self.flash, self.victim_index, now_us + duration
+                )
+                if victim is None:
+                    break
+                if tracer is not None:
+                    tracer.instant(
+                        "gc", "victim-select", now_us + duration, victim=victim
+                    )
+                outcome = self.collect_block(victim, now_us + duration)
+                duration += outcome.duration_us
         if tracer is not None:
             tracer.end(
                 "gc", now_us + duration,
@@ -349,10 +403,13 @@ class FTLScheme(abc.ABC):
         :meth:`reserve_blocks` before a write; idle-time GC reclaims
         toward the stop watermark (the default floor), at most
         ``max_victims`` blocks per call.  A victim-less or zero-duration
-        collect ends the loop.
+        collect ends the loop.  An installed :attr:`burst_pass` runs the
+        loop in one call, with the same stop rules and trace events.
         """
         if floor_blocks is None:
             floor_blocks = self._gc_stop_blocks
+        if self.burst_pass is not None:
+            return self.burst_pass(self, now_us, floor_blocks, max_victims, True)[0]
         allocator = self.allocator
         duration = 0.0
         victims = 0
@@ -380,15 +437,11 @@ class FTLScheme(abc.ABC):
         for ppn in valid:
             self._migrate_page(ppn, self._migration_region(ppn), now_us)
         self._erase_victim(victim)
-        return self._plain_copy_done(victim, len(valid), now_us)
-
-    def _plain_copy_done(self, victim: int, n: int, now_us: float) -> GCBlockOutcome:
-        """Outcome, trace spans and counters of a plain copy of ``n``
-        valid pages out of the already-erased ``victim``."""
+        n = len(valid)
         timing = self.timing
-        outcome = GCBlockOutcome(
+        return GCBlockOutcome(
             victim=victim,
-            duration_us=timing.gc_migrate_us(n),
+            duration_us=self._plain_copy_done(victim, n, now_us),
             pages_examined=n,
             pages_migrated=n,
             dedup_skipped=0,
@@ -398,6 +451,12 @@ class FTLScheme(abc.ABC):
             write_us=n * timing.write_us,
             erase_us=timing.erase_us,
         )
+
+    def _plain_copy_done(self, victim: int, n: int, now_us: float) -> float:
+        """Trace spans and counters of a plain copy of ``n`` valid pages
+        out of the already-erased ``victim``; returns its duration."""
+        timing = self.timing
+        duration = timing.gc_migrate_us(n)
         tracer = self.tracer
         if tracer is not None:
             # Traditional serial GC (Fig 3): each page is read then
@@ -406,8 +465,11 @@ class FTLScheme(abc.ABC):
             copy_us = n * (timing.read_us + timing.write_us)
             tracer.span("gc", "copy-valid", now_us, copy_us, victim=victim, pages=n)
             tracer.span("gc", "erase", now_us + copy_us, timing.erase_us, victim=victim)
-        self._account_gc(outcome)
-        return outcome
+        self.gc_counters.merge_block(
+            n, n, 0, 0, duration,
+            n * timing.read_us, 0.0, n * timing.write_us, timing.erase_us,
+        )
+        return duration
 
     # ------------------------------------------------------------------ helpers
 

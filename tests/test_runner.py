@@ -300,3 +300,25 @@ class TestExperimentsIntegration:
         finally:
             monkeypatch.delenv(ENV_CACHE_DIR)
             reset_result_caches()
+
+
+class TestSpecErrors:
+    """A spec that raises names itself, on the serial path and from the
+    process pool alike."""
+
+    BAD = RunSpec(
+        workload="mail", scheme="baseline", scale="quick",
+        config_overrides=(("op_ratio", 1.5),),
+    )
+    GOOD = RunSpec(workload="mail", scheme="baseline", scale="quick")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_spec_is_named(self, jobs):
+        from repro.runner import SpecError
+
+        with pytest.raises(SpecError) as info:
+            run_specs([self.GOOD, self.BAD], jobs=jobs)
+        err = info.value
+        assert err.spec == self.BAD
+        assert str(err).startswith(self.BAD.label() + ": ValueError: ")
+        assert isinstance(err.__cause__, ValueError)
