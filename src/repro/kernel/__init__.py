@@ -18,10 +18,11 @@ The kernel/orchestrator split behind ``config.kernel = "vectorized"``:
   plan/apply split over a window of hashed writes (bulk index probe,
   integer-handle resolution loop, net-final state scatters and bulk
   index updates);
-* :mod:`repro.kernel.burst` — the GC burst pass: each ``run_gc`` /
-  ``reclaim`` call of the baseline, inline-dedupe and CAGC schemes
-  collects its victims in one call over the raw columns (plain-copy
-  metadata moves as one scatter set; CAGC as one dedup/promotion walk);
+* :mod:`repro.kernel.burst` — the GC burst pass: the baseline,
+  inline-dedupe and CAGC schemes collect the victims of each ``run_gc``
+  / ``reclaim`` loop over the raw columns (a plain-copy victim's
+  metadata moves as one scatter set; a CAGC burst is one
+  dedup/promotion walk);
 * :mod:`repro.kernel.views` — cached zero-copy NumPy views over the
   columnar FTL/dedup stores the kernels scatter into.
 

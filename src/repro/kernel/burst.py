@@ -1,14 +1,15 @@
 """GC bursts in one pass: the vectorized kernel's victim collection.
 
 :func:`install_burst_pass` gives the exact baseline, inline-dedupe and
-CAGC schemes a :class:`BurstPass`.  :meth:`FTLScheme.run_gc
-<repro.schemes.base.FTLScheme.run_gc>` and :meth:`FTLScheme.reclaim
-<repro.schemes.base.FTLScheme.reclaim>` then hand their whole select ->
-collect loop to one call, with the same stop rules and trace events as
-their reference loops.  The pass works on the raw FTL columns (the
-mapping's ``_fwd``/``_ref``/``_solo``, the fingerprint and peak columns,
-the index's ``_keys``/``_vals``/``_ppn_fp``) and on the flash and
-allocator counters, instead of about ten method calls per page.
+CAGC schemes a :class:`BurstPass`.  The one select -> collect loop
+behind :meth:`FTLScheme.run_gc <repro.schemes.base.FTLScheme.run_gc>`
+and :meth:`FTLScheme.reclaim <repro.schemes.base.FTLScheme.reclaim>`
+(``FTLScheme._gc_loop``) then collects each victim through the pass,
+with the same stop rules and trace events.  The pass works on the raw
+FTL columns (the mapping's ``_fwd``/``_ref``/``_solo``, the fingerprint
+and peak columns, the index's ``_keys``/``_vals``/``_ppn_fp``) and on
+the flash and allocator counters, instead of about ten method calls per
+page.
 
 Selection stays sequential: each victim is the policy's pick at the
 burst start plus the time already spent, after the previous victim's
@@ -16,13 +17,10 @@ allocation and erase, so cost-benefit ages, the random policy's RNG
 stream and greedy's ties do not move.
 
 * **Plain copy** (baseline and inline-dedupe): per victim, in selection
-  order, the destination pages are allocated and the victim is erased
-  (both feed the next pick through the flash hooks).  The mapping,
-  fingerprint, peak and index-move scatters of the whole burst land as
-  one set at its end.  A page that would move twice in one burst forces
-  an early flush: a victim that holds pending destination pages
-  (``dest-picked``), or a destination block that is a pending erased
-  victim (``victim-repulled``).  :attr:`PlainCopyBurst.flushes` counts both.
+  order, the destination pages are allocated, the mapping, fingerprint,
+  peak and index-move scatters land as one set, and the victim is
+  erased (allocation and erase feed the next pick through the flash
+  hooks).
 * **CAGC**: one scalar walk over all the burst's victims, in order.  It
   is the reference :meth:`CAGCScheme.collect_block
   <repro.core.cagc.CAGCScheme.collect_block>` with the victim-page
@@ -45,12 +43,12 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.cagc import CAGCScheme
-from repro.core.placement import NeverColdPlacement, PlacementPolicy
+from repro.core.placement import NeverColdPlacement
 from repro.dedup.index import _EMPTY, _GOLD
 from repro.flash.chip import PageState
 from repro.ftl.allocator import Region
@@ -67,22 +65,18 @@ _FP_ABSENT = -1
 _NO_LPN = -1
 
 
-#: Placements whose decisions the CAGC walk inlines.
-_PLACEMENTS = (PlacementPolicy, NeverColdPlacement)
-
-
 def install_burst_pass(scheme: FTLScheme, views: ColumnViews) -> None:
     """Give the exact baseline, inline-dedupe or CAGC scheme its burst
     pass (``scheme.burst_pass``); other schemes keep ``None``.
 
     Subclasses may override the migration region (spatial hot/cold) or
-    the write path and migration decisions, and another placement its
-    decisions, so they keep the reference loops.
+    the write path and migration decisions, so they keep
+    :meth:`~repro.schemes.base.FTLScheme.collect_block`.
     """
     cls = type(scheme)
     if cls in (BaselineScheme, InlineDedupeScheme):
         burst: BurstPass = PlainCopyBurst(views)
-    elif cls is CAGCScheme and type(scheme.placement) in _PLACEMENTS:
+    elif cls is CAGCScheme:
         burst = CagcBurst()
     else:
         return
@@ -91,12 +85,13 @@ def install_burst_pass(scheme: FTLScheme, views: ColumnViews) -> None:
 
 
 class BurstPass:
-    """The select -> collect loop of one ``run_gc``/``reclaim`` call.
+    """Collects the victims of one ``run_gc``/``reclaim`` loop
+    (:meth:`FTLScheme._gc_loop <repro.schemes.base.FTLScheme._gc_loop>`).
 
-    The scheme comes with each call and the pass keeps no reference to
-    it past the burst, so the scheme and its pass form no reference
-    cycle: a finished replay's columns free at once instead of waiting
-    for the cyclic collector.
+    The scheme comes with each :meth:`begin` and the pass keeps no
+    reference to it past :meth:`end`, so the scheme and its pass form
+    no reference cycle: a finished replay's columns free at once
+    instead of waiting for the cyclic collector.
     """
 
     #: ``scheme.kernel_gc_stats`` keys: collection passes per path.
@@ -105,61 +100,13 @@ class BurstPass:
     def __init__(self) -> None:
         self.stats: Dict[str, int] = {key: 0 for key in self.STAT_KEYS}
 
-    def __call__(
-        self,
-        scheme: FTLScheme,
-        now_us: float,
-        floor_blocks: int,
-        max_victims: Optional[int],
-        idle: bool,
-    ) -> Tuple[float, int]:
-        """Collect victims until ``floor_blocks`` blocks are free or
-        ``max_victims`` picks; returns ``(duration, picks)``.
-
-        ``picks`` counts a failed pick too, as ``run_gc``'s burst span
-        does.  ``idle`` marks a :meth:`FTLScheme.reclaim` call: its
-        ``victim-select`` instants carry ``idle=True``, and a
-        zero-duration collect ends it.
-        """
-        allocator = scheme.allocator
-        flash = scheme.flash
-        victim_index = scheme.victim_index
-        select = scheme.policy.select_indexed
-        tracer = scheme.tracer
-        collect = self._begin(scheme, tracer)
-        duration = 0.0
-        picks = 0
-        try:
-            while allocator.free_blocks < floor_blocks and (
-                max_victims is None or picks < max_victims
-            ):
-                picks += 1
-                now = now_us + duration
-                victim = select(flash, victim_index, now)
-                if victim is None:
-                    break
-                if tracer is not None:
-                    if idle:
-                        tracer.instant(
-                            "gc", "victim-select", now, victim=victim, idle=True
-                        )
-                    else:
-                        tracer.instant("gc", "victim-select", now, victim=victim)
-                chunk = collect(victim, now)
-                if idle and chunk <= 0.0:
-                    break
-                duration += chunk
-        finally:
-            self._end(scheme)
-        return duration, picks
-
-    def _begin(self, scheme: FTLScheme, tracer):
+    def begin(self, scheme: FTLScheme) -> Callable[[int, float], float]:
         """The per-victim collect ``(victim, now_us) -> duration`` for
-        this burst."""
+        one loop."""
         raise NotImplementedError
 
-    def _end(self, scheme: FTLScheme) -> None:
-        """Land whatever the burst deferred."""
+    def end(self, scheme: FTLScheme) -> None:
+        """Land whatever the loop deferred."""
 
 
 class _Streams:
@@ -240,32 +187,22 @@ class _Streams:
 
 
 class PlainCopyBurst(BurstPass):
-    """Baseline / inline-dedupe bursts: per-victim allocation and erase,
-    one metadata scatter set per burst."""
+    """Baseline / inline-dedupe bursts: each victim's pages are
+    allocated on the streams and their metadata moved in one scatter
+    set, then the victim is erased."""
 
     STAT_KEYS = ("batched",)
 
     def __init__(self, views: ColumnViews) -> None:
         super().__init__()
         self.views = views
-        #: early flushes by cause (see the module docstring).
-        self.flushes: Dict[str, int] = {"dest-picked": 0, "victim-repulled": 0}
         self._streams: Optional[_Streams] = None
-        # Pending moves: each victim's page states (copied before its
-        # erase) and base PPN, the destination runs in page order, and
-        # the blocks on both sides.
-        self._states: List[np.ndarray] = []
-        self._bases: List[int] = []
-        self._runs: List[Tuple[int, int]] = []
-        self._victims: Set[int] = set()
-        self._dests: Set[int] = set()
 
-    def _begin(self, scheme: FTLScheme, tracer):
+    def begin(self, scheme: FTLScheme) -> Callable[[int, float], float]:
         self._streams = _Streams(scheme.allocator, scheme.flash._ppb)
         return partial(self._collect, scheme)
 
-    def _end(self, scheme: FTLScheme) -> None:
-        self._flush(scheme)
+    def end(self, scheme: FTLScheme) -> None:
         self._streams.land_all()
         self._streams = None
 
@@ -274,27 +211,21 @@ class PlainCopyBurst(BurstPass):
         n = int(flash.valid_count[victim])
         if n:
             streams = self._streams
-            ppb = streams.ppb
             region = int(scheme.allocator.block_region[victim])
             if region != _HOT and region != _COLD:
                 region = _HOT
-            runs = streams.take(region, n, now_us)
-            dests = [first // ppb for first, _ in runs]
-            if self._states:
-                if victim in self._dests:
-                    self.flushes["dest-picked"] += 1
-                    self._flush(scheme)
-                elif not self._victims.isdisjoint(dests):
-                    self.flushes["victim-repulled"] += 1
-                    self._flush(scheme)
-            base = victim * ppb
-            self._states.append(
-                flash.page_state[base : base + int(flash.write_ptr[victim])].copy()
+            # The victim's valid PPNs in page order (the reference's
+            # copy order) and their destinations in run order.
+            base = victim * streams.ppb
+            states = flash.page_state[base : base + int(flash.write_ptr[victim])]
+            old = np.flatnonzero(states == _VALID) + base
+            new = np.concatenate(
+                [
+                    np.arange(first, first + count)
+                    for first, count in streams.take(region, n, now_us)
+                ]
             )
-            self._bases.append(base)
-            self._runs += runs
-            self._victims.add(victim)
-            self._dests.update(dests)
+            _move_pages(scheme, self.views, old, new)
             streams.land_full()
             # The skipped per-page invalidations would leave the victim
             # with no valid page: the erase's precondition.
@@ -303,37 +234,12 @@ class PlainCopyBurst(BurstPass):
         self.stats["batched"] += 1
         return scheme._plain_copy_done(victim, n, now_us)
 
-    def _flush(self, scheme: FTLScheme) -> None:
-        """Move the pending pages' metadata in one scatter set."""
-        if not self._states:
-            return
-        # The victims' valid PPNs, victim by victim in page order (the
-        # reference's copy order), and their destinations in run order.
-        states = np.concatenate(self._states)
-        sizes = [row.size for row in self._states]
-        shift = np.array(self._bases) - np.cumsum([0] + sizes[:-1])
-        valid = np.flatnonzero(states == _VALID)
-        old = valid + np.repeat(shift, sizes)[valid]
-        firsts, counts = np.array(self._runs).T
-        run_shift = firsts - np.cumsum(counts) + counts
-        new = np.arange(old.size) + np.repeat(run_shift, counts)
-        self._states.clear()
-        self._bases.clear()
-        self._runs.clear()
-        self._victims.clear()
-        self._dests.clear()
-        _move_pages(scheme, self.views, old, new)
-
 
 def _move_pages(
     scheme: FTLScheme, views: ColumnViews, old: np.ndarray, new: np.ndarray
 ) -> None:
     """Carry every page of ``old`` to the fresh page ``new`` at the same
-    position: referrers, canonical index entry, fingerprint and peak.
-
-    ``old`` pages are distinct and each appears in no earlier pending
-    move's ``new`` (the burst flushes before that could happen).
-    """
+    position: referrers, canonical index entry, fingerprint and peak."""
     # Destinations are fresh, so each source page's referrers transfer
     # wholesale (solo pages as column scatters, shared pages by handing
     # the referrer set to the new PPN).  All-solo batches (every
@@ -395,8 +301,9 @@ class CagcBurst(BurstPass):
         super().__init__()
         self._finish = None
 
-    def _begin(self, scheme: FTLScheme, tracer):
+    def begin(self, scheme: FTLScheme) -> Callable[[int, float], float]:
         stats = self.stats
+        tracer = scheme.tracer
         if tracer is None:
             collect, self._finish = _cagc_walk(scheme, stats)
             return collect
@@ -410,7 +317,7 @@ class CagcBurst(BurstPass):
 
         return collect_traced
 
-    def _end(self, scheme: FTLScheme) -> None:
+    def end(self, scheme: FTLScheme) -> None:
         if self._finish is not None:
             self._finish()
             self._finish = None
@@ -455,7 +362,9 @@ def _cagc_walk(scheme: CAGCScheme, stats: Dict[str, int]):
     # probes of the allocator state.  The never-cold ablation classifies
     # nothing as cold: no reference count reaches an infinite threshold.
     cold_threshold = (
-        placement.cold_threshold if type(placement) is PlacementPolicy else math.inf
+        math.inf
+        if isinstance(placement, NeverColdPlacement)
+        else placement.cold_threshold
     )
     max_cold = placement._max_cold_blocks
     block_region = allocator.block_region

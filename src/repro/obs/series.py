@@ -133,11 +133,9 @@ class TimeSeriesRecorder:
         rows = self._rows
         size = rows.shape[0]
         if size < self.max_samples:
-            # In place (rows are C-ordered, so the old ones keep their
-            # place): no second matrix alive during the copy.  Nothing
-            # holds a view of the matrix; arrays() hands out copies.
-            new = min(size * 2, self.max_samples)
-            rows.resize((new, rows.shape[1]), refcheck=False)
+            grown = np.zeros((min(size * 2, self.max_samples), rows.shape[1]))
+            grown[:size] = rows
+            self._rows = grown
             return
         # At the bound: halve resolution in place.  Keeping the odd
         # rows (1, 3, 5, ...) preserves the most recent sample and the

@@ -167,9 +167,8 @@ class FTLScheme(abc.ABC):
         self.io_counters = IOCounters()
         #: The vectorized kernel's burst pass
         #: (:class:`repro.kernel.burst.BurstPass`), or ``None``.  When
-        #: set, :meth:`run_gc` and :meth:`reclaim` hand their whole
-        #: select -> collect loop to it; otherwise they run the
-        #: reference loops below, one :meth:`collect_block` per victim.
+        #: set, it collects the victims of every :meth:`_gc_loop`;
+        #: otherwise each goes through :meth:`collect_block`.
         self.burst_pass = None
         # Integer free-block thresholds equivalent to the configured
         # watermark fractions (checked on every write; see needs_gc).
@@ -333,10 +332,8 @@ class FTLScheme(abc.ABC):
     def run_gc(self, now_us: float) -> float:
         """Run a GC burst until the stop watermark; returns busy time.
 
-        A burst collects at most ``gc_burst_blocks`` victims.  Each is
-        the policy's pick at ``now_us`` plus the time already spent.
-        An installed :attr:`burst_pass` runs the select -> collect loop
-        in one call, with the same stop rule, victims and trace events.
+        A burst collects at most ``gc_burst_blocks`` victims (see
+        :meth:`_gc_loop`).
         """
         if not self.needs_gc():
             return 0.0
@@ -344,30 +341,9 @@ class FTLScheme(abc.ABC):
         tracer = self.tracer
         if tracer is not None:
             tracer.begin("gc", "gc-burst", now_us, free_blocks=self.allocator.free_blocks)
-        stop = self._gc_stop_blocks
-        if self.burst_pass is not None:
-            duration, burst = self.burst_pass(
-                self, now_us, stop, self.config.gc_burst_blocks, False
-            )
-        else:
-            duration = 0.0
-            burst = 0
-            while (
-                self.allocator.free_blocks < stop
-                and burst < self.config.gc_burst_blocks
-            ):
-                burst += 1
-                victim = self.policy.select_indexed(
-                    self.flash, self.victim_index, now_us + duration
-                )
-                if victim is None:
-                    break
-                if tracer is not None:
-                    tracer.instant(
-                        "gc", "victim-select", now_us + duration, victim=victim
-                    )
-                outcome = self.collect_block(victim, now_us + duration)
-                duration += outcome.duration_us
+        duration, burst = self._gc_loop(
+            now_us, self._gc_stop_blocks, self.config.gc_burst_blocks, False
+        )
         if tracer is not None:
             tracer.end(
                 "gc", now_us + duration,
@@ -381,13 +357,7 @@ class FTLScheme(abc.ABC):
         The incremental unit of preemptive/idle GC (see :meth:`reclaim`).
         Returns 0.0 when no victim is eligible.
         """
-        victim = self.policy.select_indexed(self.flash, self.victim_index, now_us)
-        if victim is None:
-            return 0.0
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant("gc", "victim-select", now_us, victim=victim, idle=True)
-        return self.collect_block(victim, now_us).duration_us
+        return self._gc_loop(now_us, self.flash.blocks + 1, 1, True)[0]
 
     def reclaim(
         self,
@@ -403,25 +373,69 @@ class FTLScheme(abc.ABC):
         :meth:`reserve_blocks` before a write; idle-time GC reclaims
         toward the stop watermark (the default floor), at most
         ``max_victims`` blocks per call.  A victim-less or zero-duration
-        collect ends the loop.  An installed :attr:`burst_pass` runs the
-        loop in one call, with the same stop rules and trace events.
+        collect ends the loop.
         """
         if floor_blocks is None:
             floor_blocks = self._gc_stop_blocks
-        if self.burst_pass is not None:
-            return self.burst_pass(self, now_us, floor_blocks, max_victims, True)[0]
+        return self._gc_loop(now_us, floor_blocks, max_victims, True)[0]
+
+    def _gc_loop(
+        self,
+        now_us: float,
+        floor_blocks: int,
+        max_victims: Optional[int],
+        idle: bool,
+    ) -> Tuple[float, int]:
+        """The select -> collect loop of :meth:`run_gc` and
+        :meth:`reclaim`: collect victims until ``floor_blocks`` blocks
+        are free or ``max_victims`` picks; returns ``(duration, picks)``.
+
+        Each victim is the policy's pick at ``now_us`` plus the time
+        already spent.  ``picks`` counts a failed pick too, as
+        ``run_gc``'s burst span does.  ``idle`` marks a :meth:`reclaim`
+        call: its ``victim-select`` instants carry ``idle=True``, and a
+        zero-duration collect ends it.  Victims are collected by an
+        installed :attr:`burst_pass` (the vectorized kernel's), else by
+        :meth:`collect_block`.
+        """
+        burst_pass = self.burst_pass
+        collect = (
+            self._collect_duration if burst_pass is None else burst_pass.begin(self)
+        )
         allocator = self.allocator
+        flash = self.flash
+        victim_index = self.victim_index
+        select = self.policy.select_indexed
+        tracer = self.tracer
         duration = 0.0
-        victims = 0
-        while allocator.free_blocks < floor_blocks and (
-            max_victims is None or victims < max_victims
-        ):
-            chunk = self.collect_next(now_us + duration)
-            if chunk <= 0.0:
-                break
-            duration += chunk
-            victims += 1
-        return duration
+        picks = 0
+        try:
+            while allocator.free_blocks < floor_blocks and (
+                max_victims is None or picks < max_victims
+            ):
+                picks += 1
+                now = now_us + duration
+                victim = select(flash, victim_index, now)
+                if victim is None:
+                    break
+                if tracer is not None:
+                    if idle:
+                        tracer.instant(
+                            "gc", "victim-select", now, victim=victim, idle=True
+                        )
+                    else:
+                        tracer.instant("gc", "victim-select", now, victim=victim)
+                chunk = collect(victim, now)
+                if idle and chunk <= 0.0:
+                    break
+                duration += chunk
+        finally:
+            if burst_pass is not None:
+                burst_pass.end(self)
+        return duration, picks
+
+    def _collect_duration(self, victim: int, now_us: float) -> float:
+        return self.collect_block(victim, now_us).duration_us
 
     def reserve_blocks(self) -> int:
         """Free-block floor preemptive GC restores before a write."""
